@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -26,7 +27,14 @@ import numpy as np
 from .dynamics import PRODUCTION_FUNCTIONS, BehavioralParams
 from .economy import Economy
 from .errors import CheckpointError, SchemaError, ValidationError
-from .integrate import IntegrationConfig, Trajectory, simulate
+from .integrate import (
+    SERIES,
+    IntegrationConfig,
+    Trajectory,
+    _output_grid,
+    simulate,
+    simulate_series,
+)
 from .shocks import Scenario
 
 log = logging.getLogger(__name__)
@@ -38,6 +46,13 @@ AGGREGATE_CODE = "BE"
 #: Decimal places kept when storing scores; fixes the argmin across
 #: platforms and across checkpoint round-trips.
 SCORE_DECIMALS = 12
+
+#: The model series scoring reads: gross output, labor, outgoing B2B orders.
+SCORED_SERIES = ("x", "l", "b2b")
+
+#: Most grid points or Monte Carlo draws simulated together in one batched
+#: pass. Larger chunks save little more per point and cost memory.
+CHUNK_POINTS = 16
 
 CONSUMER_FACING = ("I55-56", "N77", "N79", "R90-92", "R93", "S94", "S96")
 RETAIL = ("G46", "G47")
@@ -210,34 +225,31 @@ def _pct_reduction(series: np.ndarray, baseline: np.ndarray) -> np.ndarray:
     return pct
 
 
-def model_quarterly(
-    traj: Trajectory,
-    economy: Economy,
-    mapping: dict[str, str] | None,
-    quarters,
-) -> dict[str, dict[tuple[str, str], float]]:
-    """Quarterly-averaged percentage reductions of the model proxies."""
-    if mapping is None:
-        mapping = default_sector_mapping(economy.codes)
-    labels = [quarter_of(traj.date_at(t)) for t in traj.times]
-    in_quarter = {q: np.asarray([lab == q for lab in labels]) for q in quarters}
+class _QuarterFrame:
+    """Calendar quarters of the sample times and the NACE-21 grouping: the
+    parts of ``model_quarterly`` that do not depend on the run."""
 
-    X = traj.series(lambda s: s.x)
-    L = traj.series(lambda s: s.l)
-    B = traj.series(lambda s: s.O.sum(axis=1))
+    def __init__(self, times, start_date: date, economy: Economy,
+                 mapping: dict[str, str] | None, quarters):
+        if mapping is None:
+            mapping = default_sector_mapping(economy.codes)
+        self.quarters = tuple(quarters)
+        labels = [quarter_of(start_date + timedelta(days=float(t))) for t in times]
+        self.in_quarter = {
+            q: np.asarray([lab == q for lab in labels]) for q in self.quarters
+        }
+        self.codes = economy.codes
+        self.groups = sorted(set(mapping.get(c, c[0]) for c in economy.codes))
+        gindex = {g: k for k, g in enumerate(self.groups)}
+        self.member = np.zeros((len(economy.codes), len(self.groups)))
+        for i, code in enumerate(economy.codes):
+            self.member[i, gindex[mapping.get(code, code[0])]] = 1.0
 
-    groups = sorted(set(mapping.get(c, c[0]) for c in economy.codes))
-    gindex = {g: k for k, g in enumerate(groups)}
-    member = np.zeros((len(economy.codes), len(groups)))
-    for i, code in enumerate(economy.codes):
-        member[i, gindex[mapping.get(code, code[0])]] = 1.0
-    B21 = B @ member
-
-    def table(values: np.ndarray, names) -> dict[tuple[str, str], float]:
+    def _table(self, values: np.ndarray, names) -> dict[tuple[str, str], float]:
         pct = _pct_reduction(values, values[0])
         out = {}
-        for q in quarters:
-            sel = in_quarter[q]
+        for q in self.quarters:
+            sel = self.in_quarter[q]
             if not sel.any():
                 continue
             block = pct[sel]
@@ -248,13 +260,27 @@ def model_quarterly(
                     out[(name, q)] = float(sums[j] / counts[j])
         return out
 
-    x_table = table(X, economy.codes)
-    return {
-        "gdp": x_table,
-        "revenue": dict(x_table),
-        "employment": table(L, economy.codes),
-        "b2b": table(B21, groups),
-    }
+    def tables(self, X: np.ndarray, L: np.ndarray, B: np.ndarray):
+        """Quarterly reductions from (time, sector) series of gross output,
+        labor and outgoing B2B orders."""
+        x_table = self._table(X, self.codes)
+        return {
+            "gdp": x_table,
+            "revenue": dict(x_table),
+            "employment": self._table(L, self.codes),
+            "b2b": self._table(B @ self.member, self.groups),
+        }
+
+
+def model_quarterly(
+    traj: Trajectory,
+    economy: Economy,
+    mapping: dict[str, str] | None,
+    quarters,
+) -> dict[str, dict[tuple[str, str], float]]:
+    """Quarterly-averaged percentage reductions of the model proxies."""
+    frame = _QuarterFrame(traj.times, traj.start_date, economy, mapping, quarters)
+    return frame.tables(*(traj.series(SERIES[name]) for name in SCORED_SERIES))
 
 
 def indicator_weights(
@@ -295,29 +321,41 @@ def horizon_for(scenario: Scenario, quarters) -> float:
     return float((last - scenario.start_date).days)
 
 
-def score_point(
-    economy: Economy,
-    scenario: Scenario,
-    params: BehavioralParams,
-    dataset: EmpiricalDataset,
-    mapping: dict[str, str] | None = None,
-    quarters=DEFAULT_QUARTERS,
-    config: IntegrationConfig | None = None,
-) -> PointScore:
-    """Simulate one parameter set and score it against the dataset."""
-    config = config or IntegrationConfig()
-    traj = simulate(economy, scenario, params, config, horizon_for(scenario, quarters))
-    model = model_quarterly(traj, economy, mapping, quarters)
-    cells: dict[tuple[str, str], tuple[float, float]] = {}
-    for ind in dataset.indicators:
-        data_q = dataset.quarterly(ind, quarters)
-        weights = indicator_weights(economy, ind, mapping)
-        model_q = model[ind]
-        for q in quarters:
-            sectors = sorted(
-                s for (s, qq) in data_q
-                if qq == q and s != AGGREGATE_CODE and (s, q) in model_q
-            )
+class _Scorer:
+    """What scoring shares across the points of a grid: the dataset's
+    quarterly means, the indicator weights and, given the common sample
+    times, their calendar quarters."""
+
+    def __init__(self, economy: Economy, dataset: EmpiricalDataset,
+                 mapping: dict[str, str] | None, quarters,
+                 frame: _QuarterFrame | None = None):
+        self.frame = frame
+        self._cells = []
+        for ind in dataset.indicators:
+            data_q = dataset.quarterly(ind, quarters)
+            weights = indicator_weights(economy, ind, mapping)
+            for q in quarters:
+                candidates = sorted(
+                    s for (s, qq) in data_q if qq == q and s != AGGREGATE_CODE
+                )
+                self._cells.append((ind, q, candidates, data_q, weights))
+
+    def score(self, series: dict[str, np.ndarray]) -> PointScore:
+        """Score one run's ``SCORED_SERIES``, each a (time, sector) array
+        sampled at the times this scorer's frame was built for."""
+        if self.frame is None:
+            raise TypeError("scoring series needs a scorer built with a frame")
+        model = self.frame.tables(*(series[name] for name in SCORED_SERIES))
+        cells = self.cells(model)
+        return PointScore(
+            index=-1, params={}, aad_total=total_aad(cells), cells=cells
+        )
+
+    def cells(self, model) -> dict[tuple[str, str], tuple[float, float]]:
+        cells: dict[tuple[str, str], tuple[float, float]] = {}
+        for ind, q, candidates, data_q, weights in self._cells:
+            model_q = model[ind]
+            sectors = [s for s in candidates if (s, q) in model_q]
             if not sectors:
                 log.info("no scorable sectors for %s %s; cell skipped", ind, q)
                 continue
@@ -326,6 +364,36 @@ def score_point(
                 {s: data_q[(s, q)] for s in sectors},
                 {s: weights[s] for s in sectors},
             )
+        return cells
+
+
+def score_point(
+    economy: Economy,
+    scenario: Scenario,
+    params: BehavioralParams,
+    dataset: EmpiricalDataset,
+    mapping: dict[str, str] | None = None,
+    quarters=DEFAULT_QUARTERS,
+    config: IntegrationConfig | None = None,
+    *,
+    series: dict[str, np.ndarray] | None = None,
+    scorer: _Scorer | None = None,
+) -> PointScore:
+    """Simulate one parameter set and score it against the dataset.
+
+    ``grid_search`` passes the point's ``series`` from a batched simulation
+    (the ``SCORED_SERIES``, each a (time, sector) array) together with the
+    ``scorer`` it prepared once for all points; the score is the same.
+    """
+    if series is not None:
+        if scorer is None:
+            raise TypeError("series must come with a scorer")
+        return scorer.score(series)
+    config = config or IntegrationConfig()
+    traj = simulate(economy, scenario, params, config,
+                    horizon_for(scenario, quarters))
+    model = model_quarterly(traj, economy, mapping, quarters)
+    cells = (scorer or _Scorer(economy, dataset, mapping, quarters)).cells(model)
     return PointScore(
         index=-1, params={}, aad_total=total_aad(cells), cells=cells
     )
@@ -570,62 +638,123 @@ def _checkpoint_record(score: PointScore) -> str:
     })
 
 
-def _read_checkpoint(path: Path, grid: GridSpec) -> dict[int, PointScore]:
+def _parse_record(text: bytes) -> PointScore:
+    raw = json.loads(text)
+    cells = {}
+    for key, (aad, ad) in raw["cells"].items():
+        ind, q = key.split("|", 1)
+        cells[(ind, q)] = (float(aad), float(ad))
+    return PointScore(
+        index=int(raw["index"]),
+        params=raw["params"],
+        aad_total=float(raw["aad_total"]),
+        cells=cells,
+    )
+
+
+def _read_checkpoint(path: Path, grid: GridSpec) -> tuple[dict[int, PointScore], int]:
+    """Completed points, and the length in bytes of the file's intact part.
+
+    A record is complete once its newline is written. A final record that
+    is unterminated or unreadable is what a crash during an append leaves;
+    it is dropped and lies outside the intact part. Damage anywhere else
+    raises ``CheckpointError``.
+    """
     completed: dict[int, PointScore] = {}
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         header = fh.readline()
         try:
-            meta = json.loads(header)
-            stored_hash = meta["grid_hash"]
-        except (json.JSONDecodeError, KeyError, TypeError):
+            if not header.endswith(b"\n"):
+                raise ValueError("unterminated header")
+            stored_hash = json.loads(header)["grid_hash"]
+        except (ValueError, KeyError, TypeError):
             raise CheckpointError(f"{path}: unreadable checkpoint header") from None
         if stored_hash != grid.content_hash():
             raise CheckpointError(
                 f"{path}: checkpoint was written for a different grid"
             )
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            cells = {}
-            for key, (aad, ad) in raw["cells"].items():
-                ind, q = key.split("|", 1)
-                cells[(ind, q)] = (float(aad), float(ad))
-            completed[int(raw["index"])] = PointScore(
-                index=int(raw["index"]),
-                params=raw["params"],
-                aad_total=float(raw["aad_total"]),
-                cells=cells,
-            )
-    return completed
+        intact = len(header)
+        line = fh.readline()
+        lineno = 2
+        while line:
+            following = fh.readline()
+            try:
+                if not line.endswith(b"\n"):
+                    raise ValueError("unterminated record")
+                score = _parse_record(line) if line.strip() else None
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                if following:
+                    raise CheckpointError(
+                        f"{path}: corrupt record on line {lineno} ({exc})"
+                    ) from None
+                log.warning("%s: dropping a torn final record (%s)", path, exc)
+                break
+            if score is not None:
+                completed[score.index] = score
+            intact += len(line)
+            line = following
+            lineno += 1
+    return completed, intact
 
 
-_WORKER_CTX: dict | None = None
+@dataclass(frozen=True)
+class _GridJob:
+    """What scoring a chunk of grid points needs; sent to each worker once."""
+
+    economy: Economy
+    scenario: Scenario
+    params: BehavioralParams
+    dataset: EmpiricalDataset
+    grid: GridSpec
+    mapping: dict[str, str] | None
+    quarters: tuple
+    config: IntegrationConfig
+    scorer: _Scorer
 
 
-def _init_worker(payload):
-    global _WORKER_CTX
-    _WORKER_CTX = payload
+def _score_chunk(job: _GridJob, indices: list[int]) -> list[PointScore]:
+    """Score grid points that share ``prod_fn`` in one batched simulation."""
+    points = [job.grid.point_at(i) for i in indices]
+    runs = [apply_grid_point(job.economy, job.scenario, job.params, p)
+            for p in points]
+    series = simulate_series(job.economy, runs, job.config,
+                             horizon_for(job.scenario, job.quarters), SCORED_SERIES)
+    scores = []
+    for k, (index, point) in enumerate(zip(indices, points)):
+        scn, prm = runs[k]
+        score = score_point(
+            job.economy, scn, prm, job.dataset, job.mapping, job.quarters,
+            job.config, series={n: v[k] for n, v in series.values.items()},
+            scorer=job.scorer,
+        )
+        score.index = index
+        score.params = point
+        scores.append(_rounded(score))
+    return scores
 
 
-def _score_index(index: int) -> PointScore:
-    ctx = _WORKER_CTX
-    return _score_one(
-        index, ctx["economy"], ctx["scenario"], ctx["params"], ctx["dataset"],
-        ctx["grid"], ctx["mapping"], ctx["quarters"], ctx["config"],
-    )
+def _chunks(grid: GridSpec, pending: list[int], prod_fn: str):
+    """Pending indices grouped by bottleneck rule, at most ``CHUNK_POINTS``
+    a chunk."""
+    by_rule: dict[str, list[int]] = {}
+    for i in pending:
+        by_rule.setdefault(grid.point_at(i).get("prod_fn", prod_fn), []).append(i)
+    return [
+        group[k:k + CHUNK_POINTS] for group in by_rule.values()
+        for k in range(0, len(group), CHUNK_POINTS)
+    ]
 
 
-def _score_one(
-    index, economy, scenario, params, dataset, grid, mapping, quarters, config
-) -> PointScore:
-    point = grid.point_at(index)
-    scn, prm = apply_grid_point(economy, scenario, params, point)
-    score = score_point(economy, scn, prm, dataset, mapping, quarters, config)
-    score.index = index
-    score.params = point
-    return _rounded(score)
+_WORKER_JOB: _GridJob | None = None
+
+
+def _init_worker(job: _GridJob):
+    global _WORKER_JOB
+    _WORKER_JOB = job
+
+
+def _score_chunk_in_worker(indices: list[int]) -> list[PointScore]:
+    return _score_chunk(_WORKER_JOB, indices)
 
 
 def grid_search(
@@ -643,8 +772,11 @@ def grid_search(
 ) -> CalibrationResult:
     """Score every grid point; deterministic regardless of worker count.
 
-    With a checkpoint path, completed points are appended as they finish
-    and are not recomputed when resuming after an interruption.
+    Points sharing ``prod_fn`` are simulated in chunks of at most
+    ``CHUNK_POINTS``, one batched pass each; a point's score does not
+    depend on its chunk. With a checkpoint path, completed points are
+    appended as they finish and are not recomputed when resuming after an
+    interruption.
     """
     if grid.n_points == 0:
         raise ValueError("empty grid")
@@ -652,7 +784,9 @@ def grid_search(
     checkpoint = Path(checkpoint_path) if checkpoint_path else None
     if checkpoint and checkpoint.exists():
         if resume:
-            completed = _read_checkpoint(checkpoint, grid)
+            completed, intact = _read_checkpoint(checkpoint, grid)
+            if intact < checkpoint.stat().st_size:
+                os.truncate(checkpoint, intact)
         else:
             checkpoint.unlink()
     writer = None
@@ -663,33 +797,34 @@ def grid_search(
             writer.write(json.dumps({"grid_hash": grid.content_hash()}) + "\n")
             writer.flush()
 
+    config = config or IntegrationConfig()
+    quarters = tuple(quarters)
+    times = _output_grid(config, horizon_for(scenario, quarters))
+    frame = _QuarterFrame(times, scenario.start_date, economy, mapping, quarters)
+    job = _GridJob(
+        economy, scenario, params, dataset, grid, mapping, quarters, config,
+        _Scorer(economy, dataset, mapping, quarters, frame),
+    )
     pending = [i for i in range(grid.n_points) if i not in completed]
+    chunks = _chunks(grid, pending, params.prod_fn)
+
+    def record(scores: list[PointScore]) -> None:
+        for score in scores:
+            completed[score.index] = score
+            if writer:
+                writer.write(_checkpoint_record(score) + "\n")
+                writer.flush()
+
     try:
         if workers <= 1:
-            for i in pending:
-                score = _score_one(
-                    i, economy, scenario, params, dataset, grid, mapping,
-                    quarters, config,
-                )
-                completed[i] = score
-                if writer:
-                    writer.write(_checkpoint_record(score) + "\n")
-                    writer.flush()
+            for chunk in chunks:
+                record(_score_chunk(job, chunk))
         else:
-            payload = {
-                "economy": economy, "scenario": scenario, "params": params,
-                "dataset": dataset, "grid": grid, "mapping": mapping,
-                "quarters": quarters, "config": config,
-            }
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(payload,),
+                max_workers=workers, initializer=_init_worker, initargs=(job,),
             ) as pool:
-                for score in pool.map(_score_index, pending):
-                    completed[score.index] = score
-                    if writer:
-                        writer.write(_checkpoint_record(score) + "\n")
-                        writer.flush()
+                for scores in pool.map(_score_chunk_in_worker, chunks):
+                    record(scores)
     finally:
         if writer:
             writer.close()
@@ -728,10 +863,12 @@ def synthesize_dataset(
 # Monte Carlo sensitivity runs
 # ---------------------------------------------------------------------------
 
+#: Economy-wide totals a Monte Carlo ensemble can band, by the per-sector
+#: series (``integrate.SERIES``) they sum.
 OBSERVABLES = {
-    "gross_output": lambda s: float(s.x.sum()),
-    "labor": lambda s: float(s.l.sum()),
-    "household_consumption": lambda s: float(s.c.sum()),
+    "gross_output": "x",
+    "labor": "l",
+    "household_consumption": "c",
 }
 
 DEFAULT_QUANTILES = (2.5, 50.0, 97.5)
@@ -864,18 +1001,16 @@ def monte_carlo(
         {name: sampler(rng) for name, sampler in samplers.items()}
         for _ in range(n_runs)
     ]
-    extract = OBSERVABLES[observable]
-    series = []
-    times = None
-    for sample in draws:
-        scn, prm = apply_sampled(scenario, params, sample)
-        traj = simulate(economy, scn, prm, config, t_end)
-        series.append(traj.series(extract))
-        times = traj.times
-    stacked = np.vstack(series)
+    runs = [apply_sampled(scenario, params, sample) for sample in draws]
+    name = OBSERVABLES[observable]
+    stacked = np.vstack([
+        simulate_series(economy, runs[k:k + CHUNK_POINTS], config, t_end,
+                        (name,)).values[name].sum(axis=-1)
+        for k in range(0, n_runs, CHUNK_POINTS)
+    ])
     bands = np.percentile(stacked, quantiles, axis=0)
     return MonteCarloResult(
-        times=times,
+        times=_output_grid(config, t_end),
         quantiles=tuple(quantiles),
         bands=bands,
         observable=observable,

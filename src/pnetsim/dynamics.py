@@ -11,13 +11,20 @@ fixed points are independent of ``dt``; at ``dt = 1`` day the update is
 exactly the daily recursion. Quantities defined instantaneously each step
 (output, demand, realized allocations) are recomputed from scratch, so the
 allocation identity c + f + sum(O) = x holds at every stored state.
+
+The step exists once, as the array kernel ``_advance``. It works on a
+single run's ``(N,)`` vectors and ``(N, N)`` matrices, or on a batch with
+a leading axis, ``(B, N)`` and ``(B, N, N)``, one row per parameter point;
+every point's result is bitwise the same as stepping that point alone.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +94,12 @@ class BehavioralParams:
 
 @dataclass
 class SimState:
-    """Full model state at time ``t`` (days since the simulation epoch)."""
+    """Full model state at time ``t`` (days since the simulation epoch).
+
+    Inside the kernel every array carries a leading batch axis and ``t``,
+    ``c_agg_d`` and ``l_perm`` are ``(B,)`` arrays; a single run's states
+    hold ``(N,)`` / ``(N, N)`` arrays and floats.
+    """
 
     t: float
     x: np.ndarray  # gross output
@@ -134,9 +146,32 @@ def initial_state(economy: Economy) -> SimState:
     )
 
 
+def initial_batch(economy: Economy, size: int) -> SimState:
+    """The pre-shock equilibrium repeated for ``size`` points."""
+    one = initial_state(economy)
+
+    def rep(a):
+        return np.repeat(a[np.newaxis], size, axis=0)
+
+    return SimState(
+        np.zeros(size), rep(one.x), rep(one.d), rep(one.l), rep(one.c),
+        rep(one.f), rep(one.O), rep(one.S), np.full(size, one.c_agg_d),
+        np.full(size, one.l_perm), rep(one.d_mem),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Demand side
 # ---------------------------------------------------------------------------
+
+def _orders(A, d_prev, S_target, S, tau) -> np.ndarray:
+    """``max(A[i, j] d_j + (S_target[i, j] - S[i, j]) / tau, 0)``, batched."""
+    gap = S_target - S
+    gap /= tau
+    out = A * d_prev[..., np.newaxis, :]
+    out += gap
+    return np.maximum(out, 0.0, out=out)
+
 
 def intermediate_demand(
     state: SimState, economy: Economy, params: BehavioralParams
@@ -146,34 +181,46 @@ def intermediate_demand(
     ``O_d[i, j] = A[i, j] d_j(t-1) + (S_target[i, j] - S[i, j](t-1)) / tau``,
     clamped at zero.
     """
-    target = initial_inventories(economy)
-    raw = economy.A * state.d[np.newaxis, :] + (target - state.S) / params.tau
-    return np.maximum(raw, 0.0)
+    return _orders(economy.A, state.d, initial_inventories(economy), state.S,
+                   params.tau)
 
 
 def household_preferences(theta0: np.ndarray, eps_D: np.ndarray) -> np.ndarray:
-    """Consumption shares re-normalized under the demand shock."""
+    """Consumption shares re-normalized under the demand shock.
+
+    ``eps_D`` may carry leading axes; each row is normalized on its own.
+    """
     weighted = (1.0 - eps_D) * theta0
-    total = weighted.sum()
-    if total <= 0.0:
-        warnings.warn(
-            "all household demand fully shocked; preferences left at baseline",
-            stacklevel=2,
-        )
-        return np.array(theta0, dtype=float, copy=True)
-    return weighted / total
+    total = weighted.sum(axis=-1, keepdims=True)
+    if (total > 0.0).all():
+        return weighted / total
+    warnings.warn(
+        "all household demand fully shocked; preferences left at baseline",
+        stacklevel=2,
+    )
+    return np.where(total > 0.0, weighted / np.where(total > 0.0, total, 1.0),
+                    theta0)
+
+
+def _demand_cut(theta0: np.ndarray, eps_D: np.ndarray) -> np.ndarray:
+    """Share of baseline consumption removed by the demand shock."""
+    return 1.0 - np.sum(theta0 * (1.0 - eps_D), axis=-1)
 
 
 def aggregate_demand_reduction(
     theta0: np.ndarray, eps_D: np.ndarray, delta_s: float
 ) -> float:
     """Share of shocked consumption that households save rather than shift."""
-    return float(delta_s * (1.0 - np.sum(theta0 * (1.0 - eps_D))))
+    return float(delta_s * _demand_cut(theta0, eps_D))
 
 
 def compensated_labor_income(l_now: float, l_baseline: float, b: float) -> float:
     """Labor income after the government reimburses fraction b of losses."""
     return l_now + b * max(l_baseline - l_now, 0.0)
+
+
+def _zeta_recursion(prev_zeta, rho, zeta_L, L_share):
+    return 1.0 - rho + rho * prev_zeta - (1.0 - rho) * (1.0 - zeta_L) / L_share
 
 
 def permanent_income(
@@ -195,7 +242,7 @@ def permanent_income(
         raise ValueError("L_share must be positive")
     if not in_pandemic:
         return l_baseline, 1.0
-    zeta = 1.0 - rho + rho * prev_zeta - (1.0 - rho) * (1.0 - zeta_L) / L_share
+    zeta = _zeta_recursion(prev_zeta, rho, zeta_L, L_share)
     return zeta * l_baseline, zeta
 
 
@@ -245,18 +292,58 @@ def _consumption_update(
 # Supply side
 # ---------------------------------------------------------------------------
 
+def _safe_divisor(v: np.ndarray) -> np.ndarray:
+    return np.where(v > 0, v, 1.0)
+
+
 def labor_capacity(
-    state: SimState, economy: Economy, eps_S: np.ndarray
+    state: SimState, economy: Economy, eps_S: np.ndarray,
+    safe_l0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Output producible with the available workforce.
 
     The workforce itself is capped at ``(1 - eps_S) l0``, so capacity never
     exceeds ``(1 - eps_S) x0``. Sectors with no baseline labor are inert.
+    ``safe_l0`` is the run constant ``ModelContext.safe_l0``.
     """
     l_max = (1.0 - eps_S) * economy.l0
     l_avail = np.minimum(state.l, l_max)
-    safe_l0 = np.where(economy.l0 > 0, economy.l0, 1.0)
+    if safe_l0 is None:
+        safe_l0 = _safe_divisor(economy.l0)
     return np.where(economy.l0 > 0, (l_avail / safe_l0) * economy.x0, 0.0)
+
+
+@dataclass(frozen=True)
+class InputMasks:
+    """Run constants of the input-capacity stage under one bottleneck rule.
+
+    ``hard`` marks the inputs whose stock-to-recipe ratio caps output;
+    ``soft`` the important inputs that ``half_critical`` softens toward
+    baseline output. ``linear`` uses the column sums instead.
+    """
+
+    safe_A: np.ndarray
+    hard: np.ndarray | None
+    soft: np.ndarray | None
+    col_sum: np.ndarray | None
+
+    @classmethod
+    def build(cls, A: np.ndarray, sets: CriticalitySets, prod_fn: str) -> "InputMasks":
+        recipe = A > 0.0
+        safe_A = np.where(recipe, A, 1.0)
+        critical = recipe & sets.critical_mask
+        important = recipe & sets.important_mask
+        if prod_fn == "leontief":
+            return cls(safe_A, recipe, None, None)
+        if prod_fn == "strongly_critical":
+            return cls(safe_A, critical | important, None, None)
+        if prod_fn == "weakly_critical":
+            return cls(safe_A, critical, None, None)
+        if prod_fn == "half_critical":
+            return cls(safe_A, critical, important, None)
+        if prod_fn == "linear":
+            return cls(safe_A, None, None, A.sum(axis=0))
+        raise ValueError(f"unknown production function {prod_fn!r}")
 
 
 def _input_capacity(
@@ -265,33 +352,21 @@ def _input_capacity(
     sets: CriticalitySets,
     x0: np.ndarray,
     prod_fn: str,
+    masks: InputMasks | None = None,
 ) -> np.ndarray:
-    recipe = A > 0.0
-    safe_A = np.where(recipe, A, 1.0)
-    ratio = np.where(recipe, S / safe_A, np.inf)
-
-    def masked_min(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return np.min(np.where(mask, values, np.inf), axis=0)
-
-    if prod_fn == "leontief":
-        return masked_min(ratio, recipe)
-    if prod_fn == "strongly_critical":
-        mask = recipe & (sets.critical_mask | sets.important_mask)
-        return masked_min(ratio, mask)
-    if prod_fn == "weakly_critical":
-        return masked_min(ratio, recipe & sets.critical_mask)
-    if prod_fn == "half_critical":
-        hard = masked_min(ratio, recipe & sets.critical_mask)
-        softened = 0.5 * (ratio + x0[np.newaxis, :])
-        soft = masked_min(softened, recipe & sets.important_mask)
-        return np.minimum(hard, soft)
-    if prod_fn == "linear":
-        denom = A.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(denom > 0, S.sum(axis=0) / np.where(denom > 0, denom, 1.0),
-                           np.inf)
-        return out
-    raise ValueError(f"unknown production function {prod_fn!r}")
+    if masks is None:
+        masks = InputMasks.build(A, sets, prod_fn)
+    if masks.col_sum is not None:
+        denom = masks.col_sum
+        return np.where(denom > 0, S.sum(axis=-2) / _safe_divisor(denom), np.inf)
+    ratio = S / masks.safe_A
+    out = np.min(ratio, axis=-2, where=masks.hard, initial=np.inf)
+    if masks.soft is not None:
+        # r -> 0.5 (r + x0) is monotone under rounding too, so taking the
+        # minimum first gives the same bits as softening every ratio.
+        soft = np.min(ratio, axis=-2, where=masks.soft, initial=np.inf)
+        out = np.minimum(out, 0.5 * (soft + x0))
+    return out
 
 
 def input_constrained_capacity(
@@ -315,6 +390,11 @@ def realized_output(
     return np.minimum(np.minimum(x_cap, x_inp), d)
 
 
+def _ration(x, d, c_d, f_d, O_d):
+    scale = np.where(d > 0, x / np.where(d > 0, d, 1.0), 0.0)
+    return c_d * scale, f_d * scale, O_d * scale[..., np.newaxis]
+
+
 def ration(
     x: np.ndarray,
     d: np.ndarray,
@@ -328,15 +408,24 @@ def ration(
             raise ValueError(f"{name} contains negative entries")
     assert np.allclose(d, c_d + f_d + O_d.sum(axis=1), rtol=1e-9, atol=1e-9), \
         "total demand does not match its components"
-    scale = np.where(d > 0, x / np.where(d > 0, d, 1.0), 0.0)
-    return c_d * scale, f_d * scale, O_d * scale[:, np.newaxis]
+    return _ration(x, d, c_d, f_d, O_d)
+
+
+def _restock(S_prev, O, A, x, dt=None) -> np.ndarray:
+    """Stocks gain deliveries and lose inputs consumed over ``dt`` (1 if None)."""
+    flow = A * x[..., np.newaxis, :]
+    np.subtract(O, flow, out=flow)
+    if dt is not None:
+        flow *= dt
+    flow += S_prev
+    return np.maximum(flow, 0.0, out=flow)
 
 
 def update_inventories(
     S_prev: np.ndarray, O: np.ndarray, A: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """Stocks gain deliveries and lose inputs consumed; never negative."""
-    return np.maximum(S_prev + O - A * x[np.newaxis, :], 0.0)
+    return _restock(S_prev, O, A, x)
 
 
 def adjust_labor(
@@ -363,19 +452,26 @@ def _no_fire_mask(economy: Economy, params: BehavioralParams) -> np.ndarray:
     return mask
 
 
+def _wage_share(economy: Economy) -> np.ndarray:
+    return np.where(economy.x0 > 0, economy.l0 / _safe_divisor(economy.x0), 0.0)
+
+
 def _labor_update(
     l_prev: np.ndarray,
     economy: Economy,
-    params: BehavioralParams,
+    params,
     x_cap: np.ndarray,
     x_inp: np.ndarray,
     d: np.ndarray,
     eps_S: np.ndarray,
-    dt: float,
+    dt,
     no_fire: np.ndarray,
+    wage_share: np.ndarray | None = None,
 ) -> np.ndarray:
-    safe_x0 = np.where(economy.x0 > 0, economy.x0, 1.0)
-    wage_share = np.where(economy.x0 > 0, economy.l0 / safe_x0, 0.0)
+    """``params`` is a ``BehavioralParams`` or the batch's ``PointParams``;
+    ``wage_share`` is the run constant ``ModelContext.wage_share``."""
+    if wage_share is None:
+        wage_share = _wage_share(economy)
     delta = wage_share * (np.minimum(x_inp, d) - x_cap)
     speed = np.where(delta >= 0, params.hiring_speed, params.gamma_F)
     l_new = l_prev + dt * delta / speed
@@ -388,94 +484,222 @@ def _labor_update(
 # Full step
 # ---------------------------------------------------------------------------
 
+class Household(NamedTuple):
+    """One point's scalar parameters of household demand and income."""
+
+    rho: float
+    delta_s: float
+    m: float
+    L_share: float
+    zeta_L: float  # retained income share at the first lockdown
+    b: float  # furlough reimbursement
+    pandemic_start: float | None
+
+
+@dataclass(frozen=True)
+class PointParams:
+    """Per-point parameters: vectors shaped to broadcast against the state
+    (leading axis ``(B,)`` for a batch, none for a single run), and one
+    ``Household`` per point."""
+
+    tau: np.ndarray  # (..., 1, 1)
+    hiring_speed: np.ndarray  # (..., 1)
+    gamma_F: np.ndarray  # (..., 1)
+    households: tuple[Household, ...]
+
+    @classmethod
+    def stack(cls, economy: Economy, points, schedules, batched: bool) -> "PointParams":
+        lead = (len(points),) if batched else ()
+
+        def col(values, *trailing):
+            return np.asarray(list(values), dtype=float).reshape(lead + trailing)
+
+        return cls(
+            tau=col((p.tau for p in points), 1, 1),
+            hiring_speed=col((p.hiring_speed for p in points), 1),
+            gamma_F=col((p.gamma_F for p in points), 1),
+            households=tuple(
+                Household(p.rho, p.delta_s, p.share_consumed(economy), p.L_share,
+                          lockdown_income_retention(s.scenario, economy),
+                          s.scenario.b, s.pandemic_start)
+                for p, s in zip(points, schedules)
+            ),
+        )
+
+
 @dataclass
 class ModelContext:
-    """Precomputed run-constant quantities shared by every step of a run."""
+    """Run-constant quantities shared by every step of a run.
+
+    ``params`` and ``schedule`` describe one run, whose state holds
+    ``(N,)`` / ``(N, N)`` arrays, or are equal-length sequences describing
+    a batch of points stepped together in ``(B, N)`` / ``(B, N, N)`` state.
+    The points of a batch share the bottleneck rule and the no-firing
+    sectors.
+    """
 
     economy: Economy
-    params: BehavioralParams
-    schedule: ShockSchedule
+    params: BehavioralParams | Sequence[BehavioralParams]
+    schedule: ShockSchedule | Sequence[ShockSchedule]
+    batched: bool = field(init=False)
+    points: tuple[BehavioralParams, ...] = field(init=False)
+    schedules: tuple[ShockSchedule, ...] = field(init=False)
+    prod_fn: str = field(init=False)
     sets: CriticalitySets = field(init=False)
     S_target: np.ndarray = field(init=False)
     theta0: np.ndarray = field(init=False)
-    m: float = field(init=False)
     l0_sum: float = field(init=False)
-    zeta_L: float = field(init=False)
     no_fire: np.ndarray = field(init=False)
+    masks: InputMasks = field(init=False)
+    safe_l0: np.ndarray = field(init=False)
+    wage_share: np.ndarray = field(init=False)
+    per_point: PointParams = field(init=False)
 
     def __post_init__(self):
         economy = self.economy
+        self.batched = not isinstance(self.params, BehavioralParams)
+        self.points = tuple(self.params) if self.batched else (self.params,)
+        self.schedules = (
+            tuple(self.schedule) if self.batched else (self.schedule,)
+        )
+        if not self.points or len(self.points) != len(self.schedules):
+            raise ValueError("one shock schedule required per parameter point")
+        first = self.points[0]
+        if any(p.prod_fn != first.prod_fn
+               or p.no_firing_sectors != first.no_firing_sectors
+               for p in self.points):
+            raise ValueError(
+                "the points of a batch must share prod_fn and no_firing_sectors"
+            )
+        self.prod_fn = first.prod_fn
         self.sets = derive_criticality_sets(economy)
         self.S_target = initial_inventories(economy)
         self.theta0 = economy.theta0
-        self.m = self.params.share_consumed(economy)
         self.l0_sum = float(economy.l0.sum())
-        self.zeta_L = lockdown_income_retention(self.schedule.scenario, economy)
-        self.no_fire = _no_fire_mask(economy, self.params)
+        self.no_fire = _no_fire_mask(economy, first)
+        self.masks = InputMasks.build(economy.A, self.sets, self.prod_fn)
+        self.safe_l0 = _safe_divisor(economy.l0)
+        self.wage_share = _wage_share(economy)
+        self.per_point = PointParams.stack(economy, self.points, self.schedules,
+                                           self.batched)
+
+    @property
+    def size(self) -> int:
+        return len(self.points)
+
+    def drive(self, eps_S: np.ndarray, eps_D: np.ndarray, eps_F: np.ndarray) -> "Drive":
+        """What steps read of the scenario, from shocks of any leading shape."""
+        return Drive(
+            eps_S=eps_S,
+            f_d=(1.0 - eps_F) * self.economy.f0,
+            theta=household_preferences(self.theta0, eps_D),
+            cut=_demand_cut(self.theta0, eps_D),
+        )
 
 
-def _zeta_next(ctx: ModelContext, t_prev: float, t_new: float,
+class Drive(NamedTuple):
+    """The scenario as one step sees it: ``(..., N)`` / ``(...)`` arrays."""
+
+    eps_S: np.ndarray  # labor supply shock
+    f_d: np.ndarray  # exogenous demand
+    theta: np.ndarray  # household preference shares
+    cut: np.ndarray  # share of baseline consumption shocked away
+
+    def at(self, k) -> "Drive":
+        return Drive(*(a[k] for a in self))
+
+
+def _zeta_next(h: Household, t_prev: float, t_new: float,
                zeta_prev: float, rho_eff: float) -> float:
-    start = ctx.schedule.pandemic_start
+    start = h.pandemic_start
     if start is None or t_new < start:
         return 1.0
     if t_prev < start or t_prev == start == 0.0:
         # Expectations drop to the shocked income level the day the first
         # lockdown begins.
-        return ctx.zeta_L
-    return (
-        1.0 - rho_eff + rho_eff * zeta_prev
-        - (1.0 - rho_eff) * (1.0 - ctx.zeta_L) / ctx.params.L_share
-    )
+        return h.zeta_L
+    return _zeta_recursion(zeta_prev, rho_eff, h.zeta_L, h.L_share)
 
 
-def _advance(ctx: ModelContext, state: SimState, t_new: float, dt: float) -> SimState:
-    economy, params = ctx.economy, ctx.params
-    sample = ctx.schedule.at(t_new)
-    rho_eff = params.rho if dt == 1.0 else params.rho ** dt
+def _floats(v) -> list[float]:
+    return np.ravel(v).tolist()
+
+
+def _households(ctx: ModelContext, state: SimState, t_new, dt, drive: Drive):
+    """Aggregate household demand and permanent income of every point.
+
+    Scalar recursions with logarithms, evaluated per point with ``math`` so
+    a point's result does not depend on the batch it is in.
+    """
+    l0_sum = ctx.l0_sum
+    c_agg, l_perm = [], []
+    for h, t_prev, t, step, c_prev, lp_prev, l_now, cut in zip(
+        ctx.per_point.households, _floats(state.t), _floats(t_new),
+        _floats(dt), _floats(state.c_agg_d), _floats(state.l_perm),
+        _floats(state.l.sum(axis=-1)), _floats(drive.cut),
+    ):
+        rho = h.rho if step == 1.0 else h.rho ** step
+        l_comp = compensated_labor_income(l_now, l0_sum, h.b)
+        zeta = _zeta_next(h, t_prev, t, lp_prev / l0_sum, rho)
+        l_perm.append(zeta * l0_sum)
+        c_agg.append(_consumption_update(
+            c_prev, h.delta_s * cut, rho, h.m, l_comp, l_perm[-1]
+        ))
+    if not ctx.batched:
+        return c_agg[0], l_perm[0]
+    return np.asarray(c_agg), np.asarray(l_perm)
+
+
+def _produce(ctx: ModelContext, state: SimState, c_agg, drive: Drive):
+    """Demand, capacities, output and rationing from the state's stocks,
+    labor and demand memory, for aggregate household demand ``c_agg``."""
+    economy = ctx.economy
+    c_d = drive.theta * np.asarray(c_agg)[..., np.newaxis]
+    O_d = _orders(economy.A, state.demand_memory, ctx.S_target, state.S,
+                  ctx.per_point.tau)
+    d = O_d.sum(axis=-1) + c_d + drive.f_d
+    x_cap = labor_capacity(state, economy, drive.eps_S, ctx.safe_l0)
+    x_inp = _input_capacity(state.S, economy.A, ctx.sets, economy.x0,
+                            ctx.prod_fn, ctx.masks)
+    x = realized_output(x_cap, x_inp, d)
+    c, f, O = _ration(x, d, c_d, drive.f_d, O_d)
+    return x, d, c, f, O, x_cap, x_inp
+
+
+def _advance(
+    ctx: ModelContext, state: SimState, t_new, dt, drive: Drive | None = None,
+) -> SimState:
+    """Advance ``state`` to ``t_new`` in one step of length ``dt``.
+
+    The model step. For a single run the state holds ``(N,)`` arrays and
+    ``t_new`` / ``dt`` are floats; for a batch the state holds ``(B, N)``
+    arrays and ``t_new`` / ``dt`` are ``(B,)``, one per point. ``drive`` is
+    the step's row of the run's shock table; without it a single run reads
+    its shocks at ``t_new`` from the schedule.
+    """
+    economy = ctx.economy
+    if drive is None:
+        shocks = ctx.schedule.at(t_new)
+        drive = ctx.drive(shocks.eps_S, shocks.eps_D, shocks.eps_F)
+    whole = bool(np.all(np.asarray(dt) == 1.0))
+    step = np.asarray(dt, dtype=float)[..., np.newaxis]
 
     # Demand formation (uses t-1 demand, stocks, labor, and expectations).
-    f_d = (1.0 - sample.eps_F) * economy.f0
-    theta = household_preferences(ctx.theta0, sample.eps_D)
-    eps_tilde = aggregate_demand_reduction(ctx.theta0, sample.eps_D, params.delta_s)
-    l_comp = compensated_labor_income(float(state.l.sum()), ctx.l0_sum, sample.b)
-    zeta = _zeta_next(ctx, state.t, t_new, state.l_perm / ctx.l0_sum, rho_eff)
-    l_perm = zeta * ctx.l0_sum
-    c_agg = _consumption_update(
-        state.c_agg_d, eps_tilde, rho_eff, ctx.m, l_comp, l_perm
-    )
-    c_d = theta * c_agg
-    d_prev = state.demand_memory
-    O_d = np.maximum(
-        economy.A * d_prev[np.newaxis, :] + (ctx.S_target - state.S) / params.tau,
-        0.0,
-    )
-    d_new = O_d.sum(axis=1) + c_d + f_d
+    c_agg, l_perm = _households(ctx, state, t_new, dt, drive)
 
-    # Productive capacities.
-    x_cap = labor_capacity(state, economy, sample.eps_S)
-    x_inp = _input_capacity(state.S, economy.A, ctx.sets, economy.x0, params.prod_fn)
-
-    # Realized output and strict proportional rationing.
-    x_new = realized_output(x_cap, x_inp, d_new)
-    scale = np.where(d_new > 0, x_new / np.where(d_new > 0, d_new, 1.0), 0.0)
-    c_new = c_d * scale
-    f_new = f_d * scale
-    O_new = O_d * scale[:, np.newaxis]
+    # Productive capacities, realized output and proportional rationing.
+    x, d, c, f, O, x_cap, x_inp = _produce(ctx, state, c_agg, drive)
 
     # Stock and workforce adjustment, scaled by the step size.
-    S_new = np.maximum(
-        state.S + dt * (O_new - economy.A * x_new[np.newaxis, :]), 0.0
+    S = _restock(state.S, O, economy.A, x, None if whole else step[..., np.newaxis])
+    l = _labor_update(
+        state.l, economy, ctx.per_point, x_cap, x_inp, d, drive.eps_S,
+        dt=step, no_fire=ctx.no_fire, wage_share=ctx.wage_share,
     )
-    l_new = _labor_update(
-        state.l, economy, params, x_cap, x_inp, d_new, sample.eps_S,
-        dt=dt, no_fire=ctx.no_fire,
-    )
-    d_mem = d_new if dt == 1.0 else d_prev + dt * (d_new - d_prev)
-
-    new = SimState(t_new, x_new, d_new, l_new, c_new, f_new, O_new, S_new,
-                   c_agg, l_perm, d_mem)
-    _check_state(new, economy, sample.eps_S)
+    d_prev = state.demand_memory
+    d_mem = d if whole else np.where(step == 1.0, d, d_prev + step * (d - d_prev))
+    new = SimState(t_new, x, d, l, c, f, O, S, c_agg, l_perm, d_mem)
+    _check_state(new, economy, drive.eps_S)
     return new
 
 
@@ -483,15 +707,15 @@ def _check_state(state: SimState, economy: Economy, eps_S: np.ndarray) -> None:
     """Model invariants, active in test builds (python without -O)."""
     if not __debug__:  # pragma: no cover
         return
-    allocated = state.c + state.f + state.O.sum(axis=1)
+    allocated = state.c + state.f + state.O.sum(axis=-1)
     scale = np.maximum(np.abs(state.x), 1e-300)
-    assert np.all(np.abs(allocated - state.x) <= 1e-12 * scale + 1e-12), \
+    assert (np.abs(allocated - state.x) <= 1e-12 * scale + 1e-12).all(), \
         "allocation does not conserve output"
-    assert np.all(state.S >= 0.0), "negative inventory"
+    assert (state.S >= 0.0).all(), "negative inventory"
     l_max = (1.0 - eps_S) * economy.l0
-    assert np.all(state.l >= 0.0) and np.all(state.l <= l_max * (1 + 1e-12) + 1e-12), \
+    assert (state.l >= 0.0).all() and (state.l <= l_max * (1 + 1e-12) + 1e-12).all(), \
         "labor outside its admissible band"
-    assert np.all(state.x >= 0.0), "negative output"
+    assert (state.x >= 0.0).all(), "negative output"
 
 
 def step(

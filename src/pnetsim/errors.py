@@ -32,4 +32,5 @@ class IntegrationError(PnetError):
 
 
 class CheckpointError(PnetError):
-    """A grid-search checkpoint does not match the requested grid."""
+    """A grid-search checkpoint does not match the requested grid, or is
+    damaged before its final record."""

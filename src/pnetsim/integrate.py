@@ -5,7 +5,8 @@ Two methods are available:
 * ``discrete`` -- repeated application of the one-step update with a fixed
   step of at most one day. Steps are aligned so that scenario breakpoints
   (ramp starts and ends) and requested sample times always fall on step
-  boundaries.
+  boundaries. ``simulate_series`` steps several runs together through the
+  batched kernel and keeps only the series it is asked for.
 * ``continuous_adaptive`` -- an embedded Dormand-Prince 4(5) pair applied
   to the daily update treated as a rate field, integrated segment by
   segment between scenario breakpoints so the error estimator never
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -26,16 +28,16 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .dynamics import (
+from .dynamics import (  # noqa: F401 - _input_capacity: perfbench traces it here
     BehavioralParams,
     ModelContext,
     SimState,
     _advance,
     _check_state,
     _input_capacity,
-    household_preferences,
+    _produce,
+    initial_batch,
     initial_state,
-    realized_output,
 )
 from .economy import Economy
 from .errors import IntegrationError
@@ -138,23 +140,144 @@ def _boundaries(schedule: ShockSchedule, grid: np.ndarray, t_end: float):
     return sorted(pts)
 
 
-def _run_discrete(ctx: ModelContext, grid, t_end, dt) -> list[SimState]:
-    bounds = _boundaries(ctx.schedule, grid, t_end)
-    wanted = set(float(g) for g in grid)
-    out: dict[float, SimState] = {}
-    state = initial_state(ctx.economy)
-    if 0.0 in wanted:
-        out[0.0] = state
+@dataclass(frozen=True)
+class _Plan:
+    """One point's discrete steps and where its samples fall among them."""
+
+    t: np.ndarray  # end time of each step
+    h: np.ndarray  # length of each step
+    samples: list[tuple[int, int]]  # (step index, grid index); -1: the start
+
+
+def _plan(schedule: ShockSchedule, grid, t_end, dt) -> _Plan:
+    bounds = _boundaries(schedule, grid, t_end)
+    position = {float(g): k for k, g in enumerate(grid)}
+    t, h, samples = [], [], []
+    if 0.0 in position:
+        samples.append((-1, position[0.0]))
     for a, b in zip(bounds, bounds[1:]):
         span = b - a
         n = max(1, math.ceil(span / dt - 1e-9))
-        h = span / n
+        step = span / n
         for k in range(1, n + 1):
-            t_new = b if k == n else a + k * h
-            state = _advance(ctx, state, t_new, h)
-        if b in wanted:
-            out[b] = state
-    return [out[float(g)] for g in grid]
+            t.append(b if k == n else a + k * step)
+            h.append(step)
+        if b in position:
+            samples.append((len(t) - 1, position[b]))
+    return _Plan(np.asarray(t), np.asarray(h), samples)
+
+
+def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
+    """Step every point of ``ctx`` from the equilibrium epoch to ``t_end``.
+
+    Calls ``keep(state, g, rows)`` whenever the points ``rows`` (a slice or
+    an index array into a batch) reach sample ``g`` of ``grid``. Points
+    whose scenarios put breakpoints at different times take different
+    steps; a point that runs out of steps early keeps stepping whole days
+    past ``t_end``, and those states are never kept.
+    """
+    plans = [_plan(s, grid, t_end, dt) for s in ctx.schedules]
+    n = max(len(p.t) for p in plans)
+    T = np.empty((n, ctx.size))
+    H = np.ones((n, ctx.size))
+    for k, p in enumerate(plans):
+        T[:, k] = np.concatenate([p.t, t_end + np.arange(1.0, n - len(p.t) + 1.0)])
+        H[:len(p.h), k] = p.h
+    tables = [s.table(T[:, k]) for k, s in enumerate(ctx.schedules)]
+    drive = ctx.drive(*(
+        np.stack([getattr(tab, name) for tab in tables], axis=1)
+        for name in ("eps_S", "eps_D", "eps_F")
+    ))
+    hits: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+    for k, p in enumerate(plans):
+        for j, g in p.samples:
+            hits[j][g].append(k)
+    whole = slice(None)
+
+    def keep_hits(j, state):
+        for g, rows in hits[j].items():
+            keep(state, g, whole if len(rows) == ctx.size else np.asarray(rows))
+
+    if ctx.batched:
+        state = initial_batch(ctx.economy, ctx.size)
+    else:  # a single run steps (N,) state with float times
+        T, H = T[:, 0].tolist(), H[:, 0].tolist()
+        drive = drive.at((slice(None), 0))
+        state = initial_state(ctx.economy)
+    if -1 in hits:
+        keep_hits(-1, state)
+    for j in range(n):
+        state = _advance(ctx, state, T[j], H[j], drive.at(j))
+        if j in hits:
+            keep_hits(j, state)
+
+
+def _run_discrete(ctx: ModelContext, grid, t_end, dt) -> list[SimState]:
+    states: list[SimState] = [None] * len(grid)
+
+    def keep(state, g, rows):
+        states[g] = state
+
+    _march(ctx, grid, t_end, dt, keep)
+    return states
+
+
+#: Per-sector series ``simulate_series`` can record, from a batched state.
+SERIES = {
+    "x": lambda s: s.x,
+    "l": lambda s: s.l,
+    "c": lambda s: s.c,
+    "b2b": lambda s: s.O.sum(axis=-1),  # outgoing realized orders
+}
+
+
+@dataclass
+class Series:
+    """Per-sector series of several runs on a common sample grid."""
+
+    times: np.ndarray  # (G,)
+    values: dict[str, np.ndarray]  # name -> (runs, G, N)
+
+
+def simulate_series(
+    economy: Economy,
+    runs,
+    config: IntegrationConfig,
+    t_end: float,
+    names=("x", "l", "b2b"),
+) -> Series:
+    """Simulate ``runs`` ((scenario, params) pairs sharing ``prod_fn`` and a
+    start date) and keep only the ``SERIES`` named in ``names``.
+
+    The discrete method steps all runs together in one batched pass; each
+    run's series are bitwise those of its own ``simulate`` call.
+    """
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    runs = list(runs)
+    if len({scn.start_date for scn, _ in runs}) != 1:
+        raise ValueError("runs must share the scenario start date")
+    grid = _output_grid(config, t_end)
+    n = economy.n_sectors
+    values = {name: np.empty((len(runs), len(grid), n)) for name in names}
+    if config.method != METHOD_DISCRETE:
+        for k, (scn, prm) in enumerate(runs):
+            traj = simulate(economy, scn, prm, config, t_end)
+            for name in names:
+                values[name][k] = [SERIES[name](s) for s in traj.states]
+        return Series(grid, values)
+
+    ctx = ModelContext(
+        economy, [prm for _, prm in runs],
+        [ShockSchedule(scn, economy) for scn, _ in runs],
+    )
+
+    def keep(state, g, rows):
+        for name in names:
+            values[name][rows, g] = SERIES[name](state)[rows]
+
+    _march(ctx, grid, t_end, config.dt, keep)
+    return Series(grid, values)
 
 
 # -- continuous method ------------------------------------------------------
@@ -192,33 +315,23 @@ def _rhs(t: float, y: np.ndarray, ctx: ModelContext) -> np.ndarray:
 
 def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray) -> SimState:
     """Consistent full state from the integrated slow variables."""
-    economy, params = ctx.economy, ctx.params
-    n = economy.n_sectors
-    d_y, l_y, c_agg, zeta, S_y = _unpack(y, n)
-    sample = ctx.schedule.at(t)
-    S = np.maximum(S_y, 0.0)
-    l_max = (1.0 - sample.eps_S) * economy.l0
-    l = np.clip(l_y, 0.0, l_max)
-
-    f_d = (1.0 - sample.eps_F) * economy.f0
-    theta = household_preferences(ctx.theta0, sample.eps_D)
-    c_d = theta * c_agg
-    O_d = np.maximum(
-        economy.A * d_y[np.newaxis, :] + (ctx.S_target - S) / params.tau, 0.0
-    )
-    d = O_d.sum(axis=1) + c_d + f_d
-
-    safe_l0 = np.where(economy.l0 > 0, economy.l0, 1.0)
-    x_cap = np.where(economy.l0 > 0, (l / safe_l0) * economy.x0, 0.0)
-    x_inp = _input_capacity(S, economy.A, ctx.sets, economy.x0, params.prod_fn)
-    x = realized_output(x_cap, x_inp, d)
-    scale = np.where(d > 0, x / np.where(d > 0, d, 1.0), 0.0)
-    state = SimState(
-        t=t, x=x, d=d, l=l, c=c_d * scale, f=f_d * scale,
-        O=O_d * scale[:, np.newaxis], S=S, c_agg_d=c_agg,
+    economy = ctx.economy
+    d_y, l_y, c_agg, zeta, S_y = _unpack(y, economy.n_sectors)
+    shocks = ctx.schedule.at(t)
+    l_max = (1.0 - shocks.eps_S) * economy.l0
+    probe = SimState(
+        t=t, x=d_y, d=d_y, l=np.clip(l_y, 0.0, l_max), c=d_y, f=d_y,
+        O=ctx.S_target, S=np.maximum(S_y, 0.0), c_agg_d=c_agg,
         l_perm=zeta * ctx.l0_sum, d_mem=d_y,
     )
-    _check_state(state, economy, sample.eps_S)
+    x, d, c, f, O, _, _ = _produce(
+        ctx, probe, c_agg, ctx.drive(shocks.eps_S, shocks.eps_D, shocks.eps_F)
+    )
+    state = SimState(
+        t=t, x=x, d=d, l=probe.l, c=c, f=f, O=O, S=probe.S,
+        c_agg_d=c_agg, l_perm=probe.l_perm, d_mem=d_y,
+    )
+    _check_state(state, economy, shocks.eps_S)
     return state
 
 
@@ -238,7 +351,7 @@ def _run_continuous(ctx: ModelContext, grid, t_end, config) -> list[SimState]:
     for a, b in zip(bounds, bounds[1:]):
         if start is not None and a == start:
             # Income expectations drop to the shocked level at lockdown start.
-            y[2 * economy.n_sectors + 1] = ctx.zeta_L
+            y[2 * economy.n_sectors + 1] = ctx.per_point.households[0].zeta_L
         t_eval = sorted({t for t in bounds if a < t <= b and t in wanted} | {b})
         sol = solve_ivp(
             _rhs, (a, b), y, method="RK45", args=(ctx,),

@@ -21,9 +21,10 @@ the dynamics as ``(1 - eps)``.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
@@ -109,7 +110,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ShockSample:
-    """Shock values at a single instant, in economy sector order."""
+    """Shock values in economy sector order: ``(N,)`` arrays at a single
+    instant, ``(T, N)`` arrays at a sequence of instants."""
 
     eps_S: np.ndarray
     eps_D: np.ndarray
@@ -167,22 +169,47 @@ class _Segment:
     frm: tuple[np.ndarray, np.ndarray, np.ndarray]  # (D, F, S) at t0
     to: tuple[np.ndarray, np.ndarray, np.ndarray]
     style: str  # "hold" | "linear" | "release"
+    _held: tuple | None = field(default=None, repr=False)
 
-    def value(self, t: float, on_site: np.ndarray):
-        if self.style == "hold" or self.dur <= 0.0:
-            return self.to
-        u = (t - self.t0) / self.dur
-        u = min(max(u, 0.0), 1.0)
-        out = []
-        for k, (v0, v1) in enumerate(zip(self.frm, self.to)):
-            v = v0 + (v1 - v0) * u
-            if self.style == "release" and k < 2:
-                # On-site demand recovers slowly at first, then accelerates.
-                log_frac = math.log(100.0 - 99.0 * u) / _LOG100
+    def _ramp(self, t: np.ndarray, on_site: np.ndarray):
+        """Unclipped (D, F, S) along the ramp at the times ``t``: ``(T, N)``."""
+        u = np.minimum(np.maximum((t - self.t0) / self.dur, 0.0), 1.0)[:, np.newaxis]
+        out = [v0 + (v1 - v0) * u for v0, v1 in zip(self.frm, self.to)]
+        if self.style == "release":
+            # On-site demand recovers slowly at first, then accelerates.
+            log_frac = np.asarray(
+                [math.log(w) for w in (100.0 - 99.0 * u).ravel().tolist()]
+            )[:, np.newaxis] / _LOG100
+            for k in (0, 1):
+                v0, v1 = self.frm[k], self.to[k]
                 slow = v1 + (v0 - v1) * log_frac
-                v = np.where(on_site & (v1 < v0), slow, v)
-            out.append(v)
+                out[k] = np.where(on_site & (v1 < v0), slow, out[k])
         return tuple(out)
+
+    @property
+    def is_hold(self) -> bool:
+        return self.style == "hold" or self.dur <= 0.0
+
+    def levels(self, t: float, on_site: np.ndarray):
+        """Unclipped (D, F, S) at one time, where a later transition starts."""
+        if self.is_hold:
+            return self.to
+        return tuple(v[0] for v in self._ramp(np.asarray([t]), on_site))
+
+    def values(self, t: np.ndarray, on_site: np.ndarray):
+        """(D, F, S) at the times ``t``, clipped to [0, 1]: ``(N,)`` arrays
+        for a hold, ``(T, N)`` arrays for a ramp."""
+        if self.is_hold:
+            if self._held is None:
+                self._held = tuple(_clip01(v) for v in self.to)
+                for v in self._held:
+                    v.setflags(write=False)  # shared by every evaluation
+            return self._held
+        return tuple(_clip01(v) for v in self._ramp(t, on_site))
+
+
+def _clip01(v: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(v, 0.0), 1.0)
 
 
 class ShockSchedule:
@@ -207,6 +234,8 @@ class ShockSchedule:
             min(p.start for p in self.phases) if self.phases else None
         )
         self._segments = self._build()
+        # The segments tile [0, inf) in order of their start.
+        self._t0s = [seg.t0 for seg in self._segments]
 
     # -- construction ------------------------------------------------------
 
@@ -228,7 +257,7 @@ class ShockSchedule:
         def value_at(t: float):
             for seg in reversed(segments):
                 if seg.t0 <= t:
-                    return seg.value(t, self.on_site)
+                    return seg.levels(t, self.on_site)
             return zeros()
 
         def add_transition(t_start, duration, target, style):
@@ -289,20 +318,33 @@ class ShockSchedule:
                     pts.add(t)
         return np.asarray(sorted(pts))
 
+    def table(self, times) -> ShockSample:
+        """Shock values at every time in ``times``: ``(T, N)`` arrays.
+
+        Compiled once per run, so a step reads its shocks by row instead
+        of evaluating the time functions again.
+        """
+        t = np.asarray(times, dtype=float).reshape(-1)
+        if t.size and t.min() < 0:
+            raise ValueError(f"t = {t.min()} precedes the simulation epoch")
+        owner = np.searchsorted(self._t0s, t, side="right") - 1
+        eps_D, eps_F, eps_S = cols = [np.empty((t.size, len(self.codes)))
+                                      for _ in range(3)]
+        for k in set(owner.tolist()):
+            rows = owner == k
+            for col, v in zip(cols, self._segments[k].values(t[rows], self.on_site)):
+                col[rows] = v
+        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
+                           b=self.scenario.b)
+
     def at(self, t: float) -> ShockSample:
         if t < 0:
             raise ValueError(f"t = {t} precedes the simulation epoch")
-        for seg in self._segments:
-            if seg.t0 <= t < seg.t1 or (seg.t1 == math.inf and t >= seg.t0):
-                eps_D, eps_F, eps_S = seg.value(t, self.on_site)
-                break
-        else:  # pragma: no cover - segments tile [0, inf)
-            raise RuntimeError("no segment covers the requested time")
-        clip = lambda v: np.clip(v, 0.0, 1.0)  # noqa: E731
-        return ShockSample(
-            eps_S=clip(eps_S), eps_D=clip(eps_D), eps_F=clip(eps_F),
-            b=self.scenario.b,
-        )
+        seg = self._segments[bisect.bisect_right(self._t0s, t) - 1]
+        values = seg.values(np.asarray([float(t)]), self.on_site)
+        eps_D, eps_F, eps_S = values if seg.is_hold else (v[0] for v in values)
+        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
+                           b=self.scenario.b)
 
 
 def evaluate_shocks(scenario: Scenario, economy: Economy, t: float) -> ShockSample:
