@@ -8,16 +8,24 @@ Two methods are available:
   boundaries. ``simulate_series`` steps several runs together through the
   batched kernel and keeps only the series it is asked for.
 * ``continuous_adaptive`` -- an embedded Dormand-Prince 4(5) pair applied
-  to the daily update treated as a rate field, integrated segment by
-  segment between scenario breakpoints so the error estimator never
-  straddles a kink. Full states at sample times are reconstructed from the
-  integrated slow variables (demand memory, labor, stocks, aggregate
-  consumption, income expectations), so the allocation identity holds
-  exactly at every snapshot.
+  to the daily update treated as a rate field. It makes one solve per
+  shock segment: the solver restarts only at scenario breakpoints and at
+  the pandemic start (where income expectations reset), so its error
+  estimator never straddles a kink, and sample times do not split the
+  solve. Steps are at most ``MAX_CONTINUOUS_STEP`` (one day): past about
+  2.7 days an explicit step on the be64 reference run leaves RK45's
+  stability region, and on long flat stretches the error estimate alone
+  would let steps grow that far and drift off equilibrium. Samples are
+  interpolated within the solver's steps, so they do not depend on the
+  other sample times; full states at sample times are then reconstructed
+  from the integrated slow variables (demand memory, labor, stocks,
+  aggregate consumption, income expectations), so the allocation identity
+  holds exactly at every snapshot.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from collections import defaultdict
@@ -30,6 +38,7 @@ from scipy.integrate import solve_ivp
 
 from .dynamics import (  # noqa: F401 - _input_capacity: perfbench traces it here
     BehavioralParams,
+    Drive,
     ModelContext,
     SimState,
     _advance,
@@ -131,12 +140,20 @@ def simulate(
     )
 
 
-def _boundaries(schedule: ShockSchedule, grid: np.ndarray, t_end: float):
+def _kinks(schedule: ShockSchedule, t_end: float) -> list[float]:
+    """0, ``t_end`` and the times between where the dynamics have a kink
+    (shock breakpoints) or a jump (the pandemic start)."""
     pts = {0.0, float(t_end)}
     pts.update(float(b) for b in schedule.breakpoints if 0.0 < b < t_end)
-    pts.update(float(g) for g in grid if 0.0 < g < t_end)
     if schedule.pandemic_start is not None and 0.0 < schedule.pandemic_start < t_end:
         pts.add(float(schedule.pandemic_start))
+    return sorted(pts)
+
+
+def _boundaries(schedule: ShockSchedule, grid: np.ndarray, t_end: float):
+    """The kinks and the sample times: where discrete steps must end."""
+    pts = set(_kinks(schedule, t_end))
+    pts.update(float(g) for g in grid if 0.0 < g < t_end)
     return sorted(pts)
 
 
@@ -295,7 +312,10 @@ def _unpack(y: np.ndarray, n: int):
     return d, l, c_agg, zeta, S
 
 
-def _rhs(t: float, y: np.ndarray, ctx: ModelContext) -> np.ndarray:
+def _rhs(t: float, y: np.ndarray, ctx: ModelContext,
+         drive: Drive | None = None) -> np.ndarray:
+    """The daily update as a rate field. ``drive`` holds the shocks of a
+    hold segment; without it they are read at ``t``."""
     n = ctx.economy.n_sectors
     d, l, c_agg, zeta, S = _unpack(y, n)
     probe = SimState(
@@ -303,7 +323,7 @@ def _rhs(t: float, y: np.ndarray, ctx: ModelContext) -> np.ndarray:
         S=np.maximum(S, 0.0), c_agg_d=c_agg, l_perm=zeta * ctx.l0_sum,
         d_mem=d,
     )
-    nxt = _advance(ctx, probe, t, dt=1.0)
+    nxt = _advance(ctx, probe, t, dt=1.0, drive=drive)
     return _pack(
         nxt.d - d,
         nxt.l - l,
@@ -335,40 +355,46 @@ def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray) -> SimState:
     return state
 
 
-MIN_CONTINUOUS_STEP = 1e-6  # days
+#: Longest adaptive step, in days (see the module docstring).
+MAX_CONTINUOUS_STEP = 1.0
 
 
 def _run_continuous(ctx: ModelContext, grid, t_end, config) -> list[SimState]:
-    economy = ctx.economy
-    bounds = _boundaries(ctx.schedule, grid, t_end)
-    wanted = set(float(g) for g in grid)
-    out: dict[float, SimState] = {}
-    init = initial_state(economy)
-    if 0.0 in wanted:
-        out[0.0] = init
+    n = ctx.economy.n_sectors
+    schedule = ctx.schedule
+    grid = [float(g) for g in grid]
+    states: list[SimState] = [None] * len(grid)
+    init = initial_state(ctx.economy)
     y = _pack(init.d, init.l, init.c_agg_d, 1.0, init.S)
-    start = ctx.schedule.pandemic_start
-    for a, b in zip(bounds, bounds[1:]):
-        if start is not None and a == start:
+    g = 0  # next sample to take
+    if grid[0] == 0.0:
+        states[0] = init
+        g = 1
+    kinks = _kinks(schedule, t_end)
+    for a, b in zip(kinks, kinks[1:]):
+        if a == schedule.pandemic_start:
             # Income expectations drop to the shocked level at lockdown start.
-            y[2 * economy.n_sectors + 1] = ctx.per_point.households[0].zeta_L
-        t_eval = sorted({t for t in bounds if a < t <= b and t in wanted} | {b})
+            y[2 * n + 1] = ctx.per_point.households[0].zeta_L
+        held = schedule.held(a)
+        drive = None if held is None else ctx.drive(held.eps_S, held.eps_D,
+                                                     held.eps_F)
+        k = bisect.bisect_right(grid, b, lo=g)  # samples g..k-1 lie in (a, b]
+        t_eval = grid[g:k] if k > g and grid[k - 1] == b else grid[g:k] + [b]
         sol = solve_ivp(
-            _rhs, (a, b), y, method="RK45", args=(ctx,),
+            _rhs, (a, b), y, method="RK45", args=(ctx, drive),
             rtol=config.rel_tol, atol=config.abs_tol,
-            t_eval=t_eval, dense_output=False,
+            max_step=MAX_CONTINUOUS_STEP, t_eval=t_eval,
         )
         if not sol.success:
             raise IntegrationError(
-                f"adaptive integration failed on [{a}, {b}]: {sol.message} "
-                f"(step underflow below {MIN_CONTINUOUS_STEP} days or "
-                "tolerance failure)"
+                f"adaptive integration failed on the segment [{a}, {b}] "
+                f"(days): {sol.message}"
             )
-        for k, t in enumerate(sol.t):
-            if float(t) in wanted:
-                out[float(t)] = _reconstruct(ctx, float(t), sol.y[:, k])
+        for j in range(g, k):
+            states[j] = _reconstruct(ctx, grid[j], sol.y[:, j - g])
+        g = k
         y = sol.y[:, -1]  # segment end, chained into the next segment
-    return [out[float(g)] for g in grid]
+    return states
 
 
 # ---------------------------------------------------------------------------

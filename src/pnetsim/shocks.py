@@ -337,10 +337,27 @@ class ShockSchedule:
         return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
                            b=self.scenario.b)
 
-    def at(self, t: float) -> ShockSample:
+    def _owner(self, t: float) -> _Segment:
         if t < 0:
             raise ValueError(f"t = {t} precedes the simulation epoch")
-        seg = self._segments[bisect.bisect_right(self._t0s, t) - 1]
+        return self._segments[bisect.bisect_right(self._t0s, t) - 1]
+
+    def held(self, t: float) -> ShockSample | None:
+        """Shock values of the hold that ``t`` falls in, or None on a ramp.
+
+        A hold keeps these values over its whole span, so they equal
+        ``at(s)`` for every ``s`` in it; at the hold's end they are the
+        left limit.
+        """
+        seg = self._owner(t)
+        if not seg.is_hold:
+            return None
+        eps_D, eps_F, eps_S = seg.values(None, self.on_site)
+        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
+                           b=self.scenario.b)
+
+    def at(self, t: float) -> ShockSample:
+        seg = self._owner(t)
         values = seg.values(np.asarray([float(t)]), self.on_site)
         eps_D, eps_F, eps_S = values if seg.is_hold else (v[0] for v in values)
         return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,

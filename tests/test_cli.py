@@ -1,10 +1,11 @@
 import json
 from datetime import date
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pnetsim import GridSpec, BehavioralParams, write_economy, save_scenario
+from pnetsim import GridSpec, BehavioralParams, integrate, write_economy, save_scenario
 from pnetsim.calibration import apply_grid_point, save_dataset, synthesize_dataset
 from pnetsim.cli import main
 from pnetsim.fixtures import d2_economy, scenario_for
@@ -110,6 +111,23 @@ def test_simulate_continuous_method(d2_files, tmp_path):
         "--days", "30", "--out", str(out_dir),
     ]) == 0
     assert (out_dir / "aggregate.csv").exists()
+
+
+def test_simulate_continuous_failure_gives_runtime_exit(d2_files, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.setattr(
+        integrate, "solve_ivp",
+        lambda *args, **kwargs: SimpleNamespace(success=False,
+                                                message="step size too small"),
+    )
+    _, paths, _, scenario_path = d2_files
+    assert main([
+        "simulate", *economy_flags(paths),
+        "--scenario", str(scenario_path),
+        "--method", "continuous_adaptive",
+        "--days", "30", "--out", str(tmp_path / "cont"),
+    ]) == 2
+    assert "step size too small" in capsys.readouterr().err
 
 
 def test_simulate_reference_dips_and_recovers(tmp_path):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from datetime import date
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,16 @@ from pnetsim import (
     simulate,
     write_trajectory_csv,
 )
+from pnetsim import IntegrationError, integrate
+from pnetsim.dynamics import ModelContext
 from pnetsim.fixtures import scenario_for
 from pnetsim.integrate import (
+    MAX_CONTINUOUS_STEP,
     METHOD_CONTINUOUS,
     METHOD_DISCRETE,
     _boundaries,
+    _pack,
+    _rhs,
     read_trajectory_csv,
 )
 from pnetsim.shocks import ShockSchedule
@@ -170,3 +176,82 @@ def test_trajectory_requires_increasing_times(d2, params):
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 0.0]), states=traj.states[:2],
                    codes=traj.codes, start_date=traj.start_date)
+
+
+STATE_FIELDS = ("x", "d", "l", "c", "f", "O", "S", "c_agg_d", "l_perm", "d_mem")
+
+
+def test_adaptive_samples_do_not_depend_on_the_grid(d3, params):
+    scenario = labor_shock_scenario(d3)
+    daily = simulate(d3, scenario, params,
+                     IntegrationConfig(method=METHOD_CONTINUOUS), 120.0)
+    sparse = simulate(d3, scenario, params,
+                      IntegrationConfig(method=METHOD_CONTINUOUS,
+                                        output_grid=(0.0, 45.0, 90.5, 120.0)),
+                      120.0)
+    for t in (0.0, 45.0, 120.0):
+        a = daily.states[int(t)]
+        b = sparse.states[list(sparse.times).index(t)]
+        for name in STATE_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (t, name)
+
+
+@pytest.mark.parametrize("economy", ["d2", "d3"])
+def test_adaptive_zero_shock_stays_flat_on_a_sparse_grid(economy, params, request):
+    economy = request.getfixturevalue(economy)
+    traj = simulate(economy, scenario_for(economy), params,
+                    IntegrationConfig(method=METHOD_CONTINUOUS,
+                                      output_grid=(0.0, 45.0, 90.0)), 90.0)
+    ref = initial_state(economy)
+    for state in traj.states:
+        np.testing.assert_allclose(state.x, ref.x, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(state.l, ref.l, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(state.S, ref.S, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("grid", [None, (0.0, 45.0, 90.5, 120.0)])
+def test_one_solve_per_kink_segment(d2, params, monkeypatch, grid):
+    scenario = labor_shock_scenario(d2)
+    schedule = ShockSchedule(scenario, d2)
+    kinks = {0.0, 120.0, schedule.pandemic_start}
+    kinks.update(b for b in schedule.breakpoints if b < 120.0)
+    calls = []
+    solve = integrate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "solve_ivp", counted)
+    simulate(d2, scenario, params,
+             IntegrationConfig(method=METHOD_CONTINUOUS, output_grid=grid), 120.0)
+    assert len(calls) == len(kinks) - 1
+    assert all(kw["max_step"] == MAX_CONTINUOUS_STEP == 1.0 for kw in calls)
+
+
+def test_adaptive_failure_raises_integration_error(d2, params, monkeypatch):
+    def failing(fun, t_span, y0, **kwargs):
+        return SimpleNamespace(success=False, message="Required step size "
+                               "is less than spacing between numbers.")
+
+    monkeypatch.setattr(integrate, "solve_ivp", failing)
+    with pytest.raises(IntegrationError) as info:
+        simulate(d2, labor_shock_scenario(d2), params,
+                 IntegrationConfig(method=METHOD_CONTINUOUS), 30.0)
+    message = str(info.value)
+    assert "[0.0, 14.0]" in message
+    assert "Required step size is less than spacing between numbers." in message
+
+
+def test_held_drive_matches_shock_lookup(d3, params):
+    scenario = labor_shock_scenario(d3)
+    schedule = ShockSchedule(scenario, d3)
+    ctx = ModelContext(d3, params, schedule)
+    mid = simulate(d3, scenario, params, IntegrationConfig(), 40.0).states[40]
+    y = _pack(mid.d_mem, mid.l, mid.c_agg_d, mid.l_perm / ctx.l0_sum, mid.S)
+    start = schedule.pandemic_start + scenario.l1  # the lockdown plateau
+    held = schedule.held(start)
+    drive = ctx.drive(held.eps_S, held.eps_D, held.eps_F)
+    for t in (start + 0.1, start + 17.3, start + 40.0):
+        assert schedule.held(t) is not None
+        assert np.array_equal(_rhs(t, y, ctx, drive), _rhs(t, y, ctx))

@@ -155,6 +155,19 @@ def test_bounds_everywhere(be64, ref_scenario):
             assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
 
+def test_held_is_at_on_holds_and_none_on_ramps(be64, ref_scenario):
+    schedule = ShockSchedule(ref_scenario, be64)
+    for t in (0.0, 30.0, day(ref_scenario, "2020-04-15")):
+        held, at = schedule.held(t), schedule.at(t)
+        for name in ("eps_S", "eps_D", "eps_F"):
+            assert np.array_equal(getattr(held, name), getattr(at, name))
+        assert held.b == at.b
+    ramp = day(ref_scenario, "2020-03-18")  # inside the 7-day L1 entry ramp
+    assert schedule.held(ramp) is None
+    with pytest.raises(ValueError):
+        schedule.held(-1.0)
+
+
 def test_continuity_no_jump_beyond_ramp_slope(be64, ref_scenario):
     schedule = ShockSchedule(ref_scenario, be64)
     dt = 0.25
