@@ -29,7 +29,6 @@ from .dynamics import (
     BehavioralParams,
     SimState,
     initial_state,
-    step,
 )
 from .economy import (
     CriticalitySets,
@@ -59,7 +58,6 @@ from .shocks import (
     ShockSample,
     ShockSchedule,
     aggregate_shock,
-    evaluate_shocks,
     load_scenario,
     on_site_release,
     save_scenario,
@@ -89,7 +87,6 @@ __all__ = [
     "aggregate_shock",
     "default_grid",
     "derive_criticality_sets",
-    "evaluate_shocks",
     "grid_search",
     "initial_inventories",
     "initial_state",
@@ -103,7 +100,6 @@ __all__ = [
     "save_scenario",
     "score_point",
     "simulate",
-    "step",
     "total_aad",
     "write_economy",
     "write_trajectory_csv",

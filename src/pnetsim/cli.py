@@ -112,26 +112,25 @@ def _load_economy(paths: dict) -> Economy:
     )
 
 
+def _argument(convert, *args, **kwargs):
+    """``convert(*args, **kwargs)``; a ``ValueError`` is invalid input."""
+    try:
+        return convert(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _params_from_args(args) -> BehavioralParams:
-    kwargs = {}
-    if getattr(args, "prod_fn", None):
-        kwargs["prod_fn"] = args.prod_fn
-    if getattr(args, "tau", None) is not None:
-        kwargs["tau"] = args.tau
-    if getattr(args, "gamma_f", None) is not None:
-        kwargs["gamma_F"] = args.gamma_f
-    if getattr(args, "delta_s", None) is not None:
-        kwargs["delta_s"] = args.delta_s
-    return BehavioralParams(**kwargs)
-
-
-def _config_from_args(args) -> IntegrationConfig:
-    return IntegrationConfig(method=args.method, dt=args.dt)
+    fields = {"prod_fn": "prod_fn", "tau": "tau", "gamma_f": "gamma_F",
+              "delta_s": "delta_s"}  # command-line flag -> field
+    kwargs = {field: getattr(args, flag) for flag, field in fields.items()
+              if getattr(args, flag, None) is not None}
+    return _argument(BehavioralParams, **kwargs)
 
 
 def _horizon(args, scenario: Scenario) -> float:
     if args.end_date is not None:
-        end = date.fromisoformat(args.end_date)
+        end = _argument(date.fromisoformat, args.end_date)
         days = float((end - scenario.start_date).days)
         if days <= 0:
             raise ValidationError("end date precedes the scenario start")
@@ -169,7 +168,7 @@ def cmd_simulate(args) -> int:
     economy = _load_economy(paths)
     scenario = load_scenario(args.scenario)
     params = _params_from_args(args)
-    config = _config_from_args(args)
+    config = _argument(IntegrationConfig, method=args.method, dt=args.dt)
     t_end = _horizon(args, scenario)
     traj = simulate(economy, scenario, params, config, t_end)
 

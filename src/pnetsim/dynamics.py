@@ -1,10 +1,5 @@
 """Single-step dynamics of the production network model.
 
-One time step executes, in order: shock retrieval, demand formation
-(household, exogenous, and business-to-business), productive capacities
-under labor and input constraints, realized output with strict proportional
-rationing, inventory update, and labor-force adjustment.
-
 Rate-based updates (inventory-gap closing, hiring and firing, the aggregate
 consumption recursion) scale consistently with the step size ``dt`` so that
 fixed points are independent of ``dt``; at ``dt = 1`` day the update is
@@ -16,6 +11,26 @@ The step exists once, as the array kernel ``_advance``. It works on a
 single run's ``(N,)`` vectors and ``(N, N)`` matrices, or on a batch with
 a leading axis, ``(B, N)`` and ``(B, N, N)``, one row per parameter point;
 every point's result is bitwise the same as stepping that point alone.
+Its stages, in order:
+
+1. shocks: the step's ``Drive``, a row of the run's shock table, with
+   household preference shares (``household_preferences``) and the share
+   of consumption shocked away (``_demand_cut``);
+2. households (``_households``): compensated labor income
+   (``compensated_labor_income``), permanent income (``_zeta_next``,
+   ``_zeta_recursion``) and aggregate consumption demand
+   (``_consumption_update``);
+3. production (``_produce``): B2B orders (``_orders``), labor capacity
+   (``labor_capacity``), input capacity under the bottleneck rule
+   (``_input_capacity``), realized output (``realized_output``) and
+   proportional rationing (``_ration``);
+4. stock and workforce adjustment (``_restock``, ``_labor_update``);
+5. the model invariants (``_check_state``), which raise
+   ``ModelStateError``.
+
+Run constants (masks, inventory targets, per-point parameters) live in
+``ModelContext``. The stages are internal: runs go through
+``integrate.simulate`` and ``integrate.simulate_series``.
 """
 
 from __future__ import annotations
@@ -173,18 +188,6 @@ def _orders(A, d_prev, S_target, S, tau) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def intermediate_demand(
-    state: SimState, economy: Economy, params: BehavioralParams
-) -> np.ndarray:
-    """Desired B2B orders: replace yesterday's demand, close inventory gaps.
-
-    ``O_d[i, j] = A[i, j] d_j(t-1) + (S_target[i, j] - S[i, j](t-1)) / tau``,
-    clamped at zero.
-    """
-    return _orders(economy.A, state.d, initial_inventories(economy), state.S,
-                   params.tau)
-
-
 def household_preferences(theta0: np.ndarray, eps_D: np.ndarray) -> np.ndarray:
     """Consumption shares re-normalized under the demand shock.
 
@@ -207,43 +210,14 @@ def _demand_cut(theta0: np.ndarray, eps_D: np.ndarray) -> np.ndarray:
     return 1.0 - np.sum(theta0 * (1.0 - eps_D), axis=-1)
 
 
-def aggregate_demand_reduction(
-    theta0: np.ndarray, eps_D: np.ndarray, delta_s: float
-) -> float:
-    """Share of shocked consumption that households save rather than shift."""
-    return float(delta_s * _demand_cut(theta0, eps_D))
-
-
 def compensated_labor_income(l_now: float, l_baseline: float, b: float) -> float:
     """Labor income after the government reimburses fraction b of losses."""
     return l_now + b * max(l_baseline - l_now, 0.0)
 
 
 def _zeta_recursion(prev_zeta, rho, zeta_L, L_share):
+    """Next expected income share; fixed point ``1 - (1 - zeta_L) / L_share``."""
     return 1.0 - rho + rho * prev_zeta - (1.0 - rho) * (1.0 - zeta_L) / L_share
-
-
-def permanent_income(
-    prev_zeta: float,
-    rho: float,
-    zeta_L: float,
-    L_share: float,
-    l_baseline: float,
-    in_pandemic: bool,
-) -> tuple[float, float]:
-    """Household expectation of long-run labor income.
-
-    ``zeta`` is the expected retained fraction of baseline income; before
-    the pandemic it is 1 and the caller seeds it to ``zeta_L`` when the
-    first lockdown starts. Afterwards it follows a first-order recursion
-    whose fixed point is ``1 - (1 - zeta_L) / L_share``.
-    """
-    if L_share <= 0.0:
-        raise ValueError("L_share must be positive")
-    if not in_pandemic:
-        return l_baseline, 1.0
-    zeta = _zeta_recursion(prev_zeta, rho, zeta_L, L_share)
-    return zeta * l_baseline, zeta
 
 
 def lockdown_income_retention(scenario: Scenario, economy: Economy) -> float:
@@ -254,21 +228,6 @@ def lockdown_income_retention(scenario: Scenario, economy: Economy) -> float:
     if total <= 0:
         return 1.0
     return float(1.0 - np.sum(eps * economy.l0) / total)
-
-
-def aggregate_consumption(
-    state: SimState,
-    economy: Economy,
-    params: BehavioralParams,
-    eps_tilde_D: float,
-    l_comp: float,
-    l_perm: float,
-) -> float:
-    """One step of the aggregate household demand recursion."""
-    m = params.share_consumed(economy)
-    return _consumption_update(
-        state.c_agg_d, eps_tilde_D, params.rho, m, l_comp, l_perm
-    )
 
 
 def _consumption_update(
@@ -354,6 +313,7 @@ def _input_capacity(
     prod_fn: str,
     masks: InputMasks | None = None,
 ) -> np.ndarray:
+    """Output producible from stocks ``S``; +inf where no considered input binds."""
     if masks is None:
         masks = InputMasks.build(A, sets, prod_fn)
     if masks.col_sum is not None:
@@ -369,20 +329,6 @@ def _input_capacity(
     return out
 
 
-def input_constrained_capacity(
-    state: SimState,
-    economy: Economy,
-    sets: CriticalitySets,
-    prod_fn: str,
-) -> np.ndarray:
-    """Output producible from current stocks under the chosen bottleneck rule.
-
-    Inputs absent from the recipe (``A[i, j] = 0``) never bind; sectors
-    whose considered input set is empty are unconstrained (+inf).
-    """
-    return _input_capacity(state.S, economy.A, sets, economy.x0, prod_fn)
-
-
 def realized_output(
     x_cap: np.ndarray, x_inp: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
@@ -391,24 +337,9 @@ def realized_output(
 
 
 def _ration(x, d, c_d, f_d, O_d):
+    """Strict proportional rationing: every customer gets the fill ratio x/d."""
     scale = np.where(d > 0, x / np.where(d > 0, d, 1.0), 0.0)
     return c_d * scale, f_d * scale, O_d * scale[..., np.newaxis]
-
-
-def ration(
-    x: np.ndarray,
-    d: np.ndarray,
-    c_d: np.ndarray,
-    f_d: np.ndarray,
-    O_d: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Strict proportional rationing: every customer gets the fill ratio x/d."""
-    for name, arr in (("x", x), ("d", d), ("c_d", c_d), ("f_d", f_d), ("O_d", O_d)):
-        if np.any(arr < 0):
-            raise ValueError(f"{name} contains negative entries")
-    assert np.allclose(d, c_d + f_d + O_d.sum(axis=1), rtol=1e-9, atol=1e-9), \
-        "total demand does not match its components"
-    return _ration(x, d, c_d, f_d, O_d)
 
 
 def _restock(S_prev, O, A, x, dt=None) -> np.ndarray:
@@ -419,29 +350,6 @@ def _restock(S_prev, O, A, x, dt=None) -> np.ndarray:
         flow *= dt
     flow += S_prev
     return np.maximum(flow, 0.0, out=flow)
-
-
-def update_inventories(
-    S_prev: np.ndarray, O: np.ndarray, A: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Stocks gain deliveries and lose inputs consumed; never negative."""
-    return _restock(S_prev, O, A, x)
-
-
-def adjust_labor(
-    state: SimState,
-    economy: Economy,
-    params: BehavioralParams,
-    x_cap: np.ndarray,
-    x_inp: np.ndarray,
-    d: np.ndarray,
-    eps_S: np.ndarray,
-) -> np.ndarray:
-    """Hire toward binding demand/input limits, fire when capacity idles."""
-    return _labor_update(
-        state.l, economy, params, x_cap, x_inp, d, eps_S, dt=1.0,
-        no_fire=_no_fire_mask(economy, params),
-    )
 
 
 def _no_fire_mask(economy: Economy, params: BehavioralParams) -> np.ndarray:
@@ -704,29 +612,19 @@ def _advance(
 
 
 def _check_state(state: SimState, economy: Economy, eps_S: np.ndarray) -> None:
-    """Model invariants, active in test builds (python without -O)."""
-    if not __debug__:  # pragma: no cover
-        return
+    """Raise ``ModelStateError`` naming the broken model invariant and ``t``."""
     allocated = state.c + state.f + state.O.sum(axis=-1)
     scale = np.maximum(np.abs(state.x), 1e-300)
-    assert (np.abs(allocated - state.x) <= 1e-12 * scale + 1e-12).all(), \
-        "allocation does not conserve output"
-    assert (state.S >= 0.0).all(), "negative inventory"
     l_max = (1.0 - eps_S) * economy.l0
-    assert (state.l >= 0.0).all() and (state.l <= l_max * (1 + 1e-12) + 1e-12).all(), \
-        "labor outside its admissible band"
-    assert (state.x >= 0.0).all(), "negative output"
-
-
-def step(
-    state: SimState,
-    economy: Economy,
-    scenario: Scenario,
-    params: BehavioralParams,
-    dt: float = 1.0,
-) -> SimState:
-    """Advance the model from ``state.t`` to ``state.t + dt`` (dt <= 1 day)."""
-    if not 0.0 < dt <= 1.0:
-        raise ValueError(f"dt = {dt} outside (0, 1]")
-    ctx = ModelContext(economy, params, ShockSchedule(scenario, economy))
-    return _advance(ctx, state, state.t + dt, dt)
+    if not (np.abs(allocated - state.x) <= 1e-12 * scale + 1e-12).all():
+        broken = "allocation does not conserve output"
+    elif not (state.S >= 0.0).all():
+        broken = "negative inventory"
+    elif not ((state.l >= 0.0).all()
+              and (state.l <= l_max * (1 + 1e-12) + 1e-12).all()):
+        broken = "labor outside its admissible band"
+    elif not (state.x >= 0.0).all():
+        broken = "negative output"
+    else:
+        return
+    raise ModelStateError(f"{broken} at t = {state.t}")

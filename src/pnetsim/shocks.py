@@ -364,11 +364,6 @@ class ShockSchedule:
                            b=self.scenario.b)
 
 
-def evaluate_shocks(scenario: Scenario, economy: Economy, t: float) -> ShockSample:
-    """Shock values at day ``t``, aligned to the economy's sector order."""
-    return ShockSchedule(scenario, economy).at(t)
-
-
 def on_site_release(eps_lockdown: float, t_rel: float, l2: float) -> float:
     """Logarithmic post-lockdown decay of an on-site consumption shock.
 

@@ -34,9 +34,9 @@ from pnetsim.calibration import (
 from pnetsim.dynamics import (
     ModelContext,
     _advance,
+    _input_capacity,
     derive_criticality_sets,
     initial_inventories,
-    input_constrained_capacity,
 )
 from pnetsim.fixtures import (
     be64_economy,
@@ -137,7 +137,7 @@ def test_criterion_03_production_function_ordering(be64):
             scale = 0.01 if k % 4 == 3 else 1.0
             state.S = rng.uniform(0.0, 2.0, economy.Z.shape) * targets * scale
             caps = {
-                fn: input_constrained_capacity(state, economy, sets, fn)
+                fn: _input_capacity(state.S, economy.A, sets, economy.x0, fn)
                 for fn in ("leontief", "strongly_critical", "half_critical",
                            "weakly_critical", "linear")
             }

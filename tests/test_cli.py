@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pnetsim import GridSpec, BehavioralParams, integrate, write_economy, save_scenario
+from pnetsim import (
+    GridSpec, BehavioralParams, dynamics, integrate, write_economy, save_scenario,
+)
 from pnetsim.calibration import apply_grid_point, save_dataset, synthesize_dataset
 from pnetsim.cli import main
 from pnetsim.fixtures import d2_economy, scenario_for
@@ -172,6 +174,37 @@ def test_missing_input_gives_validation_exit(tmp_path, capsys):
                "--initial-states", str(tmp_path / "nope.csv"),
                "--criticality", str(tmp_path / "nope.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tau", "0.5"],
+    ["--dt", "1.5"],
+    ["--end-date", "2020-13-01"],
+])
+def test_invalid_simulate_parameters_give_validation_exit(d2_files, tmp_path,
+                                                          capsys, flags):
+    _, paths, _, scenario_path = d2_files
+    assert main([
+        "simulate", *economy_flags(paths),
+        "--scenario", str(scenario_path),
+        "--days", "5", "--out", str(tmp_path / "run"), *flags,
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_broken_invariant_gives_runtime_exit(d2_files, tmp_path, monkeypatch,
+                                             capsys):
+    restock = dynamics._restock
+    monkeypatch.setattr(dynamics, "_restock",
+                        lambda *args: restock(*args) - 1e9)
+    _, paths, _, scenario_path = d2_files
+    assert main([
+        "simulate", *economy_flags(paths),
+        "--scenario", str(scenario_path),
+        "--days", "5", "--out", str(tmp_path / "run"),
+    ]) == 2
+    assert "negative inventory at t = 1.0" in capsys.readouterr().err
 
 
 def test_unreadable_trajectory_gives_runtime_exit(tmp_path, capsys):

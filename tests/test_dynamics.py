@@ -1,35 +1,44 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnetsim
 from pnetsim import (
     BehavioralParams,
+    IntegrationConfig,
     ModelStateError,
     derive_criticality_sets,
+    dynamics,
     initial_inventories,
     initial_state,
-    step,
+    simulate,
 )
 from pnetsim.dynamics import (
+    Household,
     ModelContext,
     _advance,
-    adjust_labor,
-    aggregate_consumption,
-    aggregate_demand_reduction,
+    _check_state,
+    _consumption_update,
+    _demand_cut,
+    _input_capacity,
+    _labor_update,
+    _orders,
+    _ration,
+    _restock,
+    _zeta_next,
+    _zeta_recursion,
     compensated_labor_income,
     household_preferences,
-    input_constrained_capacity,
-    intermediate_demand,
     labor_capacity,
     lockdown_income_retention,
-    permanent_income,
-    ration,
     realized_output,
-    update_inventories,
 )
 from pnetsim.fixtures import scenario_for
 from pnetsim.shocks import ShockSchedule
@@ -46,25 +55,34 @@ def d2_labor_scenario(economy):
     )
 
 
+def context(economy, scenario, params):
+    return ModelContext(economy, params, ShockSchedule(scenario, economy))
+
+
+def orders(state, economy, params):
+    return _orders(economy.A, state.d, initial_inventories(economy), state.S,
+                   params.tau)
+
+
 # -- intermediate demand -----------------------------------------------------
 
 def test_intermediate_demand_equilibrium_reproduces_flows(d2, params):
     state = initial_state(d2)
-    O_d = intermediate_demand(state, d2, params)
+    O_d = orders(state, d2, params)
     np.testing.assert_allclose(O_d, d2.Z, rtol=1e-14)
 
 
 def test_intermediate_demand_closes_gap(d2, params):
     state = initial_state(d2)
     state.S[0, 1] = 140.0  # ten units below the 150 target
-    O_d = intermediate_demand(state, d2, params)
+    O_d = orders(state, d2, params)
     assert O_d[0, 1] == pytest.approx(0.3 * 100.0 + 10.0 / 14.0, rel=1e-14)
 
 
 def test_intermediate_demand_clamped_when_overstocked(d2, params):
     state = initial_state(d2)
     state.S[0, 1] = 150.0 + 14.0 * 0.3 * 100.0 + 1.0  # past the clamp point
-    O_d = intermediate_demand(state, d2, params)
+    O_d = orders(state, d2, params)
     assert O_d[0, 1] == 0.0
 
 
@@ -100,9 +118,9 @@ def test_preferences_all_shocked_warns():
 
 def test_demand_reduction_cases():
     theta0 = np.array([0.5, 0.5])
-    assert aggregate_demand_reduction(theta0, np.zeros(2), 0.8) == 0.0
-    assert aggregate_demand_reduction(theta0, np.array([0.9, 0.3]), 0.0) == 0.0
-    value = aggregate_demand_reduction(theta0, np.array([0.8, 0.0]), 1.0)
+    assert 0.8 * _demand_cut(theta0, np.zeros(2)) == 0.0
+    assert 0.0 * _demand_cut(theta0, np.array([0.9, 0.3])) == 0.0
+    value = 1.0 * _demand_cut(theta0, np.array([0.8, 0.0]))
     assert value == pytest.approx(0.4, rel=1e-14)
 
 
@@ -112,8 +130,8 @@ def test_consumption_fixed_point(d2, params):
     state = initial_state(d2)
     m = params.share_consumed(d2)
     total_l = float(d2.l0.sum())
-    c_next = aggregate_consumption(
-        state, d2, params, 0.0, l_comp=total_l, l_perm=total_l
+    c_next = _consumption_update(
+        state.c_agg_d, 0.0, params.rho, m, l_comp=total_l, l_perm=total_l
     )
     assert c_next == pytest.approx(float(d2.c0.sum()), rel=1e-12)
     assert m * total_l == pytest.approx(float(d2.c0.sum()), rel=1e-12)
@@ -126,16 +144,16 @@ def test_consumption_share_matches_published_ratio(be64):
 
 def test_consumption_pure_persistence_limit(d2):
     params = BehavioralParams(rho=1.0 - 1e-12)
-    state = initial_state(d2)
-    state.c_agg_d = 42.0
-    c_next = aggregate_consumption(state, d2, params, 0.9, 10.0, 10.0)
+    m = params.share_consumed(d2)
+    c_next = _consumption_update(42.0, 0.9, params.rho, m, 10.0, 10.0)
     assert c_next == pytest.approx(42.0, rel=1e-9)
 
 
 def test_consumption_rejects_nonpositive_income(d2, params):
     state = initial_state(d2)
     with pytest.raises(ModelStateError):
-        aggregate_consumption(state, d2, params, 0.0, 0.0, 100.0)
+        _consumption_update(state.c_agg_d, 0.0, params.rho,
+                            params.share_consumed(d2), 0.0, 100.0)
 
 
 # -- compensated income and expectations -------------------------------------
@@ -150,31 +168,39 @@ def test_compensated_income_no_compensation_on_growth():
     assert compensated_labor_income(120.0, 100.0, 0.7) == 120.0
 
 
+def household(zeta_L, pandemic_start):
+    return Household(rho=0.99, delta_s=0.75, m=0.86, L_share=1.0,
+                     zeta_L=zeta_L, b=0.0, pandemic_start=pandemic_start)
+
+
 def test_permanent_income_before_pandemic():
-    l_perm, zeta = permanent_income(0.5, 0.99, 0.75, 1.0, 100.0, in_pandemic=False)
-    assert (l_perm, zeta) == (100.0, 1.0)
+    for start in (10.0, None):
+        zeta = _zeta_next(household(0.75, start), 3.0, 4.0, 0.5, 0.99)
+        assert (zeta * 100.0, zeta) == (100.0, 1.0)
 
 
 def test_permanent_income_no_shock_is_fixed_point():
     zeta = 1.0
     for _ in range(100):
-        l_perm, zeta = permanent_income(zeta, 0.99, 1.0, 1.0, 100.0, True)
+        zeta = _zeta_recursion(zeta, 0.99, 1.0, 1.0)
     assert zeta == pytest.approx(1.0, abs=1e-12)
-    assert l_perm == pytest.approx(100.0, abs=1e-9)
+    assert zeta * 100.0 == pytest.approx(100.0, abs=1e-9)
 
 
 def test_permanent_income_l_one_converges_to_shock_level():
     # fixed point of the recursion at L = 1 is the shocked income fraction
     zeta_L = 0.75
+    h = household(zeta_L, 0.0)
     zeta = 0.9
-    for _ in range(5000):
-        _, zeta = permanent_income(zeta, 0.99, zeta_L, 1.0, 100.0, True)
+    for k in range(1, 5001):
+        zeta = _zeta_next(h, float(k), float(k + 1), zeta, 0.99)
     assert zeta == pytest.approx(zeta_L, abs=1e-9)
 
 
 def test_permanent_income_rejects_zero_l_share():
+    # BehavioralParams is the only way an L_share reaches the kernel.
     with pytest.raises(ValueError):
-        permanent_income(1.0, 0.99, 0.75, 0.0, 100.0, True)
+        BehavioralParams(L_share=0.0)
 
 
 def test_lockdown_income_retention_be64(be64, ref_scenario):
@@ -205,7 +231,7 @@ def test_labor_capacity_zero_labor(d2):
 def test_input_capacity_d2_leontief_at_equilibrium(d2):
     state = initial_state(d2)
     sets = derive_criticality_sets(d2)
-    x_inp = input_constrained_capacity(state, d2, sets, "leontief")
+    x_inp = _input_capacity(state.S, d2.A, sets, d2.x0, "leontief")
     # by hand: sector X2 holds [150, 50] against coefficients [0.3, 0.1]
     assert x_inp[1] == pytest.approx(min(150 / 0.3, 50 / 0.1), rel=1e-14)
     assert x_inp[1] >= d2.x0[1]
@@ -214,7 +240,7 @@ def test_input_capacity_d2_leontief_at_equilibrium(d2):
 def test_input_capacity_d2_linear(d2):
     state = initial_state(d2)
     sets = derive_criticality_sets(d2)
-    x_inp = input_constrained_capacity(state, d2, sets, "linear")
+    x_inp = _input_capacity(state.S, d2.A, sets, d2.x0, "linear")
     assert x_inp[1] == pytest.approx((150.0 + 50.0) / (0.3 + 0.1), rel=1e-14)
 
 
@@ -222,7 +248,7 @@ def test_input_capacity_unconstrained_when_no_rated_inputs(d2):
     state = initial_state(d2)
     sets = derive_criticality_sets(d2)  # D2 rates nothing critical
     for fn in ("strongly_critical", "half_critical", "weakly_critical"):
-        assert np.all(np.isinf(input_constrained_capacity(state, d2, sets, fn)))
+        assert np.all(np.isinf(_input_capacity(state.S, d2.A, sets, d2.x0, fn)))
 
 
 def test_depleted_critical_input_halts_production(d3):
@@ -230,7 +256,7 @@ def test_depleted_critical_input_halts_production(d3):
     state.S[0, 2] = 0.0  # S1 is critical for S3
     sets = derive_criticality_sets(d3)
     for fn in ("leontief", "strongly_critical", "half_critical", "weakly_critical"):
-        x_inp = input_constrained_capacity(state, d3, sets, fn)
+        x_inp = _input_capacity(state.S, d3.A, sets, d3.x0, fn)
         assert x_inp[2] == 0.0, fn
 
 
@@ -238,8 +264,8 @@ def test_half_critical_softens_important_inputs(d3):
     state = initial_state(d3)
     state.S[1, 2] = 0.0  # S2 is merely important for S3
     sets = derive_criticality_sets(d3)
-    half = input_constrained_capacity(state, d3, sets, "half_critical")
-    strong = input_constrained_capacity(state, d3, sets, "strongly_critical")
+    half = _input_capacity(state.S, d3.A, sets, d3.x0, "half_critical")
+    strong = _input_capacity(state.S, d3.A, sets, d3.x0, "strongly_critical")
     assert strong[2] == 0.0
     assert half[2] == pytest.approx(0.5 * d3.x0[2], rel=1e-14)
 
@@ -256,7 +282,7 @@ def test_realized_output_cases():
 
 def test_ration_no_shortage_meets_desires(d2):
     O_d = d2.Z.copy()
-    c, f, O = ration(d2.x0, d2.x0, d2.c0, d2.f0, O_d)
+    c, f, O = _ration(d2.x0, d2.x0, d2.c0, d2.f0, O_d)
     np.testing.assert_allclose(c, d2.c0, rtol=1e-14)
     np.testing.assert_allclose(O, d2.Z, rtol=1e-14)
 
@@ -264,22 +290,16 @@ def test_ration_no_shortage_meets_desires(d2):
 def test_ration_proportional_scaling():
     x = np.array([80.0])
     d = np.array([100.0])
-    c, f, O = ration(x, d, np.array([30.0]), np.array([20.0]), np.array([[50.0]]))
+    c, f, O = _ration(x, d, np.array([30.0]), np.array([20.0]), np.array([[50.0]]))
     assert c[0] == pytest.approx(24.0)
     assert f[0] == pytest.approx(16.0)
     assert O[0, 0] == pytest.approx(40.0)
 
 
 def test_ration_zero_demand_allocates_nothing():
-    c, f, O = ration(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
-                     np.zeros((1, 1)))
+    c, f, O = _ration(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
+                      np.zeros((1, 1)))
     assert c[0] == f[0] == O[0, 0] == 0.0
-
-
-def test_ration_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        ration(np.array([-1.0]), np.array([1.0]), np.array([1.0]),
-               np.array([0.0]), np.zeros((1, 1)))
 
 
 def test_ration_conserves_output(rng):
@@ -290,39 +310,46 @@ def test_ration_conserves_output(rng):
         O_d = rng.uniform(0, 5, (n, n))
         d = c_d + f_d + O_d.sum(axis=1)
         x = d * rng.uniform(0, 1, n)
-        c, f, O = ration(x, d, c_d, f_d, O_d)
+        c, f, O = _ration(x, d, c_d, f_d, O_d)
         np.testing.assert_allclose(c + f + O.sum(axis=1), x, rtol=1e-12)
 
 
 def test_update_inventories_equilibrium_is_stationary(d2):
     S0 = initial_inventories(d2)
-    S1 = update_inventories(S0, d2.Z, d2.A, d2.x0)
+    S1 = _restock(S0, d2.Z, d2.A, d2.x0)
     np.testing.assert_allclose(S1, S0, rtol=1e-13)
 
 
 def test_update_inventories_arithmetic_and_clamp():
-    S = update_inventories(np.array([[100.0]]), np.array([[30.0]]),
-                           np.array([[0.25]]), np.array([100.0]))
+    S = _restock(np.array([[100.0]]), np.array([[30.0]]),
+                 np.array([[0.25]]), np.array([100.0]))
     assert S[0, 0] == pytest.approx(105.0)
-    S = update_inventories(np.array([[1.0]]), np.array([[0.0]]),
-                           np.array([[1.0]]), np.array([100.0]))
+    S = _restock(np.array([[1.0]]), np.array([[0.0]]),
+                 np.array([[1.0]]), np.array([100.0]))
     assert S[0, 0] == 0.0
 
 
 # -- labor adjustment ---------------------------------------------------------
 
+def update_labor(state, economy, params, x_cap, x_inp, d, eps_S):
+    """One daily labor update with the run's no-firing mask."""
+    no_fire = context(economy, scenario_for(economy), params).no_fire
+    return _labor_update(state.l, economy, params, x_cap, x_inp, d, eps_S,
+                         dt=1.0, no_fire=no_fire)
+
+
 def test_adjust_labor_stationary_when_constraints_balance(d2, params):
     state = initial_state(d2)
     x_cap = d2.x0.copy()
     x_inp = np.full(2, math.inf)
-    l_new = adjust_labor(state, d2, params, x_cap, x_inp, d2.x0, np.zeros(2))
+    l_new = update_labor(state, d2, params, x_cap, x_inp, d2.x0, np.zeros(2))
     np.testing.assert_allclose(l_new, d2.l0, rtol=1e-14)
 
 
 def test_adjust_labor_fires_on_demand_collapse(d2, params):
     state = initial_state(d2)
     d = d2.x0 * np.array([0.5, 1.0])
-    l_new = adjust_labor(state, d2, params, d2.x0.copy(),
+    l_new = update_labor(state, d2, params, d2.x0.copy(),
                          np.full(2, math.inf), d, np.zeros(2))
     expected_drop = d2.l0[0] * 0.5 / params.gamma_F
     assert l_new[0] == pytest.approx(d2.l0[0] - expected_drop, rel=1e-12)
@@ -333,7 +360,7 @@ def test_adjust_labor_hiring_slower_than_firing(d2, params):
     state = initial_state(d2)
     state.l[:] = d2.l0 * 0.8
     x_cap = 0.8 * d2.x0
-    l_up = adjust_labor(state, d2, params, x_cap, np.full(2, math.inf),
+    l_up = update_labor(state, d2, params, x_cap, np.full(2, math.inf),
                         d2.x0, np.zeros(2))
     gain = l_up - state.l
     assert np.all(gain > 0)
@@ -348,7 +375,7 @@ def test_no_firing_sectors_never_decrease(be64, ref_scenario):
     i = be64.sectors.position("O84")
     d = be64.x0.copy()
     d[i] = 0.5 * be64.x0[i]
-    l_new = adjust_labor(state, be64, params, be64.x0.copy(),
+    l_new = update_labor(state, be64, params, be64.x0.copy(),
                          np.full(be64.n_sectors, math.inf), d,
                          np.zeros(be64.n_sectors))
     assert l_new[i] == be64.l0[i]
@@ -357,7 +384,7 @@ def test_no_firing_sectors_never_decrease(be64, ref_scenario):
 def test_labor_clamped_to_shock_cap(d2, params):
     state = initial_state(d2)
     eps = np.array([0.4, 0.0])
-    l_new = adjust_labor(state, d2, params, d2.x0.copy(),
+    l_new = update_labor(state, d2, params, d2.x0.copy(),
                          np.full(2, math.inf), d2.x0, eps)
     assert l_new[0] <= (1 - 0.4) * d2.l0[0] + 1e-12
 
@@ -367,10 +394,10 @@ def test_labor_clamped_to_shock_cap(d2, params):
 @pytest.mark.parametrize("dt", [1.0, 0.5, 0.25])
 def test_step_preserves_equilibrium(d2, d3, params, dt):
     for economy in (d2, d3):
-        scenario = scenario_for(economy)
+        ctx = context(economy, scenario_for(economy), params)
         state = initial_state(economy)
         for _ in range(10):
-            state = step(state, economy, scenario, params, dt)
+            state = _advance(ctx, state, state.t + dt, dt)
         ref = initial_state(economy)
         np.testing.assert_allclose(state.x, ref.x, rtol=1e-12)
         np.testing.assert_allclose(state.l, ref.l, rtol=1e-12)
@@ -378,19 +405,11 @@ def test_step_preserves_equilibrium(d2, d3, params, dt):
         assert state.c_agg_d == pytest.approx(ref.c_agg_d, rel=1e-12)
 
 
-def test_step_rejects_bad_dt(d2, params):
-    scenario = scenario_for(d2)
-    with pytest.raises(ValueError):
-        step(initial_state(d2), d2, scenario, params, dt=1.5)
-    with pytest.raises(ValueError):
-        step(initial_state(d2), d2, scenario, params, dt=0.0)
-
-
 def test_d2_labor_shock_matches_independent_oracle(d2):
     """20 daily steps against the brute-force golden file."""
     scenario = d2_labor_scenario(d2)
     params = BehavioralParams()
-    ctx = ModelContext(d2, params, ShockSchedule(scenario, d2))
+    ctx = context(d2, scenario, params)
     state = initial_state(d2)
     with GOLDEN.open() as fh:
         golden = list(csv.DictReader(fh))
@@ -413,21 +432,20 @@ def test_d2_labor_shock_matches_independent_oracle(d2):
 
 
 def test_d2_shocked_sector_falls_to_half_output(d2):
-    scenario = d2_labor_scenario(d2)
-    params = BehavioralParams()
+    ctx = context(d2, d2_labor_scenario(d2), BehavioralParams())
     state = initial_state(d2)
     for k in range(1, 21):
-        state = step(state, d2, scenario, params, 1.0)
+        state = _advance(ctx, state, state.t + 1.0, 1.0)
     assert state.x[0] == pytest.approx(0.5 * d2.x0[0], rel=1e-9)
 
 
 def test_step_invariants_along_shocked_run(d2):
     scenario = d2_labor_scenario(d2)
-    params = BehavioralParams()
-    schedule = ShockSchedule(scenario, d2)
+    ctx = context(d2, scenario, BehavioralParams())
+    schedule = ctx.schedule
     state = initial_state(d2)
     for k in range(1, 60):
-        state = step(state, d2, scenario, params, 1.0)
+        state = _advance(ctx, state, state.t + 1.0, 1.0)
         allocated = state.c + state.f + state.O.sum(axis=1)
         np.testing.assert_allclose(allocated, state.x, rtol=1e-12, atol=1e-12)
         assert np.all(state.S >= 0.0)
@@ -443,25 +461,99 @@ def test_lockdown_at_epoch_still_seeds_expectations(d2):
                    (date(2021, 3, 1), "lockdown_end")),
         eps_S_L1=np.array([0.5, 0.0]),
     )
-    params = BehavioralParams()
-    state = step(initial_state(d2), d2, scenario, params, 1.0)
+    ctx = context(d2, scenario, BehavioralParams())
+    state = initial_state(d2)
+    state = _advance(ctx, state, state.t + 1.0, 1.0)
     zeta_L = lockdown_income_retention(scenario, d2)
     assert state.l_perm == pytest.approx(zeta_L * d2.l0.sum(), rel=1e-12)
 
 
 def test_simulate_discrete_equals_repeated_step(d2):
-    from pnetsim import IntegrationConfig, simulate
-
     scenario = d2_labor_scenario(d2)
     params = BehavioralParams()
     traj = simulate(d2, scenario, params, IntegrationConfig(dt=1.0), 30.0)
+    ctx = context(d2, scenario, params)
     state = initial_state(d2)
     for k in range(1, 31):
-        state = step(state, d2, scenario, params, 1.0)
+        state = _advance(ctx, state, state.t + 1.0, 1.0)
         stored = traj.states[k]
         assert np.array_equal(stored.x, state.x)
         assert np.array_equal(stored.S, state.S)
         assert stored.c_agg_d == state.c_agg_d
+
+
+# -- model invariants ----------------------------------------------------------
+
+def break_allocation(state):
+    state.c[0] += 1.0
+
+
+def break_inventory(state):
+    state.S[0, 1] = -1.0
+
+
+def break_labor_floor(state):
+    state.l[0] = -1.0
+
+
+def break_labor_cap(state):
+    state.l[0] = 1.01 * state.l[0]
+
+
+def break_output(state):
+    # a negative output that the (empty) allocation still matches
+    state.x[0] = -1e-13
+    state.c[0] = state.f[0] = 0.0
+    state.O[0, :] = 0.0
+
+
+@pytest.mark.parametrize("breaker, invariant", [
+    (break_allocation, "allocation does not conserve output"),
+    (break_inventory, "negative inventory"),
+    (break_labor_floor, "labor outside its admissible band"),
+    (break_labor_cap, "labor outside its admissible band"),
+    (break_output, "negative output"),
+])
+def test_check_state_names_the_broken_invariant(d2, breaker, invariant):
+    state = initial_state(d2)
+    state.t = 7.0
+    _check_state(state, d2, np.zeros(2))  # the equilibrium passes
+    breaker(state)
+    with pytest.raises(ModelStateError, match=f"^{invariant} at t = 7.0$"):
+        _check_state(state, d2, np.zeros(2))
+
+
+def test_check_state_runs_under_python_optimize():
+    code = (
+        "import sys\n"
+        "from pnetsim import ModelStateError, initial_state\n"
+        "from pnetsim.dynamics import _check_state\n"
+        "from pnetsim.fixtures import d2_economy\n"
+        "print(sys.flags.optimize)\n"
+        "d2 = d2_economy()\n"
+        "state = initial_state(d2)\n"
+        "state.S[0, 1] = -1.0\n"
+        "try:\n"
+        "    _check_state(state, d2, state.x * 0.0)\n"
+        "except ModelStateError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(pnetsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["1", "negative inventory at t = 0.0", ""]
+
+
+def test_broken_invariant_stops_simulate(d2, monkeypatch):
+    restock = dynamics._restock
+    monkeypatch.setattr(dynamics, "_restock",
+                        lambda *args: restock(*args) - 1e9)
+    with pytest.raises(ModelStateError, match="^negative inventory at t = 1.0$"):
+        simulate(d2, d2_labor_scenario(d2), BehavioralParams(),
+                 IntegrationConfig(dt=1.0), 5.0)
 
 
 # -- production function ordering property ------------------------------------
@@ -484,7 +576,7 @@ def test_production_function_ordering(fixture_name, request, rng):
     for k in range(250):
         state = random_state(economy, rng, depleted=(k % 4 == 3))
         caps = {
-            fn: input_constrained_capacity(state, economy, sets, fn)
+            fn: _input_capacity(state.S, economy.A, sets, economy.x0, fn)
             for fn in ("leontief", "strongly_critical", "half_critical",
                        "weakly_critical", "linear")
         }

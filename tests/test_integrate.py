@@ -43,6 +43,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(dt=1.5)
     with pytest.raises(ValueError):
+        IntegrationConfig(dt=0.0)
+    with pytest.raises(ValueError):
         IntegrationConfig(rel_tol=0.0)
 
 

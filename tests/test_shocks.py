@@ -8,7 +8,6 @@ import pytest
 from pnetsim import (
     ValidationError,
     aggregate_shock,
-    evaluate_shocks,
     load_scenario,
     on_site_release,
     save_scenario,
@@ -74,7 +73,7 @@ def test_reference_aggregates_match_published_values(be64, ref_scenario):
 # -- schedule evaluation -----------------------------------------------------
 
 def test_epoch_is_shock_free(be64, ref_scenario):
-    sample = evaluate_shocks(ref_scenario, be64, 0.0)
+    sample = ShockSchedule(ref_scenario, be64).at(0.0)
     assert np.all(sample.eps_S == 0.0)
     assert np.all(sample.eps_D == 0.0)
     assert np.all(sample.eps_F == 0.0)
@@ -83,12 +82,12 @@ def test_epoch_is_shock_free(be64, ref_scenario):
 
 def test_negative_time_rejected(be64, ref_scenario):
     with pytest.raises(ValueError):
-        evaluate_shocks(ref_scenario, be64, -1.0)
+        ShockSchedule(ref_scenario, be64).at(-1.0)
 
 
 def test_first_lockdown_plateau_values(be64, ref_scenario):
     t = day(ref_scenario, "2020-04-15")  # mid-L1, past the 7-day ramp
-    sample = evaluate_shocks(ref_scenario, be64, t)
+    sample = ShockSchedule(ref_scenario, be64).at(t)
     i = be64.sectors.position("I55-56")
     assert sample.eps_D[i] == pytest.approx(0.80, abs=1e-12)
     assert sample.eps_S[i] == pytest.approx(0.925, abs=1e-12)
@@ -97,7 +96,7 @@ def test_first_lockdown_plateau_values(be64, ref_scenario):
 
 def test_second_lockdown_uses_its_own_labor_shocks(be64, ref_scenario):
     t = day(ref_scenario, "2020-11-10")  # inside L2, past the ramp
-    sample = evaluate_shocks(ref_scenario, be64, t)
+    sample = ShockSchedule(ref_scenario, be64).at(t)
     i = be64.sectors.position("I55-56")
     assert sample.eps_S[i] == pytest.approx(0.70, abs=1e-12)
     assert sample.eps_D[i] == pytest.approx(0.80, abs=1e-12)
@@ -105,13 +104,13 @@ def test_second_lockdown_uses_its_own_labor_shocks(be64, ref_scenario):
 
 def test_labor_zero_between_lockdowns_and_during_light(be64, ref_scenario):
     for iso in ("2020-08-01", "2021-02-01"):
-        sample = evaluate_shocks(ref_scenario, be64, day(ref_scenario, iso))
+        sample = ShockSchedule(ref_scenario, be64).at(day(ref_scenario, iso))
         assert np.all(sample.eps_S == 0.0), iso
 
 
 def test_between_lockdowns_sits_at_residual_level(be64, ref_scenario):
     t = day(ref_scenario, "2020-08-01")  # release done, before L2
-    sample = evaluate_shocks(ref_scenario, be64, t)
+    sample = ShockSchedule(ref_scenario, be64).at(t)
     order = ref_scenario.index_for(be64.codes)
     np.testing.assert_allclose(
         sample.eps_D, ref_scenario.r * ref_scenario.eps_D_lockdown[order],
@@ -121,7 +120,7 @@ def test_between_lockdowns_sits_at_residual_level(be64, ref_scenario):
 
 def test_full_recovery_when_ratio_zero(be64, ref_scenario):
     scenario = replace(ref_scenario, r=0.0)
-    sample = evaluate_shocks(scenario, be64, day(scenario, "2020-08-01"))
+    sample = ShockSchedule(scenario, be64).at(day(scenario, "2020-08-01"))
     assert np.all(sample.eps_D == 0.0)
     assert np.all(sample.eps_F == 0.0)
 
@@ -129,7 +128,7 @@ def test_full_recovery_when_ratio_zero(be64, ref_scenario):
 def test_lockdown_light_scaling_property(be64, ref_scenario):
     # during the light plateau the demand shock equals r times the lockdown one
     t = day(ref_scenario, "2021-03-01")
-    sample = evaluate_shocks(ref_scenario, be64, t)
+    sample = ShockSchedule(ref_scenario, be64).at(t)
     order = ref_scenario.index_for(be64.codes)
     np.testing.assert_allclose(
         sample.eps_D, ref_scenario.r * ref_scenario.eps_D_lockdown[order],
@@ -142,7 +141,7 @@ def test_lockdown_light_scaling_property(be64, ref_scenario):
 
 
 def test_after_final_release_everything_is_zero(be64, ref_scenario):
-    sample = evaluate_shocks(ref_scenario, be64, day(ref_scenario, "2021-08-01"))
+    sample = ShockSchedule(ref_scenario, be64).at(day(ref_scenario, "2021-08-01"))
     for vec in (sample.eps_S, sample.eps_D, sample.eps_F):
         assert np.all(vec == 0.0)
 
@@ -212,7 +211,7 @@ def test_on_site_release_slower_than_linear(be64, ref_scenario):
 def test_ramp_in_is_linear(be64, ref_scenario):
     t_start = day(ref_scenario, "2020-03-15")
     i = be64.sectors.position("I55-56")
-    half = evaluate_shocks(ref_scenario, be64, t_start + 3.5).eps_S[i]
+    half = ShockSchedule(ref_scenario, be64).at(t_start + 3.5).eps_S[i]
     assert half == pytest.approx(0.925 / 2.0, abs=1e-12)
 
 
@@ -264,8 +263,8 @@ def test_evaluate_aligns_to_economy_order(be64, ref_scenario):
         on_site=ref_scenario.on_site[perm],
     )
     t = day(ref_scenario, "2020-04-15")
-    a = evaluate_shocks(ref_scenario, be64, t)
-    b = evaluate_shocks(scenario, be64, t)
+    a = ShockSchedule(ref_scenario, be64).at(t)
+    b = ShockSchedule(scenario, be64).at(t)
     np.testing.assert_array_equal(a.eps_D, b.eps_D)
     np.testing.assert_array_equal(a.eps_S, b.eps_S)
 
@@ -281,7 +280,7 @@ def test_missing_sector_rejected(be64, ref_scenario):
         on_site=ref_scenario.on_site[:-1],
     )
     with pytest.raises(ValidationError):
-        evaluate_shocks(scenario, be64, 0.0)
+        ShockSchedule(scenario, be64).at(0.0)
 
 
 def test_reference_key_dates_match_timeline(ref_scenario):
