@@ -17,7 +17,6 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -820,6 +819,8 @@ def grid_search(
             for chunk in chunks:
                 record(_score_chunk(job, chunk))
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(job,),
             ) as pool:

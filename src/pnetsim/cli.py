@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import date, datetime, timezone
@@ -136,6 +137,9 @@ def _horizon(args, scenario: Scenario) -> float:
             raise ValidationError("end date precedes the scenario start")
         return days
     if args.days is not None:
+        if not 0.0 < args.days < math.inf:
+            raise ValidationError(f"--days {args.days:g} is not a positive "
+                                  "number of days")
         return float(args.days)
     return horizon_for(scenario, ("2020Q2", "2020Q3", "2020Q4", "2021Q1"))
 

@@ -87,6 +87,10 @@ class BehavioralParams:
             raise ValueError(f"rho = {self.rho} outside (0, 1)")
         if not 0.0 < self.L_share <= 1.0:
             raise ValueError(f"L_share = {self.L_share} outside (0, 1]")
+        if not 0.0 <= self.delta_s <= 1.0:
+            raise ValueError(f"delta_s = {self.delta_s} outside [0, 1]")
+        if self.m is not None and not self.m > 0.0:
+            raise ValueError(f"m = {self.m} must be positive")
         if self.tau < 1.0 or self.gamma_F < 1.0:
             raise ValueError("tau and gamma_F must be at least one day")
         if self.gamma_H is not None and self.gamma_H < 1.0:
@@ -134,14 +138,6 @@ class SimState:
     @property
     def demand_memory(self) -> np.ndarray:
         return self.d if self.d_mem is None else self.d_mem
-
-    def copy(self) -> "SimState":
-        return SimState(
-            self.t, self.x.copy(), self.d.copy(), self.l.copy(),
-            self.c.copy(), self.f.copy(), self.O.copy(), self.S.copy(),
-            self.c_agg_d, self.l_perm,
-            None if self.d_mem is None else self.d_mem.copy(),
-        )
 
 
 def initial_state(economy: Economy) -> SimState:

@@ -20,7 +20,8 @@ Two methods are available:
   other sample times; full states at sample times are then reconstructed
   from the integrated slow variables (demand memory, labor, stocks,
   aggregate consumption, income expectations), so the allocation identity
-  holds exactly at every snapshot.
+  holds exactly at every snapshot. scipy, which supplies the solver, is
+  imported on the first adaptive solve, so discrete runs never load it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dynamics import (  # noqa: F401 - _input_capacity: perfbench traces it here
     BehavioralParams,
@@ -298,6 +298,14 @@ def simulate_series(
 
 
 # -- continuous method ------------------------------------------------------
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first use: loading scipy
+    costs more than a whole discrete reference run."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
 
 def _pack(d, l, c_agg, zeta, S) -> np.ndarray:
     return np.concatenate([d, l, [c_agg, zeta], S.ravel()])

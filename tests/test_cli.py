@@ -180,6 +180,11 @@ def test_missing_input_gives_validation_exit(tmp_path, capsys):
     ["--tau", "0.5"],
     ["--dt", "1.5"],
     ["--end-date", "2020-13-01"],
+    ["--days", "0"],
+    ["--days", "-3"],
+    ["--days", "inf"],
+    ["--delta-s", "-3"],
+    ["--delta-s", "1.5"],
 ])
 def test_invalid_simulate_parameters_give_validation_exit(d2_files, tmp_path,
                                                           capsys, flags):

@@ -203,6 +203,22 @@ def test_permanent_income_rejects_zero_l_share():
         BehavioralParams(L_share=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("delta_s", -0.01), ("delta_s", 1.01), ("delta_s", float("nan")),
+    ("m", 0.0), ("m", -0.5), ("m", float("nan")),
+])
+def test_params_reject_out_of_range_value(field, value):
+    # delta_s is the saved share of the consumption shock; m, the share of
+    # income consumed, enters a logarithm in the consumption update.
+    with pytest.raises(ValueError, match=f"^{field} = "):
+        BehavioralParams(**{field: value})
+
+
+def test_params_accept_delta_s_bounds():
+    assert BehavioralParams(delta_s=0.0).delta_s == 0.0
+    assert BehavioralParams(delta_s=1.0).delta_s == 1.0
+
+
 def test_lockdown_income_retention_be64(be64, ref_scenario):
     zeta_L = lockdown_income_retention(ref_scenario, be64)
     assert zeta_L == pytest.approx(0.75, abs=0.03)
