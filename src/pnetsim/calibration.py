@@ -26,7 +26,8 @@ import numpy as np
 from .dynamics import PRODUCTION_FUNCTIONS, BehavioralParams
 from .economy import Economy
 from .errors import CheckpointError, SchemaError, ValidationError
-from .integrate import (
+from .integrate import (  # noqa: F401 - simulate: perfbench traces it here
+    AGGREGATE_CODE,
     SERIES,
     IntegrationConfig,
     Trajectory,
@@ -40,7 +41,6 @@ log = logging.getLogger(__name__)
 
 INDICATORS = ("b2b", "gdp", "revenue", "employment")
 DEFAULT_QUARTERS = ("2020Q2", "2020Q3", "2020Q4", "2021Q1")
-AGGREGATE_CODE = "BE"
 
 #: Decimal places kept when storing scores; fixes the argmin across
 #: platforms and across checkpoint round-trips.
@@ -322,13 +322,13 @@ def horizon_for(scenario: Scenario, quarters) -> float:
 
 class _Scorer:
     """What scoring shares across the points of a grid: the dataset's
-    quarterly means, the indicator weights and, given the common sample
-    times, their calendar quarters."""
+    quarterly means, the indicator weights and the calendar quarters of the
+    common sample ``times`` (days from ``start_date``)."""
 
     def __init__(self, economy: Economy, dataset: EmpiricalDataset,
-                 mapping: dict[str, str] | None, quarters,
-                 frame: _QuarterFrame | None = None):
-        self.frame = frame
+                 mapping: dict[str, str] | None, quarters, times,
+                 start_date: date):
+        self.frame = _QuarterFrame(times, start_date, economy, mapping, quarters)
         self._cells = []
         for ind in dataset.indicators:
             data_q = dataset.quarterly(ind, quarters)
@@ -341,16 +341,8 @@ class _Scorer:
 
     def score(self, series: dict[str, np.ndarray]) -> PointScore:
         """Score one run's ``SCORED_SERIES``, each a (time, sector) array
-        sampled at the times this scorer's frame was built for."""
-        if self.frame is None:
-            raise TypeError("scoring series needs a scorer built with a frame")
+        sampled at this scorer's times."""
         model = self.frame.tables(*(series[name] for name in SCORED_SERIES))
-        cells = self.cells(model)
-        return PointScore(
-            index=-1, params={}, aad_total=total_aad(cells), cells=cells
-        )
-
-    def cells(self, model) -> dict[tuple[str, str], tuple[float, float]]:
         cells: dict[tuple[str, str], tuple[float, float]] = {}
         for ind, q, candidates, data_q, weights in self._cells:
             model_q = model[ind]
@@ -363,7 +355,9 @@ class _Scorer:
                 {s: data_q[(s, q)] for s in sectors},
                 {s: weights[s] for s in sectors},
             )
-        return cells
+        return PointScore(
+            index=-1, params={}, aad_total=total_aad(cells), cells=cells
+        )
 
 
 def score_point(
@@ -380,22 +374,22 @@ def score_point(
 ) -> PointScore:
     """Simulate one parameter set and score it against the dataset.
 
-    ``grid_search`` passes the point's ``series`` from a batched simulation
-    (the ``SCORED_SERIES``, each a (time, sector) array) together with the
-    ``scorer`` it prepared once for all points; the score is the same.
+    Every point is scored by ``_Scorer.score``. ``grid_search`` passes the
+    point's ``series`` from a batched simulation (the ``SCORED_SERIES``,
+    each a (time, sector) array) and the ``scorer`` it prepared once for
+    all points; without them, the scorer is built here and the series come
+    from ``simulate_series``. The score is the same either way.
     """
-    if series is not None:
-        if scorer is None:
-            raise TypeError("series must come with a scorer")
-        return scorer.score(series)
     config = config or IntegrationConfig()
-    traj = simulate(economy, scenario, params, config,
-                    horizon_for(scenario, quarters))
-    model = model_quarterly(traj, economy, mapping, quarters)
-    cells = (scorer or _Scorer(economy, dataset, mapping, quarters)).cells(model)
-    return PointScore(
-        index=-1, params={}, aad_total=total_aad(cells), cells=cells
-    )
+    t_end = horizon_for(scenario, quarters)
+    if scorer is None:
+        scorer = _Scorer(economy, dataset, mapping, quarters,
+                         _output_grid(config, t_end), scenario.start_date)
+    if series is None:
+        run = simulate_series(economy, [(scenario, params)], config, t_end,
+                              SCORED_SERIES)
+        series = {name: v[0] for name, v in run.values.items()}
+    return scorer.score(series)
 
 
 # ---------------------------------------------------------------------------
@@ -799,10 +793,9 @@ def grid_search(
     config = config or IntegrationConfig()
     quarters = tuple(quarters)
     times = _output_grid(config, horizon_for(scenario, quarters))
-    frame = _QuarterFrame(times, scenario.start_date, economy, mapping, quarters)
     job = _GridJob(
         economy, scenario, params, dataset, grid, mapping, quarters, config,
-        _Scorer(economy, dataset, mapping, quarters, frame),
+        _Scorer(economy, dataset, mapping, quarters, times, scenario.start_date),
     )
     pending = [i for i in range(grid.n_points) if i not in completed]
     chunks = _chunks(grid, pending, params.prod_fn)
@@ -848,8 +841,10 @@ def synthesize_dataset(
     zero deviation, which anchors the parameter-recovery tests.
     """
     config = config or IntegrationConfig()
-    traj = simulate(economy, scenario, params, config, horizon_for(scenario, quarters))
-    model = model_quarterly(traj, economy, mapping, quarters)
+    run = simulate_series(economy, [(scenario, params)], config,
+                          horizon_for(scenario, quarters), SCORED_SERIES)
+    frame = _QuarterFrame(run.times, scenario.start_date, economy, mapping, quarters)
+    model = frame.tables(*(run.values[name][0] for name in SCORED_SERIES))
     observations: dict[str, list[tuple[date, str, float]]] = {}
     for ind in indicators:
         rows = []

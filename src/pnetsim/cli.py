@@ -19,6 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .calibration import (
+    DEFAULT_QUARTERS,
+    OBSERVABLES,
     default_distributions,
     grid_search,
     horizon_for,
@@ -26,14 +28,15 @@ from .calibration import (
     load_grid,
     load_sector_mapping,
     monte_carlo,
+    parse_distributions,
 )
 from .dynamics import PRODUCTION_FUNCTIONS, BehavioralParams
 from .economy import Economy, load_economy
 from .errors import PnetError, SchemaError, ValidationError
 from .fixtures import fixture_paths, sector_mapping_path
 from .integrate import (
-    METHOD_CONTINUOUS,
     METHOD_DISCRETE,
+    METHODS,
     IntegrationConfig,
     read_trajectory_csv,
     simulate,
@@ -121,6 +124,14 @@ def _argument(convert, *args, **kwargs):
         raise ValidationError(str(exc)) from exc
 
 
+def _add_param_args(p: argparse.ArgumentParser):
+    """The behavioural flags ``_params_from_args`` reads."""
+    p.add_argument("--prod-fn", choices=PRODUCTION_FUNCTIONS)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--gamma-f", type=float)
+    p.add_argument("--delta-s", type=float)
+
+
 def _params_from_args(args) -> BehavioralParams:
     fields = {"prod_fn": "prod_fn", "tau": "tau", "gamma_f": "gamma_F",
               "delta_s": "delta_s"}  # command-line flag -> field
@@ -141,7 +152,7 @@ def _horizon(args, scenario: Scenario) -> float:
             raise ValidationError(f"--days {args.days:g} is not a positive "
                                   "number of days")
         return float(args.days)
-    return horizon_for(scenario, ("2020Q2", "2020Q3", "2020Q4", "2021Q1"))
+    return horizon_for(scenario, DEFAULT_QUARTERS)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +272,17 @@ def cmd_montecarlo(args) -> int:
     economy = _load_economy(paths)
     scenario = load_scenario(args.scenario)
     params = _params_from_args(args)
+    # Checked before the run: a ValueError raised by the run itself exits 2.
+    if args.n < 1:
+        raise ValidationError(f"--n {args.n} is not a positive number of runs")
+    raw = default_distributions()
     if args.distributions:
-        raw = json.loads(Path(args.distributions).read_text(encoding="utf-8"))
-    else:
-        raw = default_distributions()
+        try:
+            raw = json.loads(Path(args.distributions).read_text(encoding="utf-8"))
+            parse_distributions(raw)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(
+                f"{args.distributions}: invalid distributions ({exc})") from None
     result = monte_carlo(
         economy, scenario, params, raw, n_runs=args.n, seed=args.seed,
         observable=args.observable,
@@ -326,15 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_economy_args(p)
     p.add_argument("--scenario", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--method", default=METHOD_DISCRETE,
-                   choices=(METHOD_DISCRETE, METHOD_CONTINUOUS))
+    p.add_argument("--method", default=METHOD_DISCRETE, choices=METHODS)
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--end-date", help="ISO date of the last simulated day")
     p.add_argument("--days", type=float, help="horizon in days since epoch")
-    p.add_argument("--prod-fn", choices=PRODUCTION_FUNCTIONS)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--gamma-f", type=float)
-    p.add_argument("--delta-s", type=float)
+    _add_param_args(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("grid-search", help="score a parameter grid")
@@ -348,10 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", type=Path)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--prod-fn", choices=PRODUCTION_FUNCTIONS)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--gamma-f", type=float)
-    p.add_argument("--delta-s", type=float)
+    _add_param_args(p)
     p.set_defaults(func=cmd_grid_search)
 
     p = sub.add_parser("montecarlo", help="confidence bands under sampled parameters")
@@ -363,12 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--observable", default="gross_output",
-                   choices=("gross_output", "labor", "household_consumption"))
+                   choices=tuple(OBSERVABLES))
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--prod-fn", choices=PRODUCTION_FUNCTIONS)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--gamma-f", type=float)
-    p.add_argument("--delta-s", type=float)
+    _add_param_args(p)
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("compare", help="diff two trajectory CSVs")

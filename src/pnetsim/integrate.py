@@ -266,8 +266,9 @@ def simulate_series(
     """Simulate ``runs`` ((scenario, params) pairs sharing ``prod_fn`` and a
     start date) and keep only the ``SERIES`` named in ``names``.
 
-    The discrete method steps all runs together in one batched pass; each
-    run's series are bitwise those of its own ``simulate`` call.
+    The discrete method steps all runs together in one batched pass (a
+    single run steps unbatched); each run's series are bitwise those of its
+    own ``simulate`` call.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -284,10 +285,11 @@ def simulate_series(
                 values[name][k] = [SERIES[name](s) for s in traj.states]
         return Series(grid, values)
 
-    ctx = ModelContext(
-        economy, [prm for _, prm in runs],
-        [ShockSchedule(scn, economy) for scn, _ in runs],
-    )
+    params = [prm for _, prm in runs]
+    schedules = [ShockSchedule(scn, economy) for scn, _ in runs]
+    if len(runs) == 1:  # a batch of one steps slower than a single run
+        params, schedules = params[0], schedules[0]
+    ctx = ModelContext(economy, params, schedules)
 
     def keep(state, g, rows):
         for name in names:
@@ -341,25 +343,24 @@ def _rhs(t: float, y: np.ndarray, ctx: ModelContext,
     )
 
 
-def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray) -> SimState:
-    """Consistent full state from the integrated slow variables."""
+def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray,
+                 drive: Drive) -> SimState:
+    """Consistent full state from the integrated slow variables, under the
+    shocks ``drive`` at ``t``."""
     economy = ctx.economy
     d_y, l_y, c_agg, zeta, S_y = _unpack(y, economy.n_sectors)
-    shocks = ctx.schedule.at(t)
-    l_max = (1.0 - shocks.eps_S) * economy.l0
+    l_max = (1.0 - drive.eps_S) * economy.l0
     probe = SimState(
         t=t, x=d_y, d=d_y, l=np.clip(l_y, 0.0, l_max), c=d_y, f=d_y,
         O=ctx.S_target, S=np.maximum(S_y, 0.0), c_agg_d=c_agg,
         l_perm=zeta * ctx.l0_sum, d_mem=d_y,
     )
-    x, d, c, f, O, _, _ = _produce(
-        ctx, probe, c_agg, ctx.drive(shocks.eps_S, shocks.eps_D, shocks.eps_F)
-    )
+    x, d, c, f, O, _, _ = _produce(ctx, probe, c_agg, drive)
     state = SimState(
         t=t, x=x, d=d, l=probe.l, c=c, f=f, O=O, S=probe.S,
         c_agg_d=c_agg, l_perm=probe.l_perm, d_mem=d_y,
     )
-    _check_state(state, economy, shocks.eps_S)
+    _check_state(state, economy, drive.eps_S)
     return state
 
 
@@ -379,13 +380,18 @@ def _run_continuous(ctx: ModelContext, grid, t_end, config) -> list[SimState]:
         states[0] = init
         g = 1
     kinks = _kinks(schedule, t_end)
-    for a, b in zip(kinks, kinks[1:]):
+    holds = schedule.holds
+    starts, samples = (  # the drive at each segment start and sample time
+        ctx.drive(tab.eps_S, tab.eps_D, tab.eps_F)
+        for tab in (schedule.table(kinks[:-1]), schedule.table(grid))
+    )
+    for s, (a, b) in enumerate(zip(kinks, kinks[1:])):
         if a == schedule.pandemic_start:
             # Income expectations drop to the shocked level at lockdown start.
             y[2 * n + 1] = ctx.per_point.households[0].zeta_L
-        held = schedule.held(a)
-        drive = None if held is None else ctx.drive(held.eps_S, held.eps_D,
-                                                     held.eps_F)
+        # A segment lies in one piece of the shock plan: on a hold its
+        # shocks are those at its start, on a ramp they are read at each t.
+        drive = starts.at(s) if any(t0 <= a < t1 for t0, t1 in holds) else None
         k = bisect.bisect_right(grid, b, lo=g)  # samples g..k-1 lie in (a, b]
         t_eval = grid[g:k] if k > g and grid[k - 1] == b else grid[g:k] + [b]
         sol = solve_ivp(
@@ -399,7 +405,7 @@ def _run_continuous(ctx: ModelContext, grid, t_end, config) -> list[SimState]:
                 f"(days): {sol.message}"
             )
         for j in range(g, k):
-            states[j] = _reconstruct(ctx, grid[j], sol.y[:, j - g])
+            states[j] = _reconstruct(ctx, grid[j], sol.y[:, j - g], samples.at(j))
         g = k
         y = sol.y[:, -1]  # segment end, chained into the next segment
     return states

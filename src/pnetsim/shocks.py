@@ -15,16 +15,19 @@ shock magnitudes as positive fractions in [0, 1], and ramp parameters. The
 * during a "lockdown light" phase demand shocks sit at ``r * eps`` and
   labor shocks at zero.
 
+``ShockSchedule.table`` is the one evaluator of these functions: a run
+compiles the shocks of all its step or sample times in one call, and
+``at`` reads a single time as one row of it.
+
 All magnitudes are stored internally as positive fractions and applied in
 the dynamics as ``(1 - eps)``.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -169,7 +172,6 @@ class _Segment:
     frm: tuple[np.ndarray, np.ndarray, np.ndarray]  # (D, F, S) at t0
     to: tuple[np.ndarray, np.ndarray, np.ndarray]
     style: str  # "hold" | "linear" | "release"
-    _held: tuple | None = field(default=None, repr=False)
 
     def _ramp(self, t: np.ndarray, on_site: np.ndarray):
         """Unclipped (D, F, S) along the ramp at the times ``t``: ``(T, N)``."""
@@ -200,11 +202,7 @@ class _Segment:
         """(D, F, S) at the times ``t``, clipped to [0, 1]: ``(N,)`` arrays
         for a hold, ``(T, N)`` arrays for a ramp."""
         if self.is_hold:
-            if self._held is None:
-                self._held = tuple(_clip01(v) for v in self.to)
-                for v in self._held:
-                    v.setflags(write=False)  # shared by every evaluation
-            return self._held
+            return tuple(_clip01(v) for v in self.to)
         return tuple(_clip01(v) for v in self._ramp(t, on_site))
 
 
@@ -215,7 +213,10 @@ def _clip01(v: np.ndarray) -> np.ndarray:
 class ShockSchedule:
     """Compiled, vector-valued shock time functions for one scenario.
 
-    Pure function of (scenario, economy); safe for concurrent evaluation.
+    The scenario compiles into a plan of segments that tile ``[0, inf)``:
+    holds and ramps. ``table`` evaluates it; ``breakpoints`` and ``holds``
+    describe its shape. Pure function of (scenario, economy); safe for
+    concurrent evaluation.
     """
 
     def __init__(self, scenario: Scenario, economy: Economy | None = None):
@@ -235,7 +236,7 @@ class ShockSchedule:
         )
         self._segments = self._build()
         # The segments tile [0, inf) in order of their start.
-        self._t0s = [seg.t0 for seg in self._segments]
+        self._t0s = np.asarray([seg.t0 for seg in self._segments])
 
     # -- construction ------------------------------------------------------
 
@@ -318,6 +319,11 @@ class ShockSchedule:
                     pts.add(t)
         return np.asarray(sorted(pts))
 
+    @property
+    def holds(self) -> tuple[tuple[float, float], ...]:
+        """The ``[start, end)`` spans over which every shock stays constant."""
+        return tuple((seg.t0, seg.t1) for seg in self._segments if seg.is_hold)
+
     def table(self, times) -> ShockSample:
         """Shock values at every time in ``times``: ``(T, N)`` arrays.
 
@@ -330,38 +336,19 @@ class ShockSchedule:
         owner = np.searchsorted(self._t0s, t, side="right") - 1
         eps_D, eps_F, eps_S = cols = [np.empty((t.size, len(self.codes)))
                                       for _ in range(3)]
-        for k in set(owner.tolist()):
-            rows = owner == k
+        owners = set(owner.tolist())
+        for k in owners:
+            rows = owner == k if len(owners) > 1 else slice(None)
             for col, v in zip(cols, self._segments[k].values(t[rows], self.on_site)):
                 col[rows] = v
         return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
                            b=self.scenario.b)
 
-    def _owner(self, t: float) -> _Segment:
-        if t < 0:
-            raise ValueError(f"t = {t} precedes the simulation epoch")
-        return self._segments[bisect.bisect_right(self._t0s, t) - 1]
-
-    def held(self, t: float) -> ShockSample | None:
-        """Shock values of the hold that ``t`` falls in, or None on a ramp.
-
-        A hold keeps these values over its whole span, so they equal
-        ``at(s)`` for every ``s`` in it; at the hold's end they are the
-        left limit.
-        """
-        seg = self._owner(t)
-        if not seg.is_hold:
-            return None
-        eps_D, eps_F, eps_S = seg.values(None, self.on_site)
-        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
-                           b=self.scenario.b)
-
     def at(self, t: float) -> ShockSample:
-        seg = self._owner(t)
-        values = seg.values(np.asarray([float(t)]), self.on_site)
-        eps_D, eps_F, eps_S = values if seg.is_hold else (v[0] for v in values)
-        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
-                           b=self.scenario.b)
+        """Shock values at one time: ``(N,)`` arrays, row 0 of ``table([t])``."""
+        tab = self.table([t])
+        return ShockSample(eps_S=tab.eps_S[0], eps_D=tab.eps_D[0],
+                           eps_F=tab.eps_F[0], b=tab.b)
 
 
 def on_site_release(eps_lockdown: float, t_rel: float, l2: float) -> float:

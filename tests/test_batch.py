@@ -73,6 +73,7 @@ def test_batch_matches_serial_runs_d3(d3, d3_scenario, rule):
     ])
     assert_batch_matches_serial(d3, runs, IntegrationConfig(), 395.0)
     assert_batch_matches_serial(d3, runs[:2], IntegrationConfig(dt=0.5), 120.0)
+    assert_batch_matches_serial(d3, runs[:1], IntegrationConfig(), 120.0)
 
 
 @pytest.mark.parametrize("rule", PRODUCTION_FUNCTIONS)
@@ -184,16 +185,21 @@ def test_corrupt_record_before_the_end_is_rejected(d3_grid, tmp_path):
                     checkpoint_path=ck, resume=True)
 
 
-def test_score_point_series_needs_a_scorer_with_a_frame(d3_grid):
+def test_score_point_is_the_same_with_or_without_series_and_scorer(d3_grid):
     economy, scenario, params, dataset, _ = d3_grid
-    series = {name: np.zeros((2, economy.n_sectors)) for name in ("x", "l", "b2b")}
-    with pytest.raises(TypeError, match="scorer"):
-        calibration.score_point(economy, scenario, params, dataset, series=series)
-    frameless = calibration._Scorer(economy, dataset, None,
-                                    calibration.DEFAULT_QUARTERS)
-    with pytest.raises(TypeError, match="frame"):
-        calibration.score_point(economy, scenario, params, dataset,
-                                series=series, scorer=frameless)
+    config = IntegrationConfig()
+    t_end = calibration.horizon_for(scenario, calibration.DEFAULT_QUARTERS)
+    traj = simulate(economy, scenario, params, config, t_end)
+    series = {name: traj.series(SERIES[name]) for name in calibration.SCORED_SERIES}
+    scorer = calibration._Scorer(economy, dataset, None,
+                                 calibration.DEFAULT_QUARTERS, traj.times,
+                                 scenario.start_date)
+    want = calibration.score_point(economy, scenario, params, dataset)
+    assert want.aad_total > 0.0  # the dataset comes from another point
+    for given in ({"series": series}, {"scorer": scorer},
+                  {"series": series, "scorer": scorer}):
+        got = calibration.score_point(economy, scenario, params, dataset, **given)
+        assert got == want, sorted(given)
 
 
 # -- Monte Carlo ---------------------------------------------------------------

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pnetsim import (
-    GridSpec, BehavioralParams, dynamics, integrate, write_economy, save_scenario,
+    GridSpec, BehavioralParams, calibration, dynamics, integrate, write_economy,
+    save_scenario,
 )
 from pnetsim.calibration import apply_grid_point, save_dataset, synthesize_dataset
 from pnetsim.cli import main
@@ -288,6 +289,45 @@ def test_montecarlo_default_distributions(d2_files, tmp_path):
         "--n", "3", "--seed", "9", "--out", str(out_dir),
     ])
     assert rc == 0
+
+
+@pytest.mark.parametrize("flags, distributions", [
+    (["--n", "0"], None),
+    (["--n", "-2"], None),
+    ([], {"foo": {"dist": "fixed", "value": 1.0}}),
+    ([], {"tau": {"dist": "cauchy"}}),
+    ([], {"tau": {"dist": "normal", "mean": 14.0}}),  # no "sd"
+    ([], "{not json"),
+    (["--distributions", "no-such-file.json"], None),
+], ids=["n-zero", "n-negative", "unknown-parameter", "unknown-distribution",
+        "missing-key", "malformed-json", "missing-file"])
+def test_invalid_montecarlo_input_gives_validation_exit(d2_files, tmp_path, capsys,
+                                                        flags, distributions):
+    _, paths, _, scenario_path = d2_files
+    if distributions is not None:
+        dist_path = tmp_path / "dists.json"
+        dist_path.write_text(distributions if isinstance(distributions, str)
+                             else json.dumps(distributions))
+        flags = [*flags, "--distributions", str(dist_path)]
+    assert main([
+        "montecarlo", *economy_flags(paths), "--scenario", str(scenario_path),
+        "--n", "2", "--out", str(tmp_path / "mc"), *flags,
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "mc").exists()
+
+
+def test_montecarlo_failure_during_the_run_gives_runtime_exit(d2_files, tmp_path,
+                                                              monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("failed during the run")
+
+    monkeypatch.setattr(calibration, "simulate_series", failing)
+    _, paths, _, scenario_path = d2_files
+    assert main([
+        "montecarlo", *economy_flags(paths), "--scenario", str(scenario_path),
+        "--n", "2", "--out", str(tmp_path / "mc"),
+    ]) == 2
 
 
 def test_montecarlo_defaults_match_reference_ensemble():

@@ -245,15 +245,15 @@ def test_adaptive_failure_raises_integration_error(d2, params, monkeypatch):
     assert "Required step size is less than spacing between numbers." in message
 
 
-def test_held_drive_matches_shock_lookup(d3, params):
+def test_hold_drive_matches_shock_lookup(d3, params):
     scenario = labor_shock_scenario(d3)
     schedule = ShockSchedule(scenario, d3)
     ctx = ModelContext(d3, params, schedule)
     mid = simulate(d3, scenario, params, IntegrationConfig(), 40.0).states[40]
     y = _pack(mid.d_mem, mid.l, mid.c_agg_d, mid.l_perm / ctx.l0_sum, mid.S)
     start = schedule.pandemic_start + scenario.l1  # the lockdown plateau
-    held = schedule.held(start)
-    drive = ctx.drive(held.eps_S, held.eps_D, held.eps_F)
+    assert (start, scenario.day(date(2020, 6, 1))) in schedule.holds
+    row = schedule.table([start])
+    drive = ctx.drive(row.eps_S, row.eps_D, row.eps_F).at(0)
     for t in (start + 0.1, start + 17.3, start + 40.0):
-        assert schedule.held(t) is not None
         assert np.array_equal(_rhs(t, y, ctx, drive), _rhs(t, y, ctx))

@@ -154,17 +154,24 @@ def test_bounds_everywhere(be64, ref_scenario):
             assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
 
-def test_held_is_at_on_holds_and_none_on_ramps(be64, ref_scenario):
+def test_hold_spans_keep_at_values_and_exclude_ramps(be64, ref_scenario):
     schedule = ShockSchedule(ref_scenario, be64)
+
+    def span_of(t):
+        return next((s for s in schedule.holds if s[0] <= t < s[1]), None)
+
     for t in (0.0, 30.0, day(ref_scenario, "2020-04-15")):
-        held, at = schedule.held(t), schedule.at(t)
+        t0, _ = span_of(t)
+        held, at = schedule.at(t0), schedule.at(t)
         for name in ("eps_S", "eps_D", "eps_F"):
             assert np.array_equal(getattr(held, name), getattr(at, name))
         assert held.b == at.b
     ramp = day(ref_scenario, "2020-03-18")  # inside the 7-day L1 entry ramp
-    assert schedule.held(ramp) is None
+    assert span_of(ramp) is None
+    ends = {t for span in schedule.holds for t in span if 0.0 < t < math.inf}
+    assert ends <= set(schedule.breakpoints.tolist())
     with pytest.raises(ValueError):
-        schedule.held(-1.0)
+        schedule.at(-1.0)
 
 
 def test_continuity_no_jump_beyond_ramp_slope(be64, ref_scenario):
