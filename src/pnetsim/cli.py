@@ -388,7 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help and --version
+            raise
+        # argparse has printed the usage error; its exit code 2 would
+        # read as a runtime failure here.
+        return EXIT_VALIDATION
     try:
         return args.func(args)
     except (SchemaError, ValidationError) as exc:

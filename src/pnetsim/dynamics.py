@@ -10,7 +10,9 @@ allocation identity c + f + sum(O) = x holds at every stored state.
 The step exists once, as the array kernel ``_advance``. It works on a
 single run's ``(N,)`` vectors and ``(N, N)`` matrices, or on a batch with
 a leading axis, ``(B, N)`` and ``(B, N, N)``, one row per parameter point;
-every point's result is bitwise the same as stepping that point alone.
+every point's result is bitwise the same as stepping that point alone. A
+single run steps a scalar ``dt`` and keeps its scalars as floats; a batch
+carries one ``dt`` per point.
 Its stages, in order:
 
 1. shocks: the step's ``Drive``, a row of the run's shock table, with
@@ -251,17 +253,24 @@ def _safe_divisor(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0, v, 1.0)
 
 
+def _labor_cap(eps_S: np.ndarray, l0: np.ndarray) -> np.ndarray:
+    """Most labor a sector may employ under the labor supply shock."""
+    return (1.0 - eps_S) * l0
+
+
 def labor_capacity(
     state: SimState, economy: Economy, eps_S: np.ndarray,
-    safe_l0: np.ndarray | None = None,
+    safe_l0: np.ndarray | None = None, l_max: np.ndarray | None = None,
 ) -> np.ndarray:
     """Output producible with the available workforce.
 
     The workforce itself is capped at ``(1 - eps_S) l0``, so capacity never
     exceeds ``(1 - eps_S) x0``. Sectors with no baseline labor are inert.
-    ``safe_l0`` is the run constant ``ModelContext.safe_l0``.
+    ``safe_l0`` is the run constant ``ModelContext.safe_l0``; ``l_max`` is
+    that cap, when the step has computed it.
     """
-    l_max = (1.0 - eps_S) * economy.l0
+    if l_max is None:
+        l_max = _labor_cap(eps_S, economy.l0)
     l_avail = np.minimum(state.l, l_max)
     if safe_l0 is None:
         safe_l0 = _safe_divisor(economy.l0)
@@ -316,11 +325,13 @@ def _input_capacity(
         denom = masks.col_sum
         return np.where(denom > 0, S.sum(axis=-2) / _safe_divisor(denom), np.inf)
     ratio = S / masks.safe_A
-    out = np.min(ratio, axis=-2, where=masks.hard, initial=np.inf)
+    # np.minimum.reduce is what np.min calls, minus its argument handling.
+    out = np.minimum.reduce(ratio, axis=-2, where=masks.hard, initial=np.inf)
     if masks.soft is not None:
         # r -> 0.5 (r + x0) is monotone under rounding too, so taking the
         # minimum first gives the same bits as softening every ratio.
-        soft = np.min(ratio, axis=-2, where=masks.soft, initial=np.inf)
+        soft = np.minimum.reduce(ratio, axis=-2, where=masks.soft,
+                                 initial=np.inf)
         out = np.minimum(out, 0.5 * (soft + x0))
     return out
 
@@ -371,17 +382,21 @@ def _labor_update(
     dt,
     no_fire: np.ndarray,
     wage_share: np.ndarray | None = None,
+    l_max: np.ndarray | None = None,
 ) -> np.ndarray:
     """``params`` is a ``BehavioralParams`` or the batch's ``PointParams``;
-    ``wage_share`` is the run constant ``ModelContext.wage_share``."""
+    ``wage_share`` is the run constant ``ModelContext.wage_share`` and
+    ``l_max`` the step's labor cap ``(1 - eps_S) l0``."""
     if wage_share is None:
         wage_share = _wage_share(economy)
+    if l_max is None:
+        l_max = _labor_cap(eps_S, economy.l0)
     delta = wage_share * (np.minimum(x_inp, d) - x_cap)
     speed = np.where(delta >= 0, params.hiring_speed, params.gamma_F)
     l_new = l_prev + dt * delta / speed
     l_new = np.where(no_fire & (delta < 0), l_prev, l_new)
-    l_max = (1.0 - eps_S) * economy.l0
-    return np.clip(l_new, 0.0, l_max)
+    # np.clip(l_new, 0.0, l_max), without its Python-level argument handling.
+    return np.minimum(np.maximum(l_new, 0.0), l_max)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +540,6 @@ def _zeta_next(h: Household, t_prev: float, t_new: float,
     return _zeta_recursion(zeta_prev, rho_eff, h.zeta_L, h.L_share)
 
 
-def _floats(v) -> list[float]:
-    return np.ravel(v).tolist()
-
-
 def _households(ctx: ModelContext, state: SimState, t_new, dt, drive: Drive):
     """Aggregate household demand and permanent income of every point.
 
@@ -536,11 +547,15 @@ def _households(ctx: ModelContext, state: SimState, t_new, dt, drive: Drive):
     a point's result does not depend on the batch it is in.
     """
     l0_sum = ctx.l0_sum
+    values = (state.t, t_new, dt, state.c_agg_d, state.l_perm,
+              state.l.sum(axis=-1), drive.cut)
+    if ctx.batched:
+        points = zip(*(np.ravel(v).tolist() for v in values))
+    else:
+        points = [[float(v) for v in values]]
     c_agg, l_perm = [], []
-    for h, t_prev, t, step, c_prev, lp_prev, l_now, cut in zip(
-        ctx.per_point.households, _floats(state.t), _floats(t_new),
-        _floats(dt), _floats(state.c_agg_d), _floats(state.l_perm),
-        _floats(state.l.sum(axis=-1)), _floats(drive.cut),
+    for h, (t_prev, t, step, c_prev, lp_prev, l_now, cut) in zip(
+        ctx.per_point.households, points
     ):
         rho = h.rho if step == 1.0 else h.rho ** step
         l_comp = compensated_labor_income(l_now, l0_sum, h.b)
@@ -554,15 +569,17 @@ def _households(ctx: ModelContext, state: SimState, t_new, dt, drive: Drive):
     return np.asarray(c_agg), np.asarray(l_perm)
 
 
-def _produce(ctx: ModelContext, state: SimState, c_agg, drive: Drive):
+def _produce(ctx: ModelContext, state: SimState, c_agg, drive: Drive,
+             l_max: np.ndarray):
     """Demand, capacities, output and rationing from the state's stocks,
-    labor and demand memory, for aggregate household demand ``c_agg``."""
+    labor and demand memory, for aggregate household demand ``c_agg`` and
+    the labor cap ``l_max``."""
     economy = ctx.economy
     c_d = drive.theta * np.asarray(c_agg)[..., np.newaxis]
     O_d = _orders(economy.A, state.demand_memory, ctx.S_target, state.S,
                   ctx.per_point.tau)
     d = O_d.sum(axis=-1) + c_d + drive.f_d
-    x_cap = labor_capacity(state, economy, drive.eps_S, ctx.safe_l0)
+    x_cap = labor_capacity(state, economy, drive.eps_S, ctx.safe_l0, l_max)
     x_inp = _input_capacity(state.S, economy.A, ctx.sets, economy.x0,
                             ctx.prod_fn, ctx.masks)
     x = realized_output(x_cap, x_inp, d)
@@ -585,41 +602,53 @@ def _advance(
     if drive is None:
         shocks = ctx.schedule.at(t_new)
         drive = ctx.drive(shocks.eps_S, shocks.eps_D, shocks.eps_F)
-    whole = bool(np.all(np.asarray(dt) == 1.0))
-    step = np.asarray(dt, dtype=float)[..., np.newaxis]
+    if isinstance(dt, float):  # a single run's step
+        whole = dt == 1.0
+        step = stock_step = dt
+    else:
+        step = np.asarray(dt, dtype=float)[..., np.newaxis]
+        whole, stock_step = bool(np.all(step == 1.0)), step[..., np.newaxis]
 
     # Demand formation (uses t-1 demand, stocks, labor, and expectations).
     c_agg, l_perm = _households(ctx, state, t_new, dt, drive)
 
     # Productive capacities, realized output and proportional rationing.
-    x, d, c, f, O, x_cap, x_inp = _produce(ctx, state, c_agg, drive)
+    l_max = _labor_cap(drive.eps_S, economy.l0)
+    x, d, c, f, O, x_cap, x_inp = _produce(ctx, state, c_agg, drive, l_max)
 
     # Stock and workforce adjustment, scaled by the step size.
-    S = _restock(state.S, O, economy.A, x, None if whole else step[..., np.newaxis])
+    S = _restock(state.S, O, economy.A, x, None if whole else stock_step)
     l = _labor_update(
         state.l, economy, ctx.per_point, x_cap, x_inp, d, drive.eps_S,
         dt=step, no_fire=ctx.no_fire, wage_share=ctx.wage_share,
+        l_max=l_max,
     )
     d_prev = state.demand_memory
     d_mem = d if whole else np.where(step == 1.0, d, d_prev + step * (d - d_prev))
     new = SimState(t_new, x, d, l, c, f, O, S, c_agg, l_perm, d_mem)
-    _check_state(new, economy, drive.eps_S)
+    _check_state(new, economy, drive.eps_S, l_max)
     return new
 
 
-def _check_state(state: SimState, economy: Economy, eps_S: np.ndarray) -> None:
-    """Raise ``ModelStateError`` naming the broken model invariant and ``t``."""
+def _check_state(state: SimState, economy: Economy, eps_S: np.ndarray,
+                 l_max: np.ndarray | None = None) -> None:
+    """Raise ``ModelStateError`` naming the broken model invariant and ``t``.
+
+    ``l_max`` is the step's labor cap ``(1 - eps_S) l0``.
+    """
+    if l_max is None:
+        l_max = _labor_cap(eps_S, economy.l0)
     allocated = state.c + state.f + state.O.sum(axis=-1)
     scale = np.maximum(np.abs(state.x), 1e-300)
-    l_max = (1.0 - eps_S) * economy.l0
+    # A NaN fails every check: it compares false, and ``min`` returns it.
     if not (np.abs(allocated - state.x) <= 1e-12 * scale + 1e-12).all():
         broken = "allocation does not conserve output"
-    elif not (state.S >= 0.0).all():
+    elif not state.S.min() >= 0.0:
         broken = "negative inventory"
-    elif not ((state.l >= 0.0).all()
+    elif not (state.l.min() >= 0.0
               and (state.l <= l_max * (1 + 1e-12) + 1e-12).all()):
         broken = "labor outside its admissible band"
-    elif not (state.x >= 0.0).all():
+    elif not state.x.min() >= 0.0:
         broken = "negative output"
     else:
         return

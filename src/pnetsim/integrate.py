@@ -44,6 +44,7 @@ from .dynamics import (  # noqa: F401 - _input_capacity: perfbench traces it her
     _advance,
     _check_state,
     _input_capacity,
+    _labor_cap,
     _produce,
     initial_batch,
     initial_state,
@@ -329,7 +330,7 @@ def _rhs(t: float, y: np.ndarray, ctx: ModelContext,
     n = ctx.economy.n_sectors
     d, l, c_agg, zeta, S = _unpack(y, n)
     probe = SimState(
-        t=t, x=d, d=d, l=np.clip(l, 0.0, None), c=d, f=d, O=ctx.S_target,
+        t=t, x=d, d=d, l=np.maximum(l, 0.0), c=d, f=d, O=ctx.S_target,
         S=np.maximum(S, 0.0), c_agg_d=c_agg, l_perm=zeta * ctx.l0_sum,
         d_mem=d,
     )
@@ -349,18 +350,18 @@ def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray,
     shocks ``drive`` at ``t``."""
     economy = ctx.economy
     d_y, l_y, c_agg, zeta, S_y = _unpack(y, economy.n_sectors)
-    l_max = (1.0 - drive.eps_S) * economy.l0
+    l_max = _labor_cap(drive.eps_S, economy.l0)
     probe = SimState(
         t=t, x=d_y, d=d_y, l=np.clip(l_y, 0.0, l_max), c=d_y, f=d_y,
         O=ctx.S_target, S=np.maximum(S_y, 0.0), c_agg_d=c_agg,
         l_perm=zeta * ctx.l0_sum, d_mem=d_y,
     )
-    x, d, c, f, O, _, _ = _produce(ctx, probe, c_agg, drive)
+    x, d, c, f, O, _, _ = _produce(ctx, probe, c_agg, drive, l_max)
     state = SimState(
         t=t, x=x, d=d, l=probe.l, c=c, f=f, O=O, S=probe.S,
         c_agg_d=c_agg, l_perm=probe.l_perm, d_mem=d_y,
     )
-    _check_state(state, economy, drive.eps_S)
+    _check_state(state, economy, drive.eps_S, l_max)
     return state
 
 
@@ -420,29 +421,36 @@ TRAJECTORY_COLUMNS = ("t", "date", "sector", "x", "d", "l", "c", "f", "b2b_out")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
-    """Long-format per-sector series plus one aggregate row per time."""
+    """Long-format per-sector series plus one aggregate row per time.
+
+    The bytes are those of ``csv.writer`` writing ``repr`` of every value:
+    each sample's rows are formatted from one ``tolist`` of its series and
+    written at once, which is faster than a writer call per row.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    labels = [_csv_field(code) for code in (*traj.codes, AGGREGATE_CODE)]
     with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRAJECTORY_COLUMNS)
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for t, state in zip(traj.times, traj.states):
-            day = traj.date_at(t).isoformat()
-            b2b = state.O.sum(axis=1)
-            for i, code in enumerate(traj.codes):
-                w.writerow([
-                    repr(float(t)), day, code,
-                    repr(float(state.x[i])), repr(float(state.d[i])),
-                    repr(float(state.l[i])), repr(float(state.c[i])),
-                    repr(float(state.f[i])), repr(float(b2b[i])),
-                ])
-            w.writerow([
-                repr(float(t)), day, AGGREGATE_CODE,
-                repr(float(state.x.sum())), repr(float(state.d.sum())),
-                repr(float(state.l.sum())), repr(float(state.c.sum())),
-                repr(float(state.f.sum())), repr(float(b2b.sum())),
-            ])
+            head = f"{float(t)!r},{traj.date_at(t).isoformat()},"
+            series = (state.x, state.d, state.l, state.c, state.f,
+                      state.O.sum(axis=1))
+            rows = np.stack(series, axis=1).tolist()
+            rows.append([float(v.sum()) for v in series])
+            fh.write("".join(
+                f"{head}{label},{','.join(map(repr, row))}\r\n"
+                for label, row in zip(labels, rows)
+            ))
     return path
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it: quoted when it holds a comma,
+    a double quote or a line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def read_trajectory_csv(path):

@@ -15,9 +15,10 @@ shock magnitudes as positive fractions in [0, 1], and ramp parameters. The
 * during a "lockdown light" phase demand shocks sit at ``r * eps`` and
   labor shocks at zero.
 
-``ShockSchedule.table`` is the one evaluator of these functions: a run
-compiles the shocks of all its step or sample times in one call, and
-``at`` reads a single time as one row of it.
+``_Segment`` holds the one copy of these formulas. ``ShockSchedule.table``
+evaluates them at all of a run's step or sample times in one call;
+``ShockSchedule.at`` evaluates the segment holding a single time on a
+float, with bitwise the same result as that time's row of ``table``.
 
 All magnitudes are stored internally as positive fractions and applied in
 the dynamics as ``(1 - eps)``.
@@ -173,15 +174,21 @@ class _Segment:
     to: tuple[np.ndarray, np.ndarray, np.ndarray]
     style: str  # "hold" | "linear" | "release"
 
-    def _ramp(self, t: np.ndarray, on_site: np.ndarray):
-        """Unclipped (D, F, S) along the ramp at the times ``t``: ``(T, N)``."""
-        u = np.minimum(np.maximum((t - self.t0) / self.dur, 0.0), 1.0)[:, np.newaxis]
+    def _ramp(self, t, on_site: np.ndarray):
+        """Unclipped (D, F, S) along the ramp: ``(N,)`` arrays at one time
+        ``t`` (a float), ``(T, N)`` arrays at an array of times.
+
+        Both shapes run the same operations in the same order, so a time's
+        values are bitwise the same whichever shape it is evaluated in.
+        """
+        if isinstance(t, float):
+            u = min(max((t - self.t0) / self.dur, 0.0), 1.0)
+        else:
+            u = np.minimum(np.maximum((t - self.t0) / self.dur, 0.0), 1.0)[:, np.newaxis]
         out = [v0 + (v1 - v0) * u for v0, v1 in zip(self.frm, self.to)]
         if self.style == "release":
             # On-site demand recovers slowly at first, then accelerates.
-            log_frac = np.asarray(
-                [math.log(w) for w in (100.0 - 99.0 * u).ravel().tolist()]
-            )[:, np.newaxis] / _LOG100
+            log_frac = _log(100.0 - 99.0 * u) / _LOG100
             for k in (0, 1):
                 v0, v1 = self.frm[k], self.to[k]
                 slow = v1 + (v0 - v1) * log_frac
@@ -196,14 +203,26 @@ class _Segment:
         """Unclipped (D, F, S) at one time, where a later transition starts."""
         if self.is_hold:
             return self.to
-        return tuple(v[0] for v in self._ramp(np.asarray([t]), on_site))
+        return self._ramp(t, on_site)
 
-    def values(self, t: np.ndarray, on_site: np.ndarray):
-        """(D, F, S) at the times ``t``, clipped to [0, 1]: ``(N,)`` arrays
-        for a hold, ``(T, N)`` arrays for a ramp."""
+    def values(self, t, on_site: np.ndarray):
+        """(D, F, S) at ``t``, clipped to [0, 1]: ``(N,)`` arrays for a hold
+        or one time (a float), ``(T, N)`` arrays for a ramp at an array of
+        times."""
         if self.is_hold:
             return tuple(_clip01(v) for v in self.to)
         return tuple(_clip01(v) for v in self._ramp(t, on_site))
+
+
+def _log(w):
+    """``math.log`` of a float, or of each entry of a ``(T, 1)`` array.
+
+    Not ``np.log``, whose result may differ in the last bit from the
+    scalar function and with the array size.
+    """
+    if isinstance(w, float):
+        return math.log(w)
+    return np.asarray([math.log(v) for v in w.ravel().tolist()])[:, np.newaxis]
 
 
 def _clip01(v: np.ndarray) -> np.ndarray:
@@ -345,10 +364,15 @@ class ShockSchedule:
                            b=self.scenario.b)
 
     def at(self, t: float) -> ShockSample:
-        """Shock values at one time: ``(N,)`` arrays, row 0 of ``table([t])``."""
-        tab = self.table([t])
-        return ShockSample(eps_S=tab.eps_S[0], eps_D=tab.eps_D[0],
-                           eps_F=tab.eps_F[0], b=tab.b)
+        """Shock values at one time: ``(N,)`` arrays, bitwise row 0 of
+        ``table([t])``, from the one segment that holds ``t``."""
+        t = float(t)
+        if t < 0:
+            raise ValueError(f"t = {t} precedes the simulation epoch")
+        seg = self._segments[int(self._t0s.searchsorted(t, side="right")) - 1]
+        eps_D, eps_F, eps_S = seg.values(t, self.on_site)
+        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
+                           b=self.scenario.b)
 
 
 def on_site_release(eps_lockdown: float, t_rel: float, l2: float) -> float:

@@ -199,6 +199,30 @@ def test_invalid_simulate_parameters_give_validation_exit(d2_files, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("usage_error, flags", [
+    ("invalid choice: 'bogus'", ["simulate", "--prod-fn", "bogus"]),
+    ("invalid choice: 'foo'", ["montecarlo", "--observable", "foo"]),
+    ("invalid int value: 'x'", ["montecarlo", "--n", "x"]),
+], ids=["simulate-prod-fn", "montecarlo-observable", "montecarlo-n"])
+def test_usage_errors_give_validation_exit(d2_files, tmp_path, capsys,
+                                           usage_error, flags):
+    _, paths, _, scenario_path = d2_files
+    command, *options = flags
+    assert main([
+        command, *economy_flags(paths), "--scenario", str(scenario_path),
+        "--out", str(tmp_path / "run"), *options,
+    ]) == 1
+    assert usage_error in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--help"])
+    assert info.value.code == 0
+    assert "--prod-fn" in capsys.readouterr().out
+
+
 def test_broken_invariant_gives_runtime_exit(d2_files, tmp_path, monkeypatch,
                                              capsys):
     restock = dynamics._restock
@@ -211,6 +235,21 @@ def test_broken_invariant_gives_runtime_exit(d2_files, tmp_path, monkeypatch,
         "--days", "5", "--out", str(tmp_path / "run"),
     ]) == 2
     assert "negative inventory at t = 1.0" in capsys.readouterr().err
+
+
+def test_broken_invariant_gives_runtime_exit_adaptive(d2_files, tmp_path,
+                                                      monkeypatch, capsys):
+    restock = dynamics._restock
+    monkeypatch.setattr(dynamics, "_restock",
+                        lambda *args: restock(*args) - 1e9)
+    _, paths, _, scenario_path = d2_files
+    assert main([
+        "simulate", *economy_flags(paths),
+        "--scenario", str(scenario_path),
+        "--method", "continuous_adaptive",
+        "--days", "5", "--out", str(tmp_path / "run"),
+    ]) == 2
+    assert "negative inventory at t = 0.0" in capsys.readouterr().err
 
 
 def test_unreadable_trajectory_gives_runtime_exit(tmp_path, capsys):

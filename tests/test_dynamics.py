@@ -17,6 +17,7 @@ from pnetsim import (
     derive_criticality_sets,
     dynamics,
     initial_inventories,
+    integrate,
     initial_state,
     simulate,
 )
@@ -523,12 +524,22 @@ def break_output(state):
     state.O[0, :] = 0.0
 
 
+def nan_inventory(state):
+    state.S[1, 0] = math.nan
+
+
+def nan_labor(state):
+    state.l[1] = math.nan
+
+
 @pytest.mark.parametrize("breaker, invariant", [
     (break_allocation, "allocation does not conserve output"),
     (break_inventory, "negative inventory"),
     (break_labor_floor, "labor outside its admissible band"),
     (break_labor_cap, "labor outside its admissible band"),
     (break_output, "negative output"),
+    (nan_inventory, "negative inventory"),
+    (nan_labor, "labor outside its admissible band"),
 ])
 def test_check_state_names_the_broken_invariant(d2, breaker, invariant):
     state = initial_state(d2)
@@ -570,6 +581,34 @@ def test_broken_invariant_stops_simulate(d2, monkeypatch):
     with pytest.raises(ModelStateError, match="^negative inventory at t = 1.0$"):
         simulate(d2, d2_labor_scenario(d2), BehavioralParams(),
                  IntegrationConfig(dt=1.0), 5.0)
+
+
+def break_snapshot(monkeypatch):
+    produce = integrate._produce  # what _reconstruct calls, and only it
+
+    def unbalanced(*args):
+        x, d, c, f, O, x_cap, x_inp = produce(*args)
+        return x, d, c + 1.0, f, O, x_cap, x_inp
+
+    monkeypatch.setattr(integrate, "_produce", unbalanced)
+
+
+def break_probe(monkeypatch):
+    restock = dynamics._restock
+    monkeypatch.setattr(dynamics, "_restock",
+                        lambda *args: restock(*args) - 1e9)
+
+
+@pytest.mark.parametrize("breaker, message", [
+    (break_probe, "negative inventory at t = 0.0"),
+    (break_snapshot, "allocation does not conserve output at t = 1.0"),
+], ids=["rhs-probe", "snapshot"])
+def test_broken_invariant_stops_adaptive_simulate(d2, monkeypatch, breaker,
+                                                  message):
+    breaker(monkeypatch)
+    with pytest.raises(ModelStateError, match=f"^{message}$"):
+        simulate(d2, d2_labor_scenario(d2), BehavioralParams(),
+                 IntegrationConfig(method="continuous_adaptive"), 5.0)
 
 
 # -- production function ordering property ------------------------------------

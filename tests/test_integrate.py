@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 from datetime import date
 from types import SimpleNamespace
@@ -170,6 +171,36 @@ def test_trajectory_csv_roundtrip(tmp_path, d2, params):
     assert data["l"][(t, "X2")] == state.l[1]
     assert data["x"][(t, "BE")] == pytest.approx(float(state.x.sum()), rel=1e-15)
     assert data["b2b_out"][(t, "X1")] == pytest.approx(float(state.O[0].sum()), rel=1e-15)
+
+
+def csv_writer_oracle(traj, path):
+    """The trajectory CSV as one ``csv.writer`` row per sector and time."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(integrate.TRAJECTORY_COLUMNS)
+        for t, state in zip(traj.times, traj.states):
+            day = traj.date_at(t).isoformat()
+            b2b = state.O.sum(axis=1)
+            series = (state.x, state.d, state.l, state.c, state.f, b2b)
+            for i, code in enumerate(traj.codes):
+                w.writerow([repr(float(t)), day, code,
+                            *(repr(float(v[i])) for v in series)])
+            w.writerow([repr(float(t)), day, integrate.AGGREGATE_CODE,
+                        *(repr(float(v.sum())) for v in series)])
+    return path
+
+
+def test_trajectory_csv_matches_csv_writer(tmp_path, d3, params):
+    traj = simulate(d3, labor_shock_scenario(d3), params, IntegrationConfig(), 4.0)
+    awkward = np.array([1e-300, -0.0, 1e17, 0.1])
+    for k, state in enumerate(traj.states):
+        state.x[:] = np.roll(awkward, k)[:state.x.size]
+        state.l[0] = -0.0
+        state.O[1, :] = np.roll(awkward, k + 1)[:state.x.size]
+    codes = ('A,1', 'B"2', "C3")  # labels csv.writer quotes, and one it does not
+    for traj in (traj, replace(traj, codes=codes)):
+        ours = write_trajectory_csv(traj, tmp_path / "ours.csv").read_bytes()
+        assert ours == csv_writer_oracle(traj, tmp_path / "oracle.csv").read_bytes()
 
 
 def test_trajectory_requires_increasing_times(d2, params):

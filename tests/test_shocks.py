@@ -174,6 +174,29 @@ def test_hold_spans_keep_at_values_and_exclude_ramps(be64, ref_scenario):
         schedule.at(-1.0)
 
 
+def test_at_is_bitwise_a_row_of_table(be64, ref_scenario):
+    schedule = ShockSchedule(ref_scenario, be64)
+    times, styles = [], set()
+    for seg in schedule._segments:
+        end = min(seg.t1, seg.t0 + 60.0)
+        inside = [seg.t0, math.nextafter(seg.t0, math.inf),
+                  seg.t0 + 0.37 * (end - seg.t0), math.nextafter(end, -math.inf)]
+        if math.isfinite(seg.t1):
+            inside.append(seg.t1)  # a ramp's end: where the next segment starts
+        times += inside
+        styles.add(seg.style)
+    assert styles == {"hold", "linear", "release"}
+    table = schedule.table(times)  # every segment at once: the masked rows
+    for k, t in enumerate(times):
+        one, row = schedule.at(t), schedule.table([t])
+        for name in ("eps_S", "eps_D", "eps_F"):
+            got = getattr(one, name)
+            assert got.shape == (len(schedule.codes),)
+            assert got.tobytes() == getattr(row, name)[0].tobytes(), (t, name)
+            assert got.tobytes() == getattr(table, name)[k].tobytes(), (t, name)
+        assert one.b == row.b
+
+
 def test_continuity_no_jump_beyond_ramp_slope(be64, ref_scenario):
     schedule = ShockSchedule(ref_scenario, be64)
     dt = 0.25
