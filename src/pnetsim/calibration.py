@@ -199,9 +199,10 @@ def save_dataset(dataset: EmpiricalDataset, path) -> Path:
 # Model-to-indicator mapping
 # ---------------------------------------------------------------------------
 
-def default_sector_mapping(codes) -> dict[str, str]:
-    """NACE-64 to NACE-21 aggregation: the code's section letter."""
-    return {code: code[0] for code in codes}
+def nace21_section(code: str, mapping: dict[str, str] | None = None) -> str:
+    """The NACE-21 section of sector ``code``: its entry in ``mapping``,
+    else the code's section letter."""
+    return (mapping or {}).get(code, code[0])
 
 
 def load_sector_mapping(path) -> dict[str, str]:
@@ -230,19 +231,18 @@ class _QuarterFrame:
 
     def __init__(self, times, start_date: date, economy: Economy,
                  mapping: dict[str, str] | None, quarters):
-        if mapping is None:
-            mapping = default_sector_mapping(economy.codes)
         self.quarters = tuple(quarters)
         labels = [quarter_of(start_date + timedelta(days=float(t))) for t in times]
         self.in_quarter = {
             q: np.asarray([lab == q for lab in labels]) for q in self.quarters
         }
         self.codes = economy.codes
-        self.groups = sorted(set(mapping.get(c, c[0]) for c in economy.codes))
+        sections = [nace21_section(c, mapping) for c in economy.codes]
+        self.groups = sorted(set(sections))
         gindex = {g: k for k, g in enumerate(self.groups)}
         self.member = np.zeros((len(economy.codes), len(self.groups)))
-        for i, code in enumerate(economy.codes):
-            self.member[i, gindex[mapping.get(code, code[0])]] = 1.0
+        for i, group in enumerate(sections):
+            self.member[i, gindex[group]] = 1.0
 
     def _table(self, values: np.ndarray, names) -> dict[tuple[str, str], float]:
         pct = _pct_reduction(values, values[0])
@@ -291,12 +291,10 @@ def indicator_weights(
     if indicator == "employment":
         return {c: float(economy.l0[i]) for i, c in enumerate(economy.codes)}
     if indicator == "b2b":
-        if mapping is None:
-            mapping = default_sector_mapping(economy.codes)
         rows = economy.Z.sum(axis=1)
         weights: dict[str, float] = {}
         for i, code in enumerate(economy.codes):
-            group = mapping.get(code, code[0])
+            group = nace21_section(code, mapping)
             weights[group] = weights.get(group, 0.0) + float(rows[i])
         return weights
     raise ValueError(f"unknown indicator {indicator!r}")
@@ -514,7 +512,7 @@ def apply_grid_point(
     eps_D = np.array(scenario.eps_D_lockdown)
     codes = scenario.codes
     if "eps_D_abc" in point:
-        mask = np.asarray([c[0] in ("A", "B", "C") for c in codes])
+        mask = np.asarray([nace21_section(c) in ("A", "B", "C") for c in codes])
         eps_D[mask] = point.pop("eps_D_abc")
     if "eps_D_retail" in point:
         mask = np.asarray([c in RETAIL for c in codes])
@@ -563,6 +561,11 @@ def _tiebreak_key(params: dict) -> tuple:
     return tuple(key)
 
 
+def _rank_key(score: PointScore) -> tuple:
+    """Order of grid results: stored score, then the grid's axis order."""
+    return (round(score.aad_total, SCORE_DECIMALS), _tiebreak_key(score.params))
+
+
 # ---------------------------------------------------------------------------
 # Grid search with checkpointing
 # ---------------------------------------------------------------------------
@@ -574,19 +577,13 @@ class CalibrationResult:
 
     @property
     def argmin(self) -> PointScore:
-        return min(
-            self.scores,
-            key=lambda s: (round(s.aad_total, SCORE_DECIMALS), _tiebreak_key(s.params)),
-        )
+        return min(self.scores, key=_rank_key)
 
     def write_leaderboard(self, path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         names = [name for name, _ in self.grid.axes]
-        ordered = sorted(
-            self.scores,
-            key=lambda s: (round(s.aad_total, SCORE_DECIMALS), _tiebreak_key(s.params)),
-        )
+        ordered = sorted(self.scores, key=_rank_key)
         with path.open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["rank", "grid_index", "aad_total"] + names)
@@ -597,7 +594,7 @@ class CalibrationResult:
                 )
         return path
 
-    def write_optimum_cells(self, path, quarters=DEFAULT_QUARTERS) -> Path:
+    def write_optimum_cells(self, path) -> Path:
         """Accuracy/bias matrix of the best point, one row per indicator."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -33,13 +33,14 @@ from .calibration import (
 from .dynamics import PRODUCTION_FUNCTIONS, BehavioralParams
 from .economy import Economy, load_economy
 from .errors import PnetError, SchemaError, ValidationError
-from .fixtures import fixture_paths, sector_mapping_path
+from .fixtures import fixture_paths
 from .integrate import (
     METHOD_DISCRETE,
     METHODS,
     IntegrationConfig,
     read_trajectory_csv,
     simulate,
+    write_aggregate_csv,
     write_trajectory_csv,
 )
 from .shocks import Scenario, load_scenario
@@ -190,7 +191,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
-    _write_aggregate_csv(traj, out / "aggregate.csv")
+    write_aggregate_csv(traj, out / "aggregate.csv")
     _write_manifest(
         out, "simulate",
         {
@@ -206,22 +207,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_aggregate_csv(traj, path: Path):
-    import csv as _csv
-
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["t", "date", "x_total", "d_total", "l_total",
-                    "c_total", "f_total", "b2b_total"])
-        for t, state in zip(traj.times, traj.states):
-            w.writerow([
-                repr(float(t)), traj.date_at(t).isoformat(),
-                repr(float(state.x.sum())), repr(float(state.d.sum())),
-                repr(float(state.l.sum())), repr(float(state.c.sum())),
-                repr(float(state.f.sum())), repr(float(state.O.sum())),
-            ])
-
-
 def cmd_grid_search(args) -> int:
     paths = _economy_paths(args)
     economy = _load_economy(paths)
@@ -229,8 +214,7 @@ def cmd_grid_search(args) -> int:
     dataset = load_dataset(args.dataset)
     grid = load_grid(args.grid)
     params = _params_from_args(args)
-    mapping = (load_sector_mapping(args.mapping) if args.mapping
-               else _default_mapping_for(economy))
+    mapping = load_sector_mapping(args.mapping) if args.mapping else None
     workers = args.workers
     if os.environ.get(WORKERS_ENV):
         workers = int(os.environ[WORKERS_ENV])
@@ -258,13 +242,6 @@ def cmd_grid_search(args) -> int:
     print(f"argmin: {best.params}")
     print(f"total AAD_vw: {best.aad_total:.6f}")
     return EXIT_OK
-
-
-def _default_mapping_for(economy: Economy):
-    path = sector_mapping_path()
-    if path.exists() and set(economy.codes) <= set(load_sector_mapping(path)):
-        return load_sector_mapping(path)
-    return None
 
 
 def cmd_montecarlo(args) -> int:

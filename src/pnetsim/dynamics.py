@@ -16,8 +16,8 @@ carries one ``dt`` per point.
 Its stages, in order:
 
 1. shocks: the step's ``Drive``, a row of the run's shock table, with
-   household preference shares (``household_preferences``) and the share
-   of consumption shocked away (``_demand_cut``);
+   household preference shares and the share of consumption shocked away,
+   both from one sum (``household_preferences``);
 2. households (``_households``): compensated labor income
    (``compensated_labor_income``), permanent income (``_zeta_next``,
    ``_zeta_recursion``) and aggregate consumption demand
@@ -135,11 +135,7 @@ class SimState:
     # Demand memory feeding the next step's order formation. Equal to ``d``
     # at whole-day steps; with sub-day steps it relaxes toward ``d`` on a
     # one-day timescale so that trajectories converge as dt shrinks.
-    d_mem: np.ndarray | None = None
-
-    @property
-    def demand_memory(self) -> np.ndarray:
-        return self.d if self.d_mem is None else self.d_mem
+    d_mem: np.ndarray
 
 
 def initial_state(economy: Economy) -> SimState:
@@ -186,26 +182,24 @@ def _orders(A, d_prev, S_target, S, tau) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def household_preferences(theta0: np.ndarray, eps_D: np.ndarray) -> np.ndarray:
-    """Consumption shares re-normalized under the demand shock.
+def household_preferences(
+    theta0: np.ndarray, eps_D: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Consumption shares re-normalized under the demand shock, and the
+    share of baseline consumption the shock leaves, ``(..., 1)``.
 
     ``eps_D`` may carry leading axes; each row is normalized on its own.
     """
     weighted = (1.0 - eps_D) * theta0
     total = weighted.sum(axis=-1, keepdims=True)
     if (total > 0.0).all():
-        return weighted / total
+        return weighted / total, total
     warnings.warn(
         "all household demand fully shocked; preferences left at baseline",
         stacklevel=2,
     )
-    return np.where(total > 0.0, weighted / np.where(total > 0.0, total, 1.0),
-                    theta0)
-
-
-def _demand_cut(theta0: np.ndarray, eps_D: np.ndarray) -> np.ndarray:
-    """Share of baseline consumption removed by the demand shock."""
-    return 1.0 - np.sum(theta0 * (1.0 - eps_D), axis=-1)
+    safe = np.where(total > 0.0, total, 1.0)
+    return np.where(total > 0.0, weighted / safe, theta0), total
 
 
 def compensated_labor_income(l_now: float, l_baseline: float, b: float) -> float:
@@ -508,11 +502,12 @@ class ModelContext:
 
     def drive(self, eps_S: np.ndarray, eps_D: np.ndarray, eps_F: np.ndarray) -> "Drive":
         """What steps read of the scenario, from shocks of any leading shape."""
+        theta, kept = household_preferences(self.theta0, eps_D)
         return Drive(
             eps_S=eps_S,
             f_d=(1.0 - eps_F) * self.economy.f0,
-            theta=household_preferences(self.theta0, eps_D),
-            cut=_demand_cut(self.theta0, eps_D),
+            theta=theta,
+            cut=1.0 - kept[..., 0],
         )
 
 
@@ -576,7 +571,7 @@ def _produce(ctx: ModelContext, state: SimState, c_agg, drive: Drive,
     the labor cap ``l_max``."""
     economy = ctx.economy
     c_d = drive.theta * np.asarray(c_agg)[..., np.newaxis]
-    O_d = _orders(economy.A, state.demand_memory, ctx.S_target, state.S,
+    O_d = _orders(economy.A, state.d_mem, ctx.S_target, state.S,
                   ctx.per_point.tau)
     d = O_d.sum(axis=-1) + c_d + drive.f_d
     x_cap = labor_capacity(state, economy, drive.eps_S, ctx.safe_l0, l_max)
@@ -623,7 +618,7 @@ def _advance(
         dt=step, no_fire=ctx.no_fire, wage_share=ctx.wage_share,
         l_max=l_max,
     )
-    d_prev = state.demand_memory
+    d_prev = state.d_mem
     d_mem = d if whole else np.where(step == 1.0, d, d_prev + step * (d - d_prev))
     new = SimState(t_new, x, d, l, c, f, O, S, c_agg, l_perm, d_mem)
     _check_state(new, economy, drive.eps_S, l_max)

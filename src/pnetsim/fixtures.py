@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import belgium
+from .calibration import nace21_section
 from .economy import Economy, make_economy, write_economy
 from .shocks import Scenario, save_scenario
 
@@ -234,7 +235,7 @@ def write_sector_mapping(path) -> Path:
         w = csv.writer(fh)
         w.writerow(["nace64", "nace21"])
         for code in belgium.SECTOR_CODES:
-            w.writerow([code, belgium.nace21_of(code)])
+            w.writerow([code, nace21_section(code)])
     return path
 
 

@@ -418,6 +418,14 @@ def _run_continuous(ctx: ModelContext, grid, t_end, config) -> list[SimState]:
 
 AGGREGATE_CODE = "BE"
 TRAJECTORY_COLUMNS = ("t", "date", "sector", "x", "d", "l", "c", "f", "b2b_out")
+AGGREGATE_COLUMNS = ("t", "date", "x_total", "d_total", "l_total", "c_total",
+                     "f_total", "b2b_total")
+
+
+def _sample_series(state: SimState) -> tuple[np.ndarray, ...]:
+    """The per-sector series the exports write, in column order; an
+    economy-wide total is ``float(v.sum())`` of one of them."""
+    return (state.x, state.d, state.l, state.c, state.f, state.O.sum(axis=1))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
@@ -434,14 +442,27 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for t, state in zip(traj.times, traj.states):
             head = f"{float(t)!r},{traj.date_at(t).isoformat()},"
-            series = (state.x, state.d, state.l, state.c, state.f,
-                      state.O.sum(axis=1))
+            series = _sample_series(state)
             rows = np.stack(series, axis=1).tolist()
             rows.append([float(v.sum()) for v in series])
             fh.write("".join(
                 f"{head}{label},{','.join(map(repr, row))}\r\n"
                 for label, row in zip(labels, rows)
             ))
+    return path
+
+
+def write_aggregate_csv(traj: Trajectory, path) -> Path:
+    """One row of economy-wide totals per time: the ``AGGREGATE_CODE`` rows
+    of ``write_trajectory_csv``, value for value."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(AGGREGATE_COLUMNS)
+        for t, state in zip(traj.times, traj.states):
+            w.writerow([repr(float(t)), traj.date_at(t).isoformat(),
+                        *(repr(float(v.sum())) for v in _sample_series(state))])
     return path
 
 

@@ -23,11 +23,11 @@ from pnetsim.calibration import (
     EmpiricalDataset,
     apply_grid_point,
     apply_sampled,
-    default_sector_mapping,
     horizon_for,
     indicator_weights,
     load_sector_mapping,
     model_quarterly,
+    nace21_section,
     parse_distributions,
     quarter_end,
     quarter_of,
@@ -179,6 +179,12 @@ def test_sector_mapping_file_matches_first_letter_rule():
         assert letter == code[0]
 
 
+def test_nace21_section_prefers_the_mapping():
+    assert nace21_section("C10-12") == "C"
+    assert nace21_section("C10-12", {"C10-12": "Food"}) == "Food"
+    assert nace21_section("G46", {"C10-12": "Food"}) == "G"
+
+
 # -- model-to-indicator extraction ----------------------------------------------
 
 def test_zero_shock_model_reductions_are_zero(d3, params):
@@ -205,7 +211,7 @@ def test_indicator_weights(be64):
 def test_b2b_aggregates_by_mapping(be64, params):
     scenario = reference_scenario()
     traj = simulate(be64, scenario, params, IntegrationConfig(), 50.0)
-    mapping = default_sector_mapping(be64.codes)
+    mapping = {code: nace21_section(code) for code in be64.codes}
     model = model_quarterly(traj, be64, mapping, ("2020Q1", "2020Q2"))
     groups = {g for (g, _) in model["b2b"]}
     assert groups <= set(mapping.values())

@@ -1,3 +1,4 @@
+import csv
 import json
 from datetime import date
 from types import SimpleNamespace
@@ -6,12 +7,15 @@ import numpy as np
 import pytest
 
 from pnetsim import (
-    GridSpec, BehavioralParams, calibration, dynamics, integrate, write_economy,
-    save_scenario,
+    GridSpec, BehavioralParams, calibration, dynamics, integrate, load_scenario,
+    save_scenario, write_economy,
 )
 from pnetsim.calibration import apply_grid_point, save_dataset, synthesize_dataset
 from pnetsim.cli import main
-from pnetsim.fixtures import d2_economy, scenario_for
+from pnetsim.fixtures import (
+    d2_economy, d3_economy, reference_scenario_path, scenario_for,
+    sector_mapping_path,
+)
 
 
 @pytest.fixture()
@@ -134,8 +138,6 @@ def test_simulate_continuous_failure_gives_runtime_exit(d2_files, tmp_path,
 
 
 def test_simulate_reference_dips_and_recovers(tmp_path):
-    from pnetsim.fixtures import reference_scenario_path
-
     out_dir = tmp_path / "be"
     rc = main([
         "simulate", "--fixture", "be64",
@@ -150,6 +152,27 @@ def test_simulate_reference_dips_and_recovers(tmp_path):
     assert trough < 0.9 * baseline            # deep dip inside the lockdown
     assert x_total[200.0] > trough * 1.05     # partial recovery by late summer
     assert x_total[200.0] < baseline          # but not a full one
+
+
+def test_aggregate_csv_rows_are_the_trajectory_totals(tmp_path):
+    economy = d3_economy()
+    scenario = scenario_for(economy, eps_S_L1=np.array([0.3, 0.1, 0.0]),
+                            eps_D_lockdown=np.array([0.2, 0.5, 0.1]))
+    scenario_path = save_scenario(scenario, tmp_path / "d3.json")
+    out_dir = tmp_path / "run"
+    assert main([
+        "simulate", "--fixture", "d3", "--scenario", str(scenario_path),
+        "--days", "60", "--out", str(out_dir),
+    ]) == 0
+    with (out_dir / "trajectory.csv").open(newline="") as fh:
+        totals = {row[0]: row[3:] for row in csv.reader(fh) if row[2] == "BE"}
+    with (out_dir / "aggregate.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][2:] == ["x_total", "d_total", "l_total", "c_total",
+                           "f_total", "b2b_total"]
+    assert len(rows) - 1 == len(totals) == 61
+    for row in rows[1:]:
+        assert row[2:] == totals[row[0]], row[0]
 
 
 def test_compare_identical_and_different(d2_files, tmp_path, capsys):
@@ -296,6 +319,28 @@ def test_grid_search_cli_roundtrip(d2_files, tmp_path, capsys):
     ck.write_text("\n".join(lines[:2]) + "\n")
     lb4 = run("ck2", 1, ("--checkpoint", str(ck), "--resume"))
     assert lb3 == lb4 == lb1
+
+
+def test_grid_search_without_mapping_scores_as_the_packaged_one(be64, tmp_path):
+    scenario_path = reference_scenario_path()
+    scn, prm = apply_grid_point(be64, load_scenario(scenario_path),
+                                BehavioralParams(), {"tau": 14.0})
+    dataset_path = save_dataset(synthesize_dataset(be64, scn, prm),
+                                tmp_path / "data.csv")
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(GridSpec((("tau", (7.0, 14.0)),)).to_json())
+    outputs = []
+    for name, extra in (("default", []),
+                        ("packaged", ["--mapping", str(sector_mapping_path())])):
+        out_dir = tmp_path / name
+        assert main([
+            "grid-search", "--fixture", "be64", "--scenario", str(scenario_path),
+            "--dataset", str(dataset_path), "--grid", str(grid_path),
+            "--out", str(out_dir), *extra,
+        ]) == 0
+        outputs.append([(out_dir / f).read_bytes()
+                        for f in ("leaderboard.csv", "optimum_cells.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_montecarlo_cli(d2_files, tmp_path):

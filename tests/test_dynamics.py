@@ -19,6 +19,7 @@ from pnetsim import (
     initial_inventories,
     integrate,
     initial_state,
+    make_economy,
     simulate,
 )
 from pnetsim.dynamics import (
@@ -27,7 +28,6 @@ from pnetsim.dynamics import (
     _advance,
     _check_state,
     _consumption_update,
-    _demand_cut,
     _input_capacity,
     _labor_update,
     _orders,
@@ -91,16 +91,16 @@ def test_intermediate_demand_clamped_when_overstocked(d2, params):
 
 def test_preferences_identity_without_shock():
     theta0 = np.array([0.5, 0.5])
-    np.testing.assert_array_equal(household_preferences(theta0, np.zeros(2)), theta0)
+    np.testing.assert_array_equal(household_preferences(theta0, np.zeros(2))[0], theta0)
 
 
 def test_preferences_full_shock_on_one_good():
-    theta = household_preferences(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    theta, _ = household_preferences(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(theta, [0.0, 1.0])
 
 
 def test_preferences_partial_shock():
-    theta = household_preferences(np.array([0.3, 0.7]), np.array([0.5, 0.0]))
+    theta, _ = household_preferences(np.array([0.3, 0.7]), np.array([0.5, 0.0]))
     np.testing.assert_allclose(theta, [0.15 / 0.85, 0.7 / 0.85], rtol=1e-14)
 
 
@@ -108,20 +108,32 @@ def test_preferences_sum_to_one_randomized(rng):
     for _ in range(200):
         theta0 = rng.dirichlet(np.ones(6))
         eps = rng.uniform(0.0, 0.99, size=6)
-        assert household_preferences(theta0, eps).sum() == pytest.approx(1.0, abs=1e-12)
+        assert household_preferences(theta0, eps)[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_preferences_all_shocked_warns():
     with pytest.warns(UserWarning):
-        theta = household_preferences(np.array([0.4, 0.6]), np.array([1.0, 1.0]))
+        theta, _ = household_preferences(np.array([0.4, 0.6]), np.array([1.0, 1.0]))
     np.testing.assert_array_equal(theta, [0.4, 0.6])
 
 
 def test_demand_reduction_cases():
-    theta0 = np.array([0.5, 0.5])
-    assert 0.8 * _demand_cut(theta0, np.zeros(2)) == 0.0
-    assert 0.0 * _demand_cut(theta0, np.array([0.9, 0.3])) == 0.0
-    value = 1.0 * _demand_cut(theta0, np.array([0.8, 0.0]))
+    # Two sectors with equal household shares: theta0 = (0.5, 0.5).
+    economy = make_economy(
+        ("X1", "X2"), Z=[[20.0, 30.0], [40.0, 10.0]], c0=[35.0, 35.0],
+        f0=[30.0, 10.0], l0=[55.0, 50.0], n_days_inventory=[10.0, 5.0],
+        criticality=np.zeros((2, 2)), on_site=[0, 0],
+    )
+    ctx = context(economy, scenario_for(economy), BehavioralParams())
+    np.testing.assert_array_equal(ctx.theta0, [0.5, 0.5])
+    zeros = np.zeros(2)
+
+    def cut(eps_D):
+        return ctx.drive(zeros, np.array(eps_D), zeros).cut
+
+    assert 0.8 * cut([0.0, 0.0]) == 0.0
+    assert 0.0 * cut([0.9, 0.3]) == 0.0
+    value = 1.0 * cut([0.8, 0.0])
     assert value == pytest.approx(0.4, rel=1e-14)
 
 

@@ -238,6 +238,22 @@ def test_on_site_release_slower_than_linear(be64, ref_scenario):
     assert frac_on > 0.65
 
 
+def test_schedule_release_is_on_site_release(be64, ref_scenario):
+    # One lockdown only, so its release runs down to zero.
+    scenario = replace(ref_scenario, key_dates=ref_scenario.key_dates[:2])
+    schedule = ShockSchedule(scenario, be64)
+    t_end = day(scenario, "2020-05-04")
+    eps_D = scenario.eps_D_lockdown[scenario.index_for(be64.codes)]
+    on_site = np.flatnonzero(schedule.on_site)
+    assert on_site.size
+    l2 = scenario.l2
+    for t_rel in (0.0, l2 / 4.0, l2 / 2.0, l2):
+        sample = schedule.at(t_end + t_rel)
+        for i in on_site:
+            want = on_site_release(eps_D[i], t_rel, l2)
+            assert abs(sample.eps_D[i] - want) <= 1e-15, (t_rel, be64.codes[i])
+
+
 def test_ramp_in_is_linear(be64, ref_scenario):
     t_start = day(ref_scenario, "2020-03-15")
     i = be64.sectors.position("I55-56")
