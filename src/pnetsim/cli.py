@@ -92,16 +92,19 @@ def _add_economy_args(p: argparse.ArgumentParser):
 
 
 def _economy_paths(args) -> dict:
+    """The fixture's or the explicit economy files, with the optional
+    override files on top of either."""
     if args.fixture:
-        return dict(fixture_paths(args.fixture))
-    required = ("io_table", "initial_states", "criticality")
-    missing = [r for r in required if getattr(args, r) is None]
+        paths = dict(fixture_paths(args.fixture))
+    else:
+        paths = {r: getattr(args, r)
+                 for r in ("io_table", "initial_states", "criticality")}
+    missing = [r for r, p in paths.items() if p is None]
     if missing:
         raise SchemaError(
             "missing economy inputs: "
             + ", ".join("--" + m.replace("_", "-") for m in missing)
         )
-    paths = {r: getattr(args, r) for r in required}
     if args.inventory_targets:
         paths["inventory_targets"] = args.inventory_targets
     if args.on_site:

@@ -116,8 +116,8 @@ class CriticalitySets:
         return np.flatnonzero(self.important_mask[:, buyer])
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -222,7 +222,7 @@ def make_economy(
         A=_freeze(A),
         n_days_inventory=_freeze(n_days),
         criticality=_freeze(crit),
-        on_site=np.ascontiguousarray(on_site_arr),
+        on_site=_freeze(on_site_arr, bool),
     )
 
 

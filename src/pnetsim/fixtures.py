@@ -191,7 +191,6 @@ def reference_scenario() -> Scenario:
         eps_S_L2=pct[:, 1],
         eps_D_lockdown=pct[:, 2],
         eps_F_lockdown=pct[:, 3],
-        on_site=np.asarray([shocks[c][4] for c in codes], dtype=bool),
         r=belgium.INTER_LOCKDOWN_RATIO,
         b=belgium.FURLOUGH_FRACTION,
         l1=belgium.RAMP_IN_DAYS,
@@ -215,7 +214,6 @@ def scenario_for(economy: Economy, **overrides) -> Scenario:
         codes=tuple(economy.codes),
         eps_S_L1=zeros, eps_S_L2=zeros,
         eps_D_lockdown=zeros, eps_F_lockdown=zeros,
-        on_site=economy.on_site,
         r=belgium.INTER_LOCKDOWN_RATIO,
         b=belgium.FURLOUGH_FRACTION,
         l1=belgium.RAMP_IN_DAYS,

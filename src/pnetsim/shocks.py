@@ -9,7 +9,7 @@ shock magnitudes as positive fractions in [0, 1], and ramp parameters. The
 * after a lockdown, demand shocks are released over ``l2`` days toward the
   residual level ``r * eps`` (zero after the final phase) -- linearly for
   ordinary sectors, along a slow logarithmic curve for sectors whose
-  consumption happens on site;
+  consumption happens on site (the economy's ``on_site`` flags);
 * labor supply shocks are released linearly over ``l2`` days and are zero
   outside lockdowns;
 * during a "lockdown light" phase demand shocks sit at ``r * eps`` and
@@ -62,7 +62,6 @@ class Scenario:
     eps_S_L2: np.ndarray
     eps_D_lockdown: np.ndarray
     eps_F_lockdown: np.ndarray
-    on_site: np.ndarray
     r: float
     b: float
     l1: float
@@ -78,10 +77,6 @@ class Scenario:
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
-        on_site = np.ascontiguousarray(self.on_site).astype(bool)
-        if on_site.shape != (n,):
-            raise ValidationError(f"on_site has shape {on_site.shape}, expected ({n},)")
-        object.__setattr__(self, "on_site", on_site)
         for name in ("r", "b"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -120,7 +115,6 @@ class ShockSample:
     eps_S: np.ndarray
     eps_D: np.ndarray
     eps_F: np.ndarray
-    b: float
 
 
 @dataclass(frozen=True)
@@ -235,17 +229,15 @@ class ShockSchedule:
     The scenario compiles into a plan of segments that tile ``[0, inf)``:
     holds and ramps. ``table`` evaluates it; ``breakpoints`` and ``holds``
     describe its shape. Pure function of (scenario, economy); safe for
-    concurrent evaluation.
+    concurrent evaluation. The shocks are aligned to the economy's sector
+    order, and the on-site sectors are the economy's.
     """
 
-    def __init__(self, scenario: Scenario, economy: Economy | None = None):
+    def __init__(self, scenario: Scenario, economy: Economy):
         self.scenario = scenario
-        if economy is not None and tuple(economy.codes) != scenario.codes:
-            order = scenario.index_for(economy.codes)
-        else:
-            order = np.arange(len(scenario.codes))
-        self.codes = tuple(economy.codes) if economy is not None else scenario.codes
-        self.on_site = scenario.on_site[order]
+        order = scenario.index_for(economy.codes)
+        self.codes = tuple(economy.codes)
+        self.on_site = economy.on_site
         self._eps_S = (scenario.eps_S_L1[order], scenario.eps_S_L2[order])
         self._eps_D = scenario.eps_D_lockdown[order]
         self._eps_F = scenario.eps_F_lockdown[order]
@@ -360,8 +352,7 @@ class ShockSchedule:
             rows = owner == k if len(owners) > 1 else slice(None)
             for col, v in zip(cols, self._segments[k].values(t[rows], self.on_site)):
                 col[rows] = v
-        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
-                           b=self.scenario.b)
+        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F)
 
     def at(self, t: float) -> ShockSample:
         """Shock values at one time: ``(N,)`` arrays, bitwise row 0 of
@@ -371,8 +362,7 @@ class ShockSchedule:
             raise ValueError(f"t = {t} precedes the simulation epoch")
         seg = self._segments[int(self._t0s.searchsorted(t, side="right")) - 1]
         eps_D, eps_F, eps_S = seg.values(t, self.on_site)
-        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F,
-                           b=self.scenario.b)
+        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F)
 
 
 def on_site_release(eps_lockdown: float, t_rel: float, l2: float) -> float:
@@ -419,9 +409,13 @@ def load_scenario(path) -> Scenario:
         )
         shocks = raw["shocks"]
         codes = tuple(shocks.keys())
-        cols = {k: [] for k in ("eps_S_L1", "eps_S_L2", "eps_D", "eps_F", "on_site")}
+        cols = {k: [] for k in ("eps_S_L1", "eps_S_L2", "eps_D", "eps_F")}
         for code in codes:
             entry = shocks[code]
+            if "on_site" in entry:
+                raise SchemaError(
+                    f"{path}: sector {code} carries 'on_site'; on-site flags "
+                    "come from the initial-states file or --on-site")
             for k in cols:
                 cols[k].append(float(entry[k]))
         return Scenario(
@@ -432,7 +426,6 @@ def load_scenario(path) -> Scenario:
             eps_S_L2=np.asarray(cols["eps_S_L2"]),
             eps_D_lockdown=np.asarray(cols["eps_D"]),
             eps_F_lockdown=np.asarray(cols["eps_F"]),
-            on_site=np.asarray(cols["on_site"], dtype=float).astype(bool),
             r=float(raw["r"]),
             b=float(raw["b"]),
             l1=float(raw["l1"]),
@@ -461,7 +454,6 @@ def save_scenario(scenario: Scenario, path) -> Path:
                 "eps_S_L2": float(scenario.eps_S_L2[i]),
                 "eps_D": float(scenario.eps_D_lockdown[i]),
                 "eps_F": float(scenario.eps_F_lockdown[i]),
-                "on_site": int(scenario.on_site[i]),
             }
             for i, code in enumerate(scenario.codes)
         },

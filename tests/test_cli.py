@@ -175,6 +175,35 @@ def test_aggregate_csv_rows_are_the_trajectory_totals(tmp_path):
         assert row[2:] == totals[row[0]], row[0]
 
 
+def test_override_files_apply_with_fixture(tmp_path):
+    scenario = scenario_for(d3_economy(), eps_S_L1=np.array([0.3, 0.1, 0.0]),
+                            eps_D_lockdown=np.array([0.2, 0.5, 0.1]))
+    scenario_path = save_scenario(scenario, tmp_path / "d3.json")
+    overrides = {
+        "--on-site": ("on_site", "code,on_site\nS1,0\nS2,0\nS3,0\n"),
+        "--inventory-targets": ("inventory_targets",
+                                "code,n_days\nS1,2.0\nS2,1.0\nS3,1.5\n"),
+    }
+    runs = {}
+    for flag in (None, *overrides):
+        out_dir = tmp_path / (flag or "plain").lstrip("-")
+        extra = []
+        if flag:
+            name, text = overrides[flag]
+            (tmp_path / f"{name}.csv").write_text(text)
+            extra = [flag, str(tmp_path / f"{name}.csv")]
+        assert main([
+            "simulate", "--fixture", "d3", "--scenario", str(scenario_path),
+            "--days", "200", "--out", str(out_dir), *extra,
+        ]) == 0
+        runs[flag] = (out_dir / "trajectory.csv").read_bytes()
+        inputs = json.loads((out_dir / "manifest.json").read_text())["inputs"]
+        if flag:
+            assert inputs[name]["path"] == str(tmp_path / f"{name}.csv")
+    for flag in overrides:
+        assert runs[flag] != runs[None], flag
+
+
 def test_compare_identical_and_different(d2_files, tmp_path, capsys):
     _, paths, _, scenario_path = d2_files
     a = tmp_path / "a"

@@ -86,6 +86,14 @@ def test_roundtrip_bit_exact(tmp_path, be64):
     assert be64.codes == again.codes
 
 
+def test_every_array_is_read_only(be64):
+    for field in ("Z", "x0", "c0", "f0", "l0", "A", "n_days_inventory",
+                  "criticality", "on_site"):
+        with pytest.raises(ValueError):
+            getattr(be64, field)[0] = getattr(be64, field)[0]
+    assert be64.on_site.dtype == bool
+
+
 def test_non_numeric_cell_names_position(tmp_path, d2):
     paths = write_economy(d2, tmp_path)
     text = paths["io_table"].read_text().replace("30.0", "abc", 1)

@@ -82,15 +82,14 @@ def test_be64_on_site_sectors_never_critical(be64):
     assert not np.any(rated & be64.on_site)
 
 
-def test_reference_scenario_values(ref_scenario):
+def test_reference_scenario_values(be64, ref_scenario):
     i = ref_scenario.codes.index("I55-56")
     assert ref_scenario.eps_S_L1[i] == 0.925
     assert ref_scenario.eps_S_L2[i] == 0.70
     assert ref_scenario.eps_D_lockdown[i] == 0.80
     assert ref_scenario.eps_F_lockdown[i] == 0.80
-    assert bool(ref_scenario.on_site[i]) is True
-    j = ref_scenario.codes.index("G46")
-    assert bool(ref_scenario.on_site[j]) is False
+    assert bool(be64.on_site[be64.codes.index("I55-56")]) is True
+    assert bool(be64.on_site[be64.codes.index("G46")]) is False
     assert ref_scenario.b == 0.7
     assert ref_scenario.l1 == 7.0
     assert ref_scenario.l2 == 42.0

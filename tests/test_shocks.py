@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from datetime import date
@@ -6,12 +7,19 @@ import numpy as np
 import pytest
 
 from pnetsim import (
+    BehavioralParams,
+    IntegrationConfig,
+    SchemaError,
     ValidationError,
     aggregate_shock,
+    load_economy,
     load_scenario,
     on_site_release,
     save_scenario,
+    simulate,
 )
+from pnetsim.cli import main
+from pnetsim.fixtures import fixture_paths, scenario_for
 from pnetsim.shocks import ShockSchedule
 from pnetsim import belgium
 
@@ -77,7 +85,6 @@ def test_epoch_is_shock_free(be64, ref_scenario):
     assert np.all(sample.eps_S == 0.0)
     assert np.all(sample.eps_D == 0.0)
     assert np.all(sample.eps_F == 0.0)
-    assert sample.b == ref_scenario.b
 
 
 def test_negative_time_rejected(be64, ref_scenario):
@@ -165,7 +172,6 @@ def test_hold_spans_keep_at_values_and_exclude_ramps(be64, ref_scenario):
         held, at = schedule.at(t0), schedule.at(t)
         for name in ("eps_S", "eps_D", "eps_F"):
             assert np.array_equal(getattr(held, name), getattr(at, name))
-        assert held.b == at.b
     ramp = day(ref_scenario, "2020-03-18")  # inside the 7-day L1 entry ramp
     assert span_of(ramp) is None
     ends = {t for span in schedule.holds for t in span if 0.0 < t < math.inf}
@@ -194,7 +200,6 @@ def test_at_is_bitwise_a_row_of_table(be64, ref_scenario):
             assert got.shape == (len(schedule.codes),)
             assert got.tobytes() == getattr(row, name)[0].tobytes(), (t, name)
             assert got.tobytes() == getattr(table, name)[k].tobytes(), (t, name)
-        assert one.b == row.b
 
 
 def test_continuity_no_jump_beyond_ramp_slope(be64, ref_scenario):
@@ -254,6 +259,25 @@ def test_schedule_release_is_on_site_release(be64, ref_scenario):
             assert abs(sample.eps_D[i] - want) <= 1e-15, (t_rel, be64.codes[i])
 
 
+def test_economy_on_site_flags_drive_the_release(tmp_path, d3):
+    # S2 is d3's one on-site sector; turning it off through the override
+    # file must change a run with an S2 demand shock.
+    scenario = scenario_for(d3, eps_D_lockdown=np.array([0.0, 0.6, 0.0]))
+    off = tmp_path / "on_site.csv"
+    off.write_text("code,on_site\nS1,0\nS2,0\nS3,0\n")
+    p = fixture_paths("d3")
+    flagged = load_economy(p["io_table"], p["initial_states"], p["criticality"])
+    unflagged = load_economy(p["io_table"], p["initial_states"],
+                             p["criticality"], on_site_path=off)
+    assert flagged.on_site.tolist() == [False, True, False]
+    assert not unflagged.on_site.any()
+    np.testing.assert_array_equal(ShockSchedule(scenario, unflagged).on_site,
+                                  unflagged.on_site)
+    runs = [simulate(e, scenario, BehavioralParams(), IntegrationConfig(), 200.0)
+            for e in (flagged, unflagged)]
+    assert not np.array_equal(runs[0].gross_output(), runs[1].gross_output())
+
+
 def test_ramp_in_is_linear(be64, ref_scenario):
     t_start = day(ref_scenario, "2020-03-15")
     i = be64.sectors.position("I55-56")
@@ -295,6 +319,18 @@ def test_scenario_roundtrip(tmp_path, ref_scenario):
     assert again.l1 == ref_scenario.l1 and again.l2 == ref_scenario.l2
 
 
+def test_scenario_with_on_site_flags_rejected(tmp_path, ref_scenario, capsys):
+    path = save_scenario(ref_scenario, tmp_path / "scenario.json")
+    doc = json.loads(path.read_text())
+    doc["shocks"]["I55-56"]["on_site"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="on_site"):
+        load_scenario(path)
+    assert main(["simulate", "--fixture", "be64", "--scenario", str(path),
+                 "--days", "5", "--out", str(tmp_path / "run")]) == 1
+    assert "--on-site" in capsys.readouterr().err
+
+
 def test_evaluate_aligns_to_economy_order(be64, ref_scenario):
     shuffled = tuple(reversed(ref_scenario.codes))
     pos = {c: i for i, c in enumerate(ref_scenario.codes)}
@@ -306,7 +342,6 @@ def test_evaluate_aligns_to_economy_order(be64, ref_scenario):
         eps_S_L2=ref_scenario.eps_S_L2[perm],
         eps_D_lockdown=ref_scenario.eps_D_lockdown[perm],
         eps_F_lockdown=ref_scenario.eps_F_lockdown[perm],
-        on_site=ref_scenario.on_site[perm],
     )
     t = day(ref_scenario, "2020-04-15")
     a = ShockSchedule(ref_scenario, be64).at(t)
@@ -323,7 +358,6 @@ def test_missing_sector_rejected(be64, ref_scenario):
         eps_S_L2=ref_scenario.eps_S_L2[:-1],
         eps_D_lockdown=ref_scenario.eps_D_lockdown[:-1],
         eps_F_lockdown=ref_scenario.eps_F_lockdown[:-1],
-        on_site=ref_scenario.on_site[:-1],
     )
     with pytest.raises(ValidationError):
         ShockSchedule(scenario, be64).at(0.0)
