@@ -1,4 +1,5 @@
 import csv
+import logging
 from dataclasses import replace
 from datetime import date
 from types import SimpleNamespace
@@ -19,7 +20,10 @@ from pnetsim.integrate import (
     MAX_CONTINUOUS_STEP,
     METHOD_CONTINUOUS,
     METHOD_DISCRETE,
+    RTOL_MIN,
+    TOO_SMALL_STEP,
     _boundaries,
+    _kinks,
     _pack,
     _rhs,
     read_trajectory_csv,
@@ -47,6 +51,14 @@ def test_config_validation():
         IntegrationConfig(dt=0.0)
     with pytest.raises(ValueError):
         IntegrationConfig(rel_tol=0.0)
+    # tolerances must be finite, and rel_tol no finer than the solver resolves
+    assert RTOL_MIN == 100 * np.finfo(float).eps
+    for bad in ({"rel_tol": float("nan")}, {"abs_tol": float("nan")},
+                {"rel_tol": float("inf")}, {"abs_tol": float("inf")},
+                {"rel_tol": RTOL_MIN / 2}, {"abs_tol": -1e-8}):
+        with pytest.raises(ValueError):
+            IntegrationConfig(method=METHOD_CONTINUOUS, **bad)
+    IntegrationConfig(method=METHOD_CONTINUOUS, rel_tol=RTOL_MIN)
 
 
 def test_zero_shock_is_flat_both_methods(d2, params):
@@ -288,3 +300,96 @@ def test_hold_drive_matches_shock_lookup(d3, params):
     drive = ctx.drive(row.eps_S, row.eps_D, row.eps_F).at(0)
     for t in (start + 0.1, start + 17.3, start + 40.0):
         assert np.array_equal(_rhs(t, y, ctx, drive), _rhs(t, y, ctx))
+
+
+def _shocked_d3(d3, params):
+    scenario = labor_shock_scenario(d3)
+    schedule = ShockSchedule(scenario, d3)
+    return scenario, schedule, ModelContext(d3, params, schedule)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_solver_is_bitwise_scipy_rk45(d3, params, sparse):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    _, schedule, ctx = _shocked_d3(d3, params)
+    config = IntegrationConfig(method=METHOD_CONTINUOUS)
+    init = initial_state(d3)
+    y = _pack(init.d, init.l, init.c_agg_d, 1.0, init.S)
+    kinks = _kinks(schedule, 120.0)
+    for a, b in zip(kinks, kinks[1:]):
+        # daily: every whole day from the segment start; sparse: two
+        # off-grid times and the end
+        t_eval = ([a + (b - a) / 3, a + (b - a) * 0.7, b] if sparse
+                  else [*np.arange(a, b), b])
+        kwargs = dict(args=(ctx,), rtol=config.rel_tol, atol=config.abs_tol,
+                      max_step=MAX_CONTINUOUS_STEP, t_eval=t_eval)
+        ours = integrate.solve_ivp(_rhs, (a, b), y, **kwargs)
+        ref = scipy_integrate.solve_ivp(_rhs, (a, b), y, method="RK45", **kwargs)
+        assert ours.success and ref.success
+        assert np.array_equal(ours.t, ref.t), (a, b)
+        assert np.array_equal(ours.y, ref.y), (a, b)
+        assert ours.nfev == ref.nfev
+        assert ours.naccept > 0
+        y = ours.y[:, -1]
+
+
+def test_solver_reports_a_step_below_float_spacing(d2, params, monkeypatch):
+    """A right-hand side that turns NaN after t = 0.5 shrinks the step to
+    nothing; the real solver reports it, and simulate names the segment."""
+    ctx = ModelContext(d2, params, ShockSchedule(labor_shock_scenario(d2), d2))
+    init = initial_state(d2)
+    y0 = _pack(init.d, init.l, init.c_agg_d, 1.0, init.S)
+    rhs = integrate._rhs
+
+    def nan_after_half_a_day(t, y, *args):
+        return np.full_like(y, np.nan) if t > 0.5 else rhs(t, y, *args)
+
+    sol = integrate.solve_ivp(nan_after_half_a_day, (0.0, 14.0), y0,
+                              args=(ctx,), rtol=1e-6, atol=1e-8, max_step=1.0,
+                              t_eval=[0.25, 1.0, 14.0])
+    assert not sol.success
+    assert sol.message == TOO_SMALL_STEP == (
+        "Required step size is less than spacing between numbers.")
+    assert sol.nreject > 0
+    assert list(sol.t) == [0.25] and np.isfinite(sol.y).all()
+
+    monkeypatch.setattr(integrate, "_rhs", nan_after_half_a_day)
+    with pytest.raises(IntegrationError) as info:
+        simulate(d2, labor_shock_scenario(d2), params,
+                 IntegrationConfig(method=METHOD_CONTINUOUS), 30.0)
+    assert str(info.value) == ("adaptive integration failed on the segment "
+                               f"[0.0, 14.0] (days): {TOO_SMALL_STEP}")
+
+
+@pytest.mark.parametrize("t_span, t_eval", [
+    ((0.0, 2.0), [1.0, 3.0]),  # past the end: a sample no step reaches
+    ((0.0, 2.0), [-1.0, 2.0]),
+    ((0.0, 2.0), [2.0, 1.0]),
+    ((0.0, 2.0), []),
+    ((2.0, 0.0), [1.0]),
+])
+def test_solver_rejects_samples_outside_its_span(t_span, t_eval):
+    with pytest.raises(ValueError):
+        integrate.solve_ivp(lambda t, y: -y, t_span, np.ones(2), t_eval=t_eval)
+
+
+def test_adaptive_run_logs_solver_statistics(d3, params, monkeypatch, caplog):
+    scenario, schedule, _ = _shocked_d3(d3, params)
+    calls = []
+    rhs = integrate._rhs
+
+    def counted(t, y, *args):
+        calls.append(t)
+        return rhs(t, y, *args)
+
+    monkeypatch.setattr(integrate, "_rhs", counted)
+    with caplog.at_level(logging.DEBUG, logger="pnetsim.integrate"):
+        simulate(d3, scenario, params,
+                 IntegrationConfig(method=METHOD_CONTINUOUS), 120.0)
+    records = [r for r in caplog.records if r.name == "pnetsim.integrate"]
+    kinks = _kinks(schedule, 120.0)
+    assert [r.args[:2] for r in records] == list(zip(kinks, kinks[1:]))
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert sum(r.args[2] for r in records) == len(calls)
+    # six evaluations a step attempt, plus two to pick the first step
+    assert all(r.args[2] == 6 * (r.args[3] + r.args[4]) + 2 for r in records)
