@@ -8,6 +8,10 @@ normalized to percentage reduction against the pre-shock baseline,
 averaged per calendar quarter, and compared to the data with the
 value-weighted average absolute deviation (accuracy) and the signed
 average deviation (bias; positive when the model is too optimistic).
+
+Scoring, grid search, dataset synthesis and Monte Carlo runs all simulate
+the daily discrete model (``IntegrationConfig()``: unit steps, one sample
+per whole day), and scoring and synthesis cover ``DEFAULT_QUARTERS``.
 """
 
 from __future__ import annotations
@@ -318,20 +322,29 @@ def horizon_for(scenario: Scenario, quarters) -> float:
     return float((last - scenario.start_date).days)
 
 
+def _simulate_scored(economy: Economy, runs, scenario: Scenario):
+    """The ``SCORED_SERIES`` of ``runs`` (sharing ``scenario``'s start
+    date), sampled daily to the end of ``DEFAULT_QUARTERS``."""
+    return simulate_series(economy, runs, IntegrationConfig(),
+                           horizon_for(scenario, DEFAULT_QUARTERS), SCORED_SERIES)
+
+
 class _Scorer:
     """What scoring shares across the points of a grid: the dataset's
     quarterly means, the indicator weights and the calendar quarters of the
-    common sample ``times`` (days from ``start_date``)."""
+    daily samples of ``scenario``'s runs."""
 
     def __init__(self, economy: Economy, dataset: EmpiricalDataset,
-                 mapping: dict[str, str] | None, quarters, times,
-                 start_date: date):
-        self.frame = _QuarterFrame(times, start_date, economy, mapping, quarters)
+                 mapping: dict[str, str] | None, scenario: Scenario):
+        times = _output_grid(IntegrationConfig(),
+                             horizon_for(scenario, DEFAULT_QUARTERS))
+        self.frame = _QuarterFrame(times, scenario.start_date, economy, mapping,
+                                   DEFAULT_QUARTERS)
         self._cells = []
         for ind in dataset.indicators:
-            data_q = dataset.quarterly(ind, quarters)
+            data_q = dataset.quarterly(ind, DEFAULT_QUARTERS)
             weights = indicator_weights(economy, ind, mapping)
-            for q in quarters:
+            for q in DEFAULT_QUARTERS:
                 candidates = sorted(
                     s for (s, qq) in data_q if qq == q and s != AGGREGATE_CODE
                 )
@@ -364,8 +377,6 @@ def score_point(
     params: BehavioralParams,
     dataset: EmpiricalDataset,
     mapping: dict[str, str] | None = None,
-    quarters=DEFAULT_QUARTERS,
-    config: IntegrationConfig | None = None,
     *,
     series: dict[str, np.ndarray] | None = None,
     scorer: _Scorer | None = None,
@@ -378,14 +389,10 @@ def score_point(
     all points; without them, the scorer is built here and the series come
     from ``simulate_series``. The score is the same either way.
     """
-    config = config or IntegrationConfig()
-    t_end = horizon_for(scenario, quarters)
     if scorer is None:
-        scorer = _Scorer(economy, dataset, mapping, quarters,
-                         _output_grid(config, t_end), scenario.start_date)
+        scorer = _Scorer(economy, dataset, mapping, scenario)
     if series is None:
-        run = simulate_series(economy, [(scenario, params)], config, t_end,
-                              SCORED_SERIES)
+        run = _simulate_scored(economy, [(scenario, params)], scenario)
         series = {name: v[0] for name, v in run.values.items()}
     return scorer.score(series)
 
@@ -697,8 +704,6 @@ class _GridJob:
     dataset: EmpiricalDataset
     grid: GridSpec
     mapping: dict[str, str] | None
-    quarters: tuple
-    config: IntegrationConfig
     scorer: _Scorer
 
 
@@ -707,14 +712,13 @@ def _score_chunk(job: _GridJob, indices: list[int]) -> list[PointScore]:
     points = [job.grid.point_at(i) for i in indices]
     runs = [apply_grid_point(job.economy, job.scenario, job.params, p)
             for p in points]
-    series = simulate_series(job.economy, runs, job.config,
-                             horizon_for(job.scenario, job.quarters), SCORED_SERIES)
+    series = _simulate_scored(job.economy, runs, job.scenario)
     scores = []
     for k, (index, point) in enumerate(zip(indices, points)):
         scn, prm = runs[k]
         score = score_point(
-            job.economy, scn, prm, job.dataset, job.mapping, job.quarters,
-            job.config, series={n: v[k] for n, v in series.values.items()},
+            job.economy, scn, prm, job.dataset, job.mapping,
+            series={n: v[k] for n, v in series.values.items()},
             scorer=job.scorer,
         )
         score.index = index
@@ -754,8 +758,6 @@ def grid_search(
     dataset: EmpiricalDataset,
     grid: GridSpec,
     mapping: dict[str, str] | None = None,
-    quarters=DEFAULT_QUARTERS,
-    config: IntegrationConfig | None = None,
     workers: int = 1,
     checkpoint_path=None,
     resume: bool = False,
@@ -766,10 +768,18 @@ def grid_search(
     ``CHUNK_POINTS``, one batched pass each; a point's score does not
     depend on its chunk. With a checkpoint path, completed points are
     appended as they finish and are not recomputed when resuming after an
-    interruption.
+    interruption. A grid value the scenario cannot take raises
+    ``ValidationError`` before any point runs.
     """
     if grid.n_points == 0:
         raise ValueError("empty grid")
+    for name, values in grid.axes:
+        for value in values:
+            try:
+                apply_grid_point(economy, scenario, params, {name: value})
+            except ValueError as exc:
+                raise ValidationError(
+                    f"grid axis {name!r} value {value!r}: {exc}") from None
     completed: dict[int, PointScore] = {}
     checkpoint = Path(checkpoint_path) if checkpoint_path else None
     if checkpoint and checkpoint.exists():
@@ -787,13 +797,8 @@ def grid_search(
             writer.write(json.dumps({"grid_hash": grid.content_hash()}) + "\n")
             writer.flush()
 
-    config = config or IntegrationConfig()
-    quarters = tuple(quarters)
-    times = _output_grid(config, horizon_for(scenario, quarters))
-    job = _GridJob(
-        economy, scenario, params, dataset, grid, mapping, quarters, config,
-        _Scorer(economy, dataset, mapping, quarters, times, scenario.start_date),
-    )
+    job = _GridJob(economy, scenario, params, dataset, grid, mapping,
+                   _Scorer(economy, dataset, mapping, scenario))
     pending = [i for i in range(grid.n_points) if i not in completed]
     chunks = _chunks(grid, pending, params.prod_fn)
 
@@ -828,22 +833,18 @@ def synthesize_dataset(
     scenario: Scenario,
     params: BehavioralParams,
     mapping: dict[str, str] | None = None,
-    quarters=DEFAULT_QUARTERS,
-    config: IntegrationConfig | None = None,
-    indicators=INDICATORS,
 ) -> EmpiricalDataset:
     """Dataset whose observations are the model's own quarterly values.
 
     Scoring the generating parameters against this dataset yields exactly
     zero deviation, which anchors the parameter-recovery tests.
     """
-    config = config or IntegrationConfig()
-    run = simulate_series(economy, [(scenario, params)], config,
-                          horizon_for(scenario, quarters), SCORED_SERIES)
-    frame = _QuarterFrame(run.times, scenario.start_date, economy, mapping, quarters)
+    run = _simulate_scored(economy, [(scenario, params)], scenario)
+    frame = _QuarterFrame(run.times, scenario.start_date, economy, mapping,
+                          DEFAULT_QUARTERS)
     model = frame.tables(*(run.values[name][0] for name in SCORED_SERIES))
     observations: dict[str, list[tuple[date, str, float]]] = {}
-    for ind in indicators:
+    for ind in INDICATORS:
         rows = []
         for (sector, q), value in sorted(model[ind].items()):
             mid = quarter_end(q) - timedelta(days=45)
@@ -976,9 +977,7 @@ def monte_carlo(
     n_runs: int,
     seed: int,
     observable: str = "gross_output",
-    config: IntegrationConfig | None = None,
     t_end: float | None = None,
-    quantiles=DEFAULT_QUANTILES,
 ) -> MonteCarloResult:
     """Ensemble of simulations under sampled parameters, with quantile bands."""
     if n_runs < 1:
@@ -986,7 +985,6 @@ def monte_carlo(
     if observable not in OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}")
     samplers = parse_distributions(distributions)
-    config = config or IntegrationConfig()
     if t_end is None:
         t_end = horizon_for(scenario, DEFAULT_QUARTERS)
     rng = np.random.default_rng(seed)
@@ -996,15 +994,16 @@ def monte_carlo(
     ]
     runs = [apply_sampled(scenario, params, sample) for sample in draws]
     name = OBSERVABLES[observable]
-    stacked = np.vstack([
-        simulate_series(economy, runs[k:k + CHUNK_POINTS], config, t_end,
-                        (name,)).values[name].sum(axis=-1)
-        for k in range(0, n_runs, CHUNK_POINTS)
-    ])
-    bands = np.percentile(stacked, quantiles, axis=0)
+    totals = []
+    for k in range(0, n_runs, CHUNK_POINTS):
+        run = simulate_series(economy, runs[k:k + CHUNK_POINTS],
+                              IntegrationConfig(), t_end, (name,))
+        # pop: no chunk's (runs, G, N) array outlives its sum
+        totals.append(run.values.pop(name).sum(axis=-1))
+    bands = np.percentile(np.vstack(totals), DEFAULT_QUANTILES, axis=0)
     return MonteCarloResult(
-        times=_output_grid(config, t_end),
-        quantiles=tuple(quantiles),
+        times=run.times,
+        quantiles=DEFAULT_QUANTILES,
         bands=bands,
         observable=observable,
         n_runs=n_runs,

@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -48,8 +47,6 @@ from .shocks import Scenario, load_scenario
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-
-WORKERS_ENV = "PNETSIM_WORKERS"
 
 
 def _sha256(path: Path) -> str:
@@ -211,6 +208,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
+    if args.workers < 1:
+        raise ValidationError(f"--workers {args.workers} is not a positive "
+                              "number of workers")
     paths = _economy_paths(args)
     economy = _load_economy(paths)
     scenario = load_scenario(args.scenario)
@@ -218,13 +218,10 @@ def cmd_grid_search(args) -> int:
     grid = load_grid(args.grid)
     params = _params_from_args(args)
     mapping = load_sector_mapping(args.mapping) if args.mapping else None
-    workers = args.workers
-    if os.environ.get(WORKERS_ENV):
-        workers = int(os.environ[WORKERS_ENV])
 
     result = grid_search(
         economy, scenario, params, dataset, grid,
-        mapping=mapping, workers=workers,
+        mapping=mapping, workers=args.workers,
         checkpoint_path=args.checkpoint, resume=args.resume,
     )
     out = Path(args.out)
@@ -237,7 +234,7 @@ def cmd_grid_search(args) -> int:
         inputs["mapping"] = Path(args.mapping)
     _write_manifest(
         out, "grid-search",
-        {"workers": workers, "n_points": grid.n_points,
+        {"workers": args.workers, "n_points": grid.n_points,
          "checkpoint": str(args.checkpoint) if args.checkpoint else None},
         inputs,
     )

@@ -132,13 +132,12 @@ def make_economy(
     criticality,
     on_site,
     x0=None,
-    identity_rtol: float = IDENTITY_RTOL,
 ) -> Economy:
     """Assemble and validate an :class:`Economy` from raw arrays.
 
     When ``x0`` is omitted it is computed from the accounting identity,
     which then holds exactly. When given, the identity is checked to
-    ``identity_rtol`` relative tolerance and violations are reported per
+    ``IDENTITY_RTOL`` relative tolerance and violations are reported per
     sector.
     """
     sectors = SectorIndex(tuple(codes))
@@ -172,7 +171,7 @@ def make_economy(
         x0 = np.asarray(x0, dtype=float)
         residual = np.abs(x0 - row_totals - c0 - f0)
         scale = np.maximum(np.abs(x0), 1.0)
-        bad = np.flatnonzero(residual > identity_rtol * scale)
+        bad = np.flatnonzero(residual > IDENTITY_RTOL * scale)
         for i in bad:
             problems.append(
                 f"sector {sectors.codes[i]}: output {x0[i]:g} != "
@@ -367,7 +366,6 @@ def load_economy(
     criticality_path,
     inventory_targets_path=None,
     on_site_path=None,
-    identity_rtol: float = IDENTITY_RTOL,
 ) -> Economy:
     """Load and validate an economy from its CSV files.
 
@@ -399,10 +397,7 @@ def load_economy(
         on_site = values[_align(codes, v_codes, "on-site flags",
                                 on_site_path)].astype(bool)
 
-    return make_economy(
-        codes, Z, c0, f0, l0, n_days, crit, on_site,
-        x0=x0, identity_rtol=identity_rtol,
-    )
+    return make_economy(codes, Z, c0, f0, l0, n_days, crit, on_site, x0=x0)
 
 
 def _fmt(v: float) -> str:

@@ -6,7 +6,8 @@ Two methods are available:
   step of at most one day. Steps are aligned so that scenario breakpoints
   (ramp starts and ends) and requested sample times always fall on step
   boundaries. ``simulate_series`` steps several runs together through the
-  batched kernel and keeps only the series it is asked for.
+  batched kernel and keeps only the series it is asked for; it takes the
+  discrete method only, which is the one calibration runs.
 * ``continuous_adaptive`` -- the embedded Dormand-Prince 5(4) pair applied
   to the daily update treated as a rate field. It makes one solve per
   shock segment: the solver restarts only at scenario breakpoints and at
@@ -20,7 +21,8 @@ Two methods are available:
   other sample times; full states at sample times are then reconstructed
   from the integrated slow variables (demand memory, labor, stocks,
   aggregate consumption, income expectations), so the allocation identity
-  holds exactly at every snapshot. The solver (``solve_ivp``) lives in
+  holds exactly at every snapshot. The error tolerances are fixed at
+  ``SOLVER_RTOL`` and ``SOLVER_ATOL``. The solver (``solve_ivp``) lives in
   this module and is bitwise scipy's ``RK45``; the run path no longer
   imports scipy, whose ``scipy.integrate`` took about 0.5 s and 50 MB.
 """
@@ -59,9 +61,9 @@ METHOD_DISCRETE = "discrete"
 METHOD_CONTINUOUS = "continuous_adaptive"
 METHODS = (METHOD_DISCRETE, METHOD_CONTINUOUS)
 
-#: The smallest relative tolerance the adaptive solver takes: below about
-#: 100 machine epsilons its error control cannot resolve a step.
-RTOL_MIN = 100 * np.finfo(float).eps
+#: Relative and absolute error tolerances of the adaptive solver.
+SOLVER_RTOL = 1e-6
+SOLVER_ATOL = 1e-8
 
 log = logging.getLogger(__name__)
 
@@ -70,8 +72,6 @@ log = logging.getLogger(__name__)
 class IntegrationConfig:
     method: str = METHOD_DISCRETE
     dt: float = 1.0
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-8
     output_grid: tuple[float, ...] | None = None  # None: every whole day
 
     def __post_init__(self):
@@ -79,11 +79,6 @@ class IntegrationConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if not 0.0 < self.dt <= 1.0:
             raise ValueError("dt must lie in (0, 1] days")
-        if not (math.isfinite(self.rel_tol) and math.isfinite(self.abs_tol)):
-            raise ValueError("tolerances must be finite")
-        if self.rel_tol < RTOL_MIN or self.abs_tol <= 0:
-            raise ValueError(f"rel_tol must be at least {RTOL_MIN} and "
-                             "abs_tol positive")
 
 
 @dataclass
@@ -143,7 +138,7 @@ def simulate(
     if config.method == METHOD_DISCRETE:
         states = _run_discrete(ctx, grid, t_end, config.dt)
     else:
-        states = _run_continuous(ctx, grid, t_end, config)
+        states = _run_continuous(ctx, grid, t_end)
     return Trajectory(
         times=grid,
         states=states,
@@ -276,12 +271,15 @@ def simulate_series(
     names=("x", "l", "b2b"),
 ) -> Series:
     """Simulate ``runs`` ((scenario, params) pairs sharing ``prod_fn`` and a
-    start date) and keep only the ``SERIES`` named in ``names``.
+    start date) with the discrete method and keep only the ``SERIES`` named
+    in ``names``.
 
-    The discrete method steps all runs together in one batched pass (a
-    single run steps unbatched); each run's series are bitwise those of its
-    own ``simulate`` call.
+    All runs step together in one batched pass (a single run steps
+    unbatched); each run's series are bitwise those of its own ``simulate``
+    call.
     """
+    if config.method != METHOD_DISCRETE:
+        raise ValueError("simulate_series runs the discrete method only")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     runs = list(runs)
@@ -290,13 +288,6 @@ def simulate_series(
     grid = _output_grid(config, t_end)
     n = economy.n_sectors
     values = {name: np.empty((len(runs), len(grid), n)) for name in names}
-    if config.method != METHOD_DISCRETE:
-        for k, (scn, prm) in enumerate(runs):
-            traj = simulate(economy, scn, prm, config, t_end)
-            for name in names:
-                values[name][k] = [SERIES[name](s) for s in traj.states]
-        return Series(grid, values)
-
     params = [prm for _, prm in runs]
     schedules = [ShockSchedule(scn, economy) for scn, _ in runs]
     if len(runs) == 1:  # a batch of one steps slower than a single run
@@ -389,8 +380,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, args=(), rtol=1e-3, atol=1e-6,
     Dormand-Prince 5(4) pair and sample it at ``t_eval`` from each step's
     dense output. It gives bitwise the ``t``, ``y`` and ``nfev`` of
     ``scipy.integrate.solve_ivp`` with ``method="RK45"`` and the same
-    arguments; ``rtol`` is not clamped to ``RTOL_MIN`` (``IntegrationConfig``
-    refuses a smaller one)."""
+    arguments, except that ``rtol`` is not clamped to 100 machine epsilons
+    (the run path passes ``SOLVER_RTOL``)."""
     t, t_bound = map(float, t_span)
     t_eval = np.asarray(t_eval, dtype=float)
     y = np.asarray(y0, dtype=float)
@@ -510,7 +501,7 @@ def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray,
 MAX_CONTINUOUS_STEP = 1.0
 
 
-def _run_continuous(ctx: ModelContext, grid, t_end, config) -> list[SimState]:
+def _run_continuous(ctx: ModelContext, grid, t_end) -> list[SimState]:
     n = ctx.economy.n_sectors
     schedule = ctx.schedule
     grid = [float(g) for g in grid]
@@ -538,7 +529,7 @@ def _run_continuous(ctx: ModelContext, grid, t_end, config) -> list[SimState]:
         t_eval = grid[g:k] if k > g and grid[k - 1] == b else grid[g:k] + [b]
         sol = solve_ivp(
             _rhs, (a, b), y, args=(ctx, drive),
-            rtol=config.rel_tol, atol=config.abs_tol,
+            rtol=SOLVER_RTOL, atol=SOLVER_ATOL,
             max_step=MAX_CONTINUOUS_STEP, t_eval=t_eval,
         )
         if not sol.success:

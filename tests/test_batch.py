@@ -84,10 +84,11 @@ def test_batch_matches_serial_runs_be64(be64, ref_scenario, rule):
     assert_batch_matches_serial(be64, runs, IntegrationConfig(), 150.0)
 
 
-def test_batch_of_one_adaptive_falls_back_to_simulate(d3, d3_scenario):
+def test_simulate_series_refuses_the_adaptive_method(d3, d3_scenario):
     config = IntegrationConfig(method="continuous_adaptive")
-    runs = mixed_runs(d3_scenario, "leontief", [(14.0, 42.0, 28.0), (7.0, 30.0, 14.0)])
-    assert_batch_matches_serial(d3, runs, config, 90.0)
+    runs = mixed_runs(d3_scenario, "leontief", [(14.0, 42.0, 28.0)])
+    with pytest.raises(ValueError, match="discrete"):
+        simulate_series(d3, runs, config, 90.0)
 
 
 def test_batch_rejects_mixed_bottleneck_rules(d3, d3_scenario):
@@ -191,9 +192,7 @@ def test_score_point_is_the_same_with_or_without_series_and_scorer(d3_grid):
     t_end = calibration.horizon_for(scenario, calibration.DEFAULT_QUARTERS)
     traj = simulate(economy, scenario, params, config, t_end)
     series = {name: traj.series(SERIES[name]) for name in calibration.SCORED_SERIES}
-    scorer = calibration._Scorer(economy, dataset, None,
-                                 calibration.DEFAULT_QUARTERS, traj.times,
-                                 scenario.start_date)
+    scorer = calibration._Scorer(economy, dataset, None, scenario)
     want = calibration.score_point(economy, scenario, params, dataset)
     assert want.aad_total > 0.0  # the dataset comes from another point
     for given in ({"series": series}, {"scorer": scorer},

@@ -340,6 +340,8 @@ def test_grid_search_cli_roundtrip(d2_files, tmp_path, capsys):
     assert "'tau': 14.0" in out and "total AAD_vw: 0.000000" in out
     lb2 = run("w2", 2)
     assert lb1 == lb2
+    manifest = json.loads((tmp_path / "w2" / "manifest.json").read_text())
+    assert manifest["config"]["workers"] == 2
 
     # checkpoint interruption and resume
     ck = tmp_path / "ck.jsonl"
@@ -454,21 +456,47 @@ def test_montecarlo_defaults_match_reference_ensemble():
     assert args.seed == 12345
 
 
-def test_workers_env_override(d2_files, tmp_path, monkeypatch, capsys):
-    economy, paths, scenario, scenario_path = d2_files
+@pytest.fixture()
+def d3_grid_files(tmp_path):
+    """d3's default scenario, a dataset it generates, and its file paths."""
+    economy = d3_economy()
+    scenario = scenario_for(economy)
     dataset = synthesize_dataset(economy, scenario, BehavioralParams())
-    dataset_path = save_dataset(dataset, tmp_path / "d.csv")
-    grid_path = tmp_path / "g.json"
-    grid_path.write_text(GridSpec((("tau", (14.0,)),)).to_json())
-    monkeypatch.setenv("PNETSIM_WORKERS", "2")
-    out_dir = tmp_path / "envrun"
-    rc = main([
-        "grid-search", *economy_flags(paths),
-        "--scenario", str(scenario_path),
-        "--dataset", str(dataset_path),
-        "--grid", str(grid_path),
-        "--out", str(out_dir),
+    return (save_scenario(scenario, tmp_path / "scenario.json"),
+            save_dataset(dataset, tmp_path / "data.csv"))
+
+
+def grid_search_d3(tmp_path, scenario_path, dataset_path, grid, *flags):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(grid.to_json())
+    return main([
+        "grid-search", "--fixture", "d3", "--scenario", str(scenario_path),
+        "--dataset", str(dataset_path), "--grid", str(grid_path),
+        "--out", str(tmp_path / "out"), *flags,
     ])
-    assert rc == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["config"]["workers"] == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_give_validation_exit(d3_grid_files, tmp_path, capsys,
+                                                workers):
+    rc = grid_search_d3(tmp_path, *d3_grid_files,
+                        GridSpec((("tau", (7.0, 14.0)),)), "--workers", workers)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: --workers {workers} ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_the_scenario_cannot_take_fails_before_any_point(d3_grid_files,
+                                                              tmp_path, capsys):
+    # d3's default scenario has no final-demand shock to scale, so
+    # eps_F_aggregate 0.05 cannot be set. The points with 0.0 come first and
+    # fill more than one chunk.
+    taus = tuple(float(t) for t in range(1, calibration.CHUNK_POINTS + 2))
+    grid = GridSpec((("eps_F_aggregate", (0.0, 0.05)), ("tau", taus)))
+    ck = tmp_path / "ck.jsonl"
+    rc = grid_search_d3(tmp_path, *d3_grid_files, grid, "--checkpoint", str(ck))
+    assert rc == 1
+    assert "eps_F_aggregate" in capsys.readouterr().err
+    records = ck.read_text().splitlines()[1:] if ck.exists() else []
+    assert records == []
+    assert not (tmp_path / "out").exists()
