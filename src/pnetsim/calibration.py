@@ -544,11 +544,9 @@ def apply_grid_point(
     if "tau" in point:
         params_kwargs["tau"] = float(point.pop("tau"))
     if "gamma_F" in point:
-        # Hiring keeps tracking the firing speed at twice its value.
         params_kwargs["gamma_F"] = float(point.pop("gamma_F"))
-        params_kwargs["gamma_H"] = None
     if point:
-        raise ValueError(f"unknown grid parameters: {sorted(point)}")
+        raise ValidationError(f"unknown grid parameters: {sorted(point)}")
     new_params = replace(params, **params_kwargs) if params_kwargs else params
     return new_scenario, new_params
 
@@ -768,11 +766,14 @@ def grid_search(
     ``CHUNK_POINTS``, one batched pass each; a point's score does not
     depend on its chunk. With a checkpoint path, completed points are
     appended as they finish and are not recomputed when resuming after an
-    interruption. A grid value the scenario cannot take raises
-    ``ValidationError`` before any point runs.
+    interruption. An empty grid, ``workers`` below 1 and a grid value the
+    scenario cannot take raise ``ValidationError`` before the checkpoint is
+    touched and before any point runs.
     """
+    if not workers >= 1:
+        raise ValidationError(f"workers = {workers} must be at least 1")
     if grid.n_points == 0:
-        raise ValueError("empty grid")
+        raise ValidationError("empty grid")
     for name, values in grid.axes:
         for value in values:
             try:
@@ -886,35 +887,47 @@ SAMPLEABLE = (
 )
 
 
-def _make_sampler(name: str, spec: dict):
+def _make_sampler(spec: dict):
     kind = spec.get("dist")
     if kind == "uniform":
         low, high = float(spec["low"]), float(spec["high"])
-        if high < low:
-            raise ValueError(f"{name}: empty uniform range")
+        if not low <= high:
+            raise ValueError("empty uniform range")
         return lambda rng: float(rng.uniform(low, high))
     if kind == "normal":
         mean, sd = float(spec["mean"]), float(spec["sd"])
-        if sd < 0:
-            raise ValueError(f"{name}: negative standard deviation")
+        if not sd >= 0:
+            raise ValueError("negative standard deviation")
         floor = spec.get("min")
         if floor is None:
             return lambda rng: float(rng.normal(mean, sd))
-        return lambda rng: float(max(rng.normal(mean, sd), float(floor)))
+        floor = float(floor)
+        return lambda rng: float(max(rng.normal(mean, sd), floor))
     if kind == "fixed":
         value = float(spec["value"])
         return lambda rng: value
-    raise ValueError(f"{name}: unknown distribution kind {kind!r}")
+    raise ValueError(f"unknown distribution kind {kind!r}")
 
 
 def parse_distributions(raw: dict) -> dict[str, object]:
+    """One sampler per parameter of a spec shaped like
+    ``default_distributions()``; a malformed spec raises ``ValidationError``."""
+    if not isinstance(raw, dict):
+        raise ValidationError("distributions must map parameter names to specs")
     samplers = {}
     for name, spec in raw.items():
         if name not in SAMPLEABLE:
-            raise ValueError(
+            raise ValidationError(
                 f"cannot sample parameter {name!r}; expected one of {SAMPLEABLE}"
             )
-        samplers[name] = _make_sampler(name, spec)
+        if not isinstance(spec, dict):
+            raise ValidationError(f"{name}: spec must be a JSON object")
+        try:
+            samplers[name] = _make_sampler(spec)
+        except KeyError as exc:
+            raise ValidationError(f"{name}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{name}: {exc}") from None
     return samplers
 
 
@@ -933,7 +946,7 @@ def apply_sampled(
         elif name in ("tau", "gamma_F", "delta_s", "L_share"):
             prm_kwargs[name] = float(value)
         else:
-            raise ValueError(f"unknown sampled parameter {name!r}")
+            raise ValidationError(f"unknown sampled parameter {name!r}")
     scn = replace(scenario, **scn_kwargs) if scn_kwargs else scenario
     prm = replace(params, **prm_kwargs) if prm_kwargs else params
     return scn, prm
@@ -979,11 +992,12 @@ def monte_carlo(
     observable: str = "gross_output",
     t_end: float | None = None,
 ) -> MonteCarloResult:
-    """Ensemble of simulations under sampled parameters, with quantile bands."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
+    """Ensemble of simulations under sampled parameters, with quantile bands;
+    invalid input, a draw included, raises ``ValidationError`` before any run."""
+    if not n_runs >= 1:
+        raise ValidationError(f"n_runs = {n_runs} must be at least 1")
     if observable not in OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}")
+        raise ValidationError(f"unknown observable {observable!r}")
     samplers = parse_distributions(distributions)
     if t_end is None:
         t_end = horizon_for(scenario, DEFAULT_QUARTERS)

@@ -51,7 +51,7 @@ from .economy import (
     derive_criticality_sets,
     initial_inventories,
 )
-from .errors import ModelStateError
+from .errors import ModelStateError, ValidationError
 from .shocks import Scenario, ShockSchedule
 
 PRODUCTION_FUNCTIONS = (
@@ -72,44 +72,38 @@ DEFAULT_NO_FIRING = frozenset({"O84", "P85"})
 
 @dataclass(frozen=True)
 class BehavioralParams:
-    """Behavioral and adjustment-speed parameters of the model."""
+    """Behavioral and adjustment-speed parameters of the model. An invalid
+    value, NaN included, raises ``ValidationError``."""
 
     rho: float = RHO_PER_DAY
     delta_s: float = 0.75
-    m: float | None = None  # None: derived as sum(c0) / sum(l0)
     L_share: float = 1.0
     tau: float = 14.0
     gamma_F: float = 28.0
-    gamma_H: float | None = None  # None: hiring takes twice as long as firing
     prod_fn: str = "half_critical"
-    no_firing_sectors: frozenset[str] = DEFAULT_NO_FIRING
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho = {self.rho} outside (0, 1)")
+            raise ValidationError(f"rho = {self.rho} outside (0, 1)")
         if not 0.0 < self.L_share <= 1.0:
-            raise ValueError(f"L_share = {self.L_share} outside (0, 1]")
+            raise ValidationError(f"L_share = {self.L_share} outside (0, 1]")
         if not 0.0 <= self.delta_s <= 1.0:
-            raise ValueError(f"delta_s = {self.delta_s} outside [0, 1]")
-        if self.m is not None and not self.m > 0.0:
-            raise ValueError(f"m = {self.m} must be positive")
-        if self.tau < 1.0 or self.gamma_F < 1.0:
-            raise ValueError("tau and gamma_F must be at least one day")
-        if self.gamma_H is not None and self.gamma_H < 1.0:
-            raise ValueError("gamma_H must be at least one day")
+            raise ValidationError(f"delta_s = {self.delta_s} outside [0, 1]")
+        for name in ("tau", "gamma_F"):
+            if not getattr(self, name) >= 1.0:
+                raise ValidationError(
+                    f"{name} = {getattr(self, name)} must be at least one day")
         if self.prod_fn not in PRODUCTION_FUNCTIONS:
-            raise ValueError(
+            raise ValidationError(
                 f"unknown production function {self.prod_fn!r}; "
                 f"expected one of {PRODUCTION_FUNCTIONS}"
             )
 
     @property
     def hiring_speed(self) -> float:
-        return self.gamma_H if self.gamma_H is not None else 2.0 * self.gamma_F
+        return 2.0 * self.gamma_F
 
     def share_consumed(self, economy: Economy) -> float:
-        if self.m is not None:
-            return self.m
         return float(economy.c0.sum() / economy.l0.sum())
 
 
@@ -353,9 +347,9 @@ def _restock(S_prev, O, A, x, dt=None) -> np.ndarray:
     return np.maximum(flow, 0.0, out=flow)
 
 
-def _no_fire_mask(economy: Economy, params: BehavioralParams) -> np.ndarray:
+def _no_fire_mask(economy: Economy) -> np.ndarray:
     mask = np.zeros(economy.n_sectors, dtype=bool)
-    for code in params.no_firing_sectors:
+    for code in DEFAULT_NO_FIRING:
         if code in economy.sectors.positions:
             mask[economy.sectors.position(code)] = True
     return mask
@@ -447,8 +441,7 @@ class ModelContext:
     ``params`` and ``schedule`` describe one run, whose state holds
     ``(N,)`` / ``(N, N)`` arrays, or are equal-length sequences describing
     a batch of points stepped together in ``(B, N)`` / ``(B, N, N)`` state.
-    The points of a batch share the bottleneck rule and the no-firing
-    sectors.
+    The points of a batch share the bottleneck rule.
     """
 
     economy: Economy
@@ -478,18 +471,14 @@ class ModelContext:
         if not self.points or len(self.points) != len(self.schedules):
             raise ValueError("one shock schedule required per parameter point")
         first = self.points[0]
-        if any(p.prod_fn != first.prod_fn
-               or p.no_firing_sectors != first.no_firing_sectors
-               for p in self.points):
-            raise ValueError(
-                "the points of a batch must share prod_fn and no_firing_sectors"
-            )
+        if any(p.prod_fn != first.prod_fn for p in self.points):
+            raise ValueError("the points of a batch must share prod_fn")
         self.prod_fn = first.prod_fn
         self.sets = derive_criticality_sets(economy)
         self.S_target = initial_inventories(economy)
         self.theta0 = economy.theta0
         self.l0_sum = float(economy.l0.sum())
-        self.no_fire = _no_fire_mask(economy, first)
+        self.no_fire = _no_fire_mask(economy)
         self.masks = InputMasks.build(economy.A, self.sets, self.prod_fn)
         self.safe_l0 = _safe_divisor(economy.l0)
         self.wage_share = _wage_share(economy)

@@ -11,11 +11,13 @@ class SchemaError(PnetError):
     """An input file does not parse against its documented schema."""
 
 
-class ValidationError(PnetError):
-    """Parsed data violates a model invariant.
+class ValidationError(PnetError, ValueError):
+    """Parsed data or an argument value violates a model invariant.
 
-    ``details`` carries one human-readable string per violation so callers
-    (notably the CLI) can report every offending sector at once.
+    Each function that takes a value raises it where the value is used, for
+    NaN too; it is also a ``ValueError``. ``details`` carries one
+    human-readable string per violation so callers (notably the CLI) can
+    report every offending sector at once.
     """
 
     def __init__(self, message: str, details: list[str] | None = None):

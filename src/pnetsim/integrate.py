@@ -54,7 +54,7 @@ from .dynamics import (  # noqa: F401 - _input_capacity: perfbench traces it her
     initial_state,
 )
 from .economy import Economy
-from .errors import IntegrationError
+from .errors import IntegrationError, ValidationError
 from .shocks import Scenario, ShockSchedule
 
 METHOD_DISCRETE = "discrete"
@@ -76,9 +76,9 @@ class IntegrationConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
+            raise ValidationError(f"method must be one of {METHODS}")
         if not 0.0 < self.dt <= 1.0:
-            raise ValueError("dt must lie in (0, 1] days")
+            raise ValidationError(f"dt = {self.dt} outside (0, 1] days")
 
 
 @dataclass
@@ -109,12 +109,14 @@ class Trajectory:
 
 
 def _output_grid(config: IntegrationConfig, t_end: float) -> np.ndarray:
+    if not 0.0 < t_end < math.inf:
+        raise ValidationError(f"t_end = {t_end} outside (0, inf) days")
     if config.output_grid is not None:
         grid = np.asarray(sorted(set(float(t) for t in config.output_grid)))
         if grid.size == 0:
-            raise ValueError("output grid is empty")
-        if grid[0] < 0 or grid[-1] > t_end + 1e-9:
-            raise ValueError("output grid extends outside [0, t_end]")
+            raise ValidationError("output grid is empty")
+        if not (grid[0] >= 0 and grid[-1] <= t_end + 1e-9):
+            raise ValidationError("output grid extends outside [0, t_end]")
         return grid
     grid = np.arange(0.0, math.floor(t_end) + 1.0)
     if t_end - math.floor(t_end) > 1e-9:
@@ -130,11 +132,9 @@ def simulate(
     t_end: float,
 ) -> Trajectory:
     """Run the model from the equilibrium epoch to day ``t_end``."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    grid = _output_grid(config, t_end)
     schedule = ShockSchedule(scenario, economy)
     ctx = ModelContext(economy, params, schedule)
-    grid = _output_grid(config, t_end)
     if config.method == METHOD_DISCRETE:
         states = _run_discrete(ctx, grid, t_end, config.dt)
     else:
@@ -279,13 +279,11 @@ def simulate_series(
     call.
     """
     if config.method != METHOD_DISCRETE:
-        raise ValueError("simulate_series runs the discrete method only")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+        raise ValidationError("simulate_series runs the discrete method only")
+    grid = _output_grid(config, t_end)
     runs = list(runs)
     if len({scn.start_date for scn, _ in runs}) != 1:
-        raise ValueError("runs must share the scenario start date")
-    grid = _output_grid(config, t_end)
+        raise ValidationError("runs must share the scenario start date")
     n = economy.n_sectors
     values = {name: np.empty((len(runs), len(grid), n)) for name in names}
     params = [prm for _, prm in runs]

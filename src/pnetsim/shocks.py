@@ -73,7 +73,7 @@ class Scenario:
             vec = np.ascontiguousarray(getattr(self, name), dtype=float)
             if vec.shape != (n,):
                 raise ValidationError(f"{name} has shape {vec.shape}, expected ({n},)")
-            if np.any((vec < 0) | (vec > 1)):
+            if not np.all((vec >= 0) & (vec <= 1)):
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
@@ -81,7 +81,7 @@ class Scenario:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} = {v} outside [0, 1]")
-        if self.l1 <= 0 or self.l2 <= 0:
+        if not (self.l1 > 0 and self.l2 > 0):
             raise ValidationError("ramp lengths l1 and l2 must be positive")
         dates = [d for d, _ in self.key_dates]
         if any(b <= a for a, b in zip(dates, dates[1:])):
@@ -418,21 +418,21 @@ def load_scenario(path) -> Scenario:
                     "come from the initial-states file or --on-site")
             for k in cols:
                 cols[k].append(float(entry[k]))
-        return Scenario(
-            start_date=start,
-            key_dates=key_dates,
-            codes=codes,
-            eps_S_L1=np.asarray(cols["eps_S_L1"]),
-            eps_S_L2=np.asarray(cols["eps_S_L2"]),
-            eps_D_lockdown=np.asarray(cols["eps_D"]),
-            eps_F_lockdown=np.asarray(cols["eps_F"]),
-            r=float(raw["r"]),
-            b=float(raw["b"]),
-            l1=float(raw["l1"]),
-            l2=float(raw["l2"]),
-        )
+        scalars = {k: float(raw[k]) for k in ("r", "b", "l1", "l2")}
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed scenario ({exc})") from None
+    # Outside the parsing block: a file that parses but breaks Scenario's
+    # checks raises ValidationError, not SchemaError.
+    return Scenario(
+        start_date=start,
+        key_dates=key_dates,
+        codes=codes,
+        eps_S_L1=np.asarray(cols["eps_S_L1"]),
+        eps_S_L2=np.asarray(cols["eps_S_L2"]),
+        eps_D_lockdown=np.asarray(cols["eps_D"]),
+        eps_F_lockdown=np.asarray(cols["eps_F"]),
+        **scalars,
+    )
 
 
 def save_scenario(scenario: Scenario, path) -> Path:

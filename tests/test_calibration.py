@@ -9,6 +9,7 @@ from pnetsim import (
     GridSpec,
     IntegrationConfig,
     SchemaError,
+    ValidationError,
     aad_vw,
     default_grid,
     grid_search,
@@ -242,7 +243,6 @@ def test_grid_json_roundtrip(tmp_path):
 
 
 def test_grid_duplicate_axis_rejected():
-    from pnetsim.errors import ValidationError
     with pytest.raises(ValidationError):
         GridSpec((("a", (1,)), ("a", (2,))))
 
@@ -404,6 +404,25 @@ def test_checkpoint_grid_mismatch_rejected(tmp_path, d3_setup):
         grid_search(economy, scenario, params, dataset,
                     GridSpec((("tau", (14.0,)),)), checkpoint_path=ck,
                     resume=True)
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_invalid_workers_leave_the_checkpoint_untouched(tmp_path, d3_setup, resume):
+    # Without resume the checkpoint would be deleted; with it, the torn
+    # final record would be cut off.
+    economy, scenario = d3_setup
+    params = BehavioralParams()
+    dataset = synthesize_dataset(economy, scenario, params)
+    grid = GridSpec((("tau", (7.0, 14.0)),))
+    ck = tmp_path / "ck.jsonl"
+    grid_search(economy, scenario, params, dataset, grid, checkpoint_path=ck)
+    with ck.open("a") as fh:
+        fh.write('{"index": 1, "par')
+    before = ck.read_bytes()
+    with pytest.raises(ValidationError, match="workers = 0"):
+        grid_search(economy, scenario, params, dataset, grid, workers=0,
+                    checkpoint_path=ck, resume=resume)
+    assert ck.read_bytes() == before
 
 
 def test_leaderboard_export(tmp_path, d3_setup):

@@ -238,6 +238,9 @@ def test_missing_input_gives_validation_exit(tmp_path, capsys):
     ["--days", "inf"],
     ["--delta-s", "-3"],
     ["--delta-s", "1.5"],
+    ["--tau", "nan"],
+    ["--gamma-f", "nan"],
+    ["--end-date", "2019-12-31"],  # precedes the scenario start
 ])
 def test_invalid_simulate_parameters_give_validation_exit(d2_files, tmp_path,
                                                           capsys, flags):
@@ -414,8 +417,12 @@ def test_montecarlo_default_distributions(d2_files, tmp_path):
     ([], {"tau": {"dist": "normal", "mean": 14.0}}),  # no "sd"
     ([], "{not json"),
     (["--distributions", "no-such-file.json"], None),
+    (["--seed", "7"],  # both draws land above 1
+     {"delta_s": {"dist": "uniform", "low": 0.5, "high": 1.5}}),
+    ([], [{"tau": {"dist": "fixed", "value": 14.0}}]),
 ], ids=["n-zero", "n-negative", "unknown-parameter", "unknown-distribution",
-        "missing-key", "malformed-json", "missing-file"])
+        "missing-key", "malformed-json", "missing-file", "delta-s-draw-above-one",
+        "not-an-object"])
 def test_invalid_montecarlo_input_gives_validation_exit(d2_files, tmp_path, capsys,
                                                         flags, distributions):
     _, paths, _, scenario_path = d2_files
@@ -482,7 +489,16 @@ def test_workers_below_one_give_validation_exit(d3_grid_files, tmp_path, capsys,
     rc = grid_search_d3(tmp_path, *d3_grid_files,
                         GridSpec((("tau", (7.0, 14.0)),)), "--workers", workers)
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: --workers {workers} ")
+    assert capsys.readouterr().err.startswith(
+        f"error: workers = {workers} must be at least 1")
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_grid_gives_validation_exit(d3_grid_files, tmp_path, capsys):
+    # GridSpec(()) is written as {"axes": []}.
+    rc = grid_search_d3(tmp_path, *d3_grid_files, GridSpec(()))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: empty grid")
     assert not (tmp_path / "out").exists()
 
 

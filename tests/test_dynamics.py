@@ -14,6 +14,7 @@ from pnetsim import (
     BehavioralParams,
     IntegrationConfig,
     ModelStateError,
+    ValidationError,
     derive_criticality_sets,
     dynamics,
     initial_inventories,
@@ -218,12 +219,12 @@ def test_permanent_income_rejects_zero_l_share():
 
 @pytest.mark.parametrize("field, value", [
     ("delta_s", -0.01), ("delta_s", 1.01), ("delta_s", float("nan")),
-    ("m", 0.0), ("m", -0.5), ("m", float("nan")),
+    ("tau", float("nan")), ("gamma_F", float("nan")),
 ])
 def test_params_reject_out_of_range_value(field, value):
-    # delta_s is the saved share of the consumption shock; m, the share of
-    # income consumed, enters a logarithm in the consumption update.
-    with pytest.raises(ValueError, match=f"^{field} = "):
+    # delta_s is the saved share of the consumption shock; tau and gamma_F
+    # divide the inventory gap and the labor gap.
+    with pytest.raises(ValidationError, match=f"^{field} = "):
         BehavioralParams(**{field: value})
 
 

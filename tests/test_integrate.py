@@ -1,5 +1,6 @@
 import csv
 import logging
+import math
 from dataclasses import replace
 from datetime import date
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from pnetsim import (
     simulate,
     write_trajectory_csv,
 )
-from pnetsim import IntegrationError, integrate
+from pnetsim import IntegrationError, ValidationError, integrate
 from pnetsim.dynamics import ModelContext
 from pnetsim.fixtures import scenario_for
 from pnetsim.integrate import (
@@ -103,6 +104,8 @@ def test_bad_grid_rejected(d2, params):
                  IntegrationConfig(output_grid=(0.0, 99.0)), 30.0)
     with pytest.raises(ValueError):
         simulate(d2, scenario_for(d2), params, IntegrationConfig(), -1.0)
+    with pytest.raises(ValidationError, match="t_end"):
+        simulate(d2, scenario_for(d2), params, IntegrationConfig(), math.nan)
 
 
 def test_event_alignment_breakpoints_are_boundaries(d2, params):

@@ -292,11 +292,18 @@ def test_scenario_requires_increasing_dates(be64, ref_scenario):
         replace(ref_scenario, key_dates=tuple(reversed(ref_scenario.key_dates)))
 
 
-def test_scenario_rejects_out_of_range_magnitudes(ref_scenario):
+def test_scenario_rejects_out_of_range_magnitudes(tmp_path, ref_scenario):
     bad = np.array(ref_scenario.eps_D_lockdown)
     bad[0] = 1.5
     with pytest.raises(ValidationError):
         replace(ref_scenario, eps_D_lockdown=bad)
+    # A file that parses but holds such a value is invalid, not malformed.
+    path = save_scenario(ref_scenario, tmp_path / "scenario.json")
+    doc = json.loads(path.read_text())
+    doc["shocks"][ref_scenario.codes[0]]["eps_D"] = 1.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="eps_D_lockdown"):
+        load_scenario(path)
 
 
 def test_scenario_rejects_unclosed_phase(ref_scenario, be64):
