@@ -39,7 +39,7 @@ from .integrate import (  # noqa: F401 - simulate: perfbench traces it here
     simulate,
     simulate_series,
 )
-from .shocks import Scenario
+from .shocks import Scenario, ShockSchedule
 
 log = logging.getLogger(__name__)
 
@@ -508,62 +508,84 @@ def scale_to_aggregate(eps: np.ndarray, weights: np.ndarray, target: float) -> n
     return np.clip(eps * (target / current), 0.0, 1.0)
 
 
+def _demand_group(member):
+    """Overlay: the lockdown demand shock of the sectors ``member`` picks."""
+    def overlay(eps_D, value, scenario, *_):
+        eps_D = np.array(eps_D)
+        eps_D[np.asarray([member(c) for c in scenario.codes])] = value
+        return eps_D
+    return overlay
+
+
+def _final_demand_aggregate(eps_F, value, scenario, economy):
+    """Overlay: the lockdown final-demand shock, rescaled to the aggregate
+    ``value`` under the economy's final demand in scenario order."""
+    f0 = np.empty(len(scenario.codes))
+    f0[scenario.index_for(economy.codes)] = economy.f0
+    return scale_to_aggregate(eps_F, f0, float(value))
+
+
+def _as_float(old, value, *_):
+    return float(value)
+
+
+#: How a grid point or a Monte Carlo draw changes (scenario, params): each
+#: name sets one or more fields, ``(target, field, overlay)``, where
+#: ``overlay(old, value, scenario, economy)`` gives the field's new value.
+_OVERLAYS = {
+    "prod_fn": (("params", "prod_fn", lambda old, value, *_: value),),
+    "eps_D_abc": (("scenario", "eps_D_lockdown", _demand_group(
+        lambda c: nace21_section(c) in ("A", "B", "C"))),),
+    "eps_D_retail": (("scenario", "eps_D_lockdown",
+                      _demand_group(lambda c: c in RETAIL)),),
+    "eps_D_consumer_facing": (("scenario", "eps_D_lockdown",
+                               _demand_group(lambda c: c in CONSUMER_FACING)),),
+    "eps_F_aggregate": (("scenario", "eps_F_lockdown", _final_demand_aggregate),),
+    "eps_S_scale": tuple(("scenario", field, lambda old, value, *_:
+                          np.clip(old * value, 0.0, 1.0))
+                         for field in ("eps_S_L1", "eps_S_L2")),
+    "rho_quarters": (("params", "rho", lambda old, value, *_:
+                      min(1.0 - (1.0 - float(value)) / 90.0, 1.0 - 1e-12)),),
+    **{name: (("scenario", name, _as_float),) for name in ("l1", "l2", "r", "b")},
+    **{name: (("params", name, _as_float),)
+       for name in ("tau", "gamma_F", "delta_s", "L_share")},
+}
+
+
+def _overlay(economy, scenario: Scenario, params: BehavioralParams,
+             values: dict, allowed, kind: str) -> tuple[Scenario, BehavioralParams]:
+    """Apply ``values`` (names in ``allowed``) through ``_OVERLAYS``."""
+    unknown = sorted(set(values) - set(allowed))
+    if unknown:
+        raise ValidationError(f"unknown {kind} parameters: {unknown}")
+    bases = {"scenario": scenario, "params": params}
+    fields = {"scenario": {}, "params": {}}
+    for name, value in values.items():
+        for target, field, overlay in _OVERLAYS[name]:
+            changed = fields[target]
+            old = changed.get(field, getattr(bases[target], field))
+            changed[field] = overlay(old, value, scenario, economy)
+    return (replace(scenario, **fields["scenario"]),
+            replace(params, **fields["params"]))
+
+
 def apply_grid_point(
     economy: Economy,
     scenario: Scenario,
     params: BehavioralParams,
     point: dict,
 ) -> tuple[Scenario, BehavioralParams]:
-    """Overlay one grid point onto a scenario template and parameter set."""
-    point = dict(point)
-    eps_D = np.array(scenario.eps_D_lockdown)
-    codes = scenario.codes
-    if "eps_D_abc" in point:
-        mask = np.asarray([nace21_section(c) in ("A", "B", "C") for c in codes])
-        eps_D[mask] = point.pop("eps_D_abc")
-    if "eps_D_retail" in point:
-        mask = np.asarray([c in RETAIL for c in codes])
-        eps_D[mask] = point.pop("eps_D_retail")
-    if "eps_D_consumer_facing" in point:
-        mask = np.asarray([c in CONSUMER_FACING for c in codes])
-        eps_D[mask] = point.pop("eps_D_consumer_facing")
-    scenario_kwargs = {"eps_D_lockdown": eps_D}
-    if "eps_F_aggregate" in point:
-        pos = [economy.sectors.position(c) for c in codes]
-        f0 = economy.f0[np.asarray(pos)]
-        scenario_kwargs["eps_F_lockdown"] = scale_to_aggregate(
-            np.array(scenario.eps_F_lockdown), f0, float(point.pop("eps_F_aggregate"))
-        )
-    if "l2" in point:
-        scenario_kwargs["l2"] = float(point.pop("l2"))
-    new_scenario = replace(scenario, **scenario_kwargs)
-
-    params_kwargs = {}
-    if "prod_fn" in point:
-        params_kwargs["prod_fn"] = point.pop("prod_fn")
-    if "tau" in point:
-        params_kwargs["tau"] = float(point.pop("tau"))
-    if "gamma_F" in point:
-        params_kwargs["gamma_F"] = float(point.pop("gamma_F"))
-    if point:
-        raise ValidationError(f"unknown grid parameters: {sorted(point)}")
-    new_params = replace(params, **params_kwargs) if params_kwargs else params
-    return new_scenario, new_params
+    """Overlay one grid point (axes of ``GRID_AXIS_ORDER``) onto a scenario
+    template and parameter set."""
+    return _overlay(economy, scenario, params, point, GRID_AXIS_ORDER, "grid")
 
 
 def _tiebreak_key(params: dict) -> tuple:
-    key = []
-    for name in GRID_AXIS_ORDER:
-        if name not in params:
-            continue
-        value = params[name]
-        if name == "prod_fn":
-            key.append(PRODUCTION_FUNCTIONS.index(value))
-        else:
-            key.append(float(value))
-    for name in sorted(set(params) - set(GRID_AXIS_ORDER)):
-        key.append(params[name])
-    return tuple(key)
+    return tuple(
+        PRODUCTION_FUNCTIONS.index(params[name]) if name == "prod_fn"
+        else float(params[name])
+        for name in GRID_AXIS_ORDER if name in params
+    )
 
 
 def _rank_key(score: PointScore) -> tuple:
@@ -766,7 +788,8 @@ def grid_search(
     ``CHUNK_POINTS``, one batched pass each; a point's score does not
     depend on its chunk. With a checkpoint path, completed points are
     appended as they finish and are not recomputed when resuming after an
-    interruption. An empty grid, ``workers`` below 1 and a grid value the
+    interruption. An empty grid, ``workers`` below 1, a scenario that does
+    not fit the economy (its sectors or its key dates) and a grid value the
     scenario cannot take raise ``ValidationError`` before the checkpoint is
     touched and before any point runs.
     """
@@ -774,15 +797,18 @@ def grid_search(
         raise ValidationError(f"workers = {workers} must be at least 1")
     if grid.n_points == 0:
         raise ValidationError("empty grid")
+    ShockSchedule(scenario, economy)  # the scenario fits the economy
     for name, values in grid.axes:
         for value in values:
             try:
                 apply_grid_point(economy, scenario, params, {name: value})
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValidationError(
                     f"grid axis {name!r} value {value!r}: {exc}") from None
     completed: dict[int, PointScore] = {}
     checkpoint = Path(checkpoint_path) if checkpoint_path else None
+    if checkpoint:
+        checkpoint.parent.mkdir(parents=True, exist_ok=True)
     if checkpoint and checkpoint.exists():
         if resume:
             completed, intact = _read_checkpoint(checkpoint, grid)
@@ -934,22 +960,8 @@ def parse_distributions(raw: dict) -> dict[str, object]:
 def apply_sampled(
     scenario: Scenario, params: BehavioralParams, sample: dict[str, float]
 ) -> tuple[Scenario, BehavioralParams]:
-    scn_kwargs, prm_kwargs = {}, {}
-    for name, value in sample.items():
-        if name in ("l1", "l2", "r", "b"):
-            scn_kwargs[name] = float(value)
-        elif name == "eps_S_scale":
-            scn_kwargs["eps_S_L1"] = np.clip(scenario.eps_S_L1 * value, 0.0, 1.0)
-            scn_kwargs["eps_S_L2"] = np.clip(scenario.eps_S_L2 * value, 0.0, 1.0)
-        elif name == "rho_quarters":
-            prm_kwargs["rho"] = min(1.0 - (1.0 - float(value)) / 90.0, 1.0 - 1e-12)
-        elif name in ("tau", "gamma_F", "delta_s", "L_share"):
-            prm_kwargs[name] = float(value)
-        else:
-            raise ValidationError(f"unknown sampled parameter {name!r}")
-    scn = replace(scenario, **scn_kwargs) if scn_kwargs else scenario
-    prm = replace(params, **prm_kwargs) if prm_kwargs else params
-    return scn, prm
+    """Overlay one Monte Carlo draw (names in ``SAMPLEABLE``)."""
+    return _overlay(None, scenario, params, sample, SAMPLEABLE, "sampled")
 
 
 @dataclass

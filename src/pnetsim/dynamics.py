@@ -30,9 +30,10 @@ Its stages, in order:
 5. the model invariants (``_check_state``), which raise
    ``ModelStateError``.
 
-Run constants (masks, inventory targets, per-point parameters) live in
-``ModelContext``. The stages are internal: runs go through
-``integrate.simulate`` and ``integrate.simulate_series``.
+Run constants (masks, inventory targets, the households' consumption
+share ``m``, per-point parameters) live in ``ModelContext``. The stages
+are internal: runs go through ``integrate.simulate`` and
+``integrate.simulate_series``.
 """
 
 from __future__ import annotations
@@ -102,9 +103,6 @@ class BehavioralParams:
     @property
     def hiring_speed(self) -> float:
         return 2.0 * self.gamma_F
-
-    def share_consumed(self, economy: Economy) -> float:
-        return float(economy.c0.sum() / economy.l0.sum())
 
 
 @dataclass
@@ -396,7 +394,6 @@ class Household(NamedTuple):
 
     rho: float
     delta_s: float
-    m: float
     L_share: float
     zeta_L: float  # retained income share at the first lockdown
     b: float  # furlough reimbursement
@@ -426,7 +423,7 @@ class PointParams:
             hiring_speed=col((p.hiring_speed for p in points), 1),
             gamma_F=col((p.gamma_F for p in points), 1),
             households=tuple(
-                Household(p.rho, p.delta_s, p.share_consumed(economy), p.L_share,
+                Household(p.rho, p.delta_s, p.L_share,
                           lockdown_income_retention(s.scenario, economy),
                           s.scenario.b, s.pandemic_start)
                 for p, s in zip(points, schedules)
@@ -455,6 +452,7 @@ class ModelContext:
     S_target: np.ndarray = field(init=False)
     theta0: np.ndarray = field(init=False)
     l0_sum: float = field(init=False)
+    m: float = field(init=False)  # share of labor income households consume
     no_fire: np.ndarray = field(init=False)
     masks: InputMasks = field(init=False)
     safe_l0: np.ndarray = field(init=False)
@@ -478,6 +476,7 @@ class ModelContext:
         self.S_target = initial_inventories(economy)
         self.theta0 = economy.theta0
         self.l0_sum = float(economy.l0.sum())
+        self.m = float(economy.c0.sum()) / self.l0_sum
         self.no_fire = _no_fire_mask(economy)
         self.masks = InputMasks.build(economy.A, self.sets, self.prod_fn)
         self.safe_l0 = _safe_divisor(economy.l0)
@@ -530,7 +529,7 @@ def _households(ctx: ModelContext, state: SimState, t_new, dt, drive: Drive):
     Scalar recursions with logarithms, evaluated per point with ``math`` so
     a point's result does not depend on the batch it is in.
     """
-    l0_sum = ctx.l0_sum
+    l0_sum, m = ctx.l0_sum, ctx.m
     values = (state.t, t_new, dt, state.c_agg_d, state.l_perm,
               state.l.sum(axis=-1), drive.cut)
     if ctx.batched:
@@ -546,7 +545,7 @@ def _households(ctx: ModelContext, state: SimState, t_new, dt, drive: Drive):
         zeta = _zeta_next(h, t_prev, t, lp_prev / l0_sum, rho)
         l_perm.append(zeta * l0_sum)
         c_agg.append(_consumption_update(
-            c_prev, h.delta_s * cut, rho, h.m, l_comp, l_perm[-1]
+            c_prev, h.delta_s * cut, rho, m, l_comp, l_perm[-1]
         ))
     if not ctx.batched:
         return c_agg[0], l_perm[0]

@@ -21,10 +21,12 @@ Two methods are available:
   other sample times; full states at sample times are then reconstructed
   from the integrated slow variables (demand memory, labor, stocks,
   aggregate consumption, income expectations), so the allocation identity
-  holds exactly at every snapshot. The error tolerances are fixed at
-  ``SOLVER_RTOL`` and ``SOLVER_ATOL``. The solver (``solve_ivp``) lives in
-  this module and is bitwise scipy's ``RK45``; the run path no longer
-  imports scipy, whose ``scipy.integrate`` took about 0.5 s and 50 MB.
+  holds exactly at every snapshot. A reconstructed state owns its arrays,
+  so a trajectory keeps none of the solver's output alive. The error
+  tolerances are fixed at ``SOLVER_RTOL`` and ``SOLVER_ATOL``. The solver
+  (``solve_ivp``) lives in this module and is bitwise scipy's ``RK45``;
+  the run path no longer imports scipy, whose ``scipy.integrate`` took
+  about 0.5 s and 50 MB.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class Trajectory:
     def series(self, extract) -> np.ndarray:
         """Stack ``extract(state)`` over time into an array."""
         return np.asarray([extract(s) for s in self.states])
-
-    def gross_output(self) -> np.ndarray:
-        return self.series(lambda s: s.x)
 
     def aggregate_output(self) -> np.ndarray:
         return self.series(lambda s: float(s.x.sum()))
@@ -246,11 +245,14 @@ def _run_discrete(ctx: ModelContext, grid, t_end, dt) -> list[SimState]:
     return states
 
 
-#: Per-sector series ``simulate_series`` can record, from a batched state.
+#: The per-sector series of a state, single or batched, in the column order
+#: of the exports; ``simulate_series`` records them and scoring reads them.
 SERIES = {
     "x": lambda s: s.x,
+    "d": lambda s: s.d,
     "l": lambda s: s.l,
     "c": lambda s: s.c,
+    "f": lambda s: s.f,
     "b2b": lambda s: s.O.sum(axis=-1),  # outgoing realized orders
 }
 
@@ -444,54 +446,42 @@ def _pack(d, l, c_agg, zeta, S) -> np.ndarray:
     return np.concatenate([d, l, [c_agg, zeta], S.ravel()])
 
 
-def _unpack(y: np.ndarray, n: int):
-    d = y[:n]
-    l = y[n:2 * n]
-    c_agg = float(y[2 * n])
-    zeta = float(y[2 * n + 1])
-    S = y[2 * n + 2:].reshape(n, n)
-    return d, l, c_agg, zeta, S
+def _probe(ctx: ModelContext, t: float, y: np.ndarray,
+           l_max: np.ndarray | None = None) -> SimState:
+    """The state the solver's ``y`` (laid out by ``_pack``) stands for: its
+    slow variables, with labor and stocks clipped to their bounds (labor to
+    ``l_max`` as well, when given), and demand in the place of every flow."""
+    n = ctx.economy.n_sectors
+    d, l, S = y[:n], y[n:2 * n], y[2 * n + 2:].reshape(n, n)
+    l = np.maximum(l, 0.0) if l_max is None else np.clip(l, 0.0, l_max)
+    return SimState(
+        t=t, x=d, d=d, l=l, c=d, f=d, O=ctx.S_target, S=np.maximum(S, 0.0),
+        c_agg_d=float(y[2 * n]), l_perm=float(y[2 * n + 1]) * ctx.l0_sum,
+        d_mem=d,
+    )
 
 
 def _rhs(t: float, y: np.ndarray, ctx: ModelContext,
          drive: Drive | None = None) -> np.ndarray:
     """The daily update as a rate field. ``drive`` holds the shocks of a
     hold segment; without it they are read at ``t``."""
-    n = ctx.economy.n_sectors
-    d, l, c_agg, zeta, S = _unpack(y, n)
-    probe = SimState(
-        t=t, x=d, d=d, l=np.maximum(l, 0.0), c=d, f=d, O=ctx.S_target,
-        S=np.maximum(S, 0.0), c_agg_d=c_agg, l_perm=zeta * ctx.l0_sum,
-        d_mem=d,
-    )
-    nxt = _advance(ctx, probe, t, dt=1.0, drive=drive)
-    return _pack(
-        nxt.d - d,
-        nxt.l - l,
-        nxt.c_agg_d - c_agg,
-        nxt.l_perm / ctx.l0_sum - zeta,
-        nxt.S - S,
-    )
+    nxt = _advance(ctx, _probe(ctx, t, y), t, dt=1.0, drive=drive)
+    return _pack(nxt.d, nxt.l, nxt.c_agg_d, nxt.l_perm / ctx.l0_sum, nxt.S) - y
 
 
 def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray,
                  drive: Drive) -> SimState:
     """Consistent full state from the integrated slow variables, under the
-    shocks ``drive`` at ``t``."""
-    economy = ctx.economy
-    d_y, l_y, c_agg, zeta, S_y = _unpack(y, economy.n_sectors)
-    l_max = _labor_cap(drive.eps_S, economy.l0)
-    probe = SimState(
-        t=t, x=d_y, d=d_y, l=np.clip(l_y, 0.0, l_max), c=d_y, f=d_y,
-        O=ctx.S_target, S=np.maximum(S_y, 0.0), c_agg_d=c_agg,
-        l_perm=zeta * ctx.l0_sum, d_mem=d_y,
-    )
-    x, d, c, f, O, _, _ = _produce(ctx, probe, c_agg, drive, l_max)
+    shocks ``drive`` at ``t``. The state owns its arrays, so it keeps none
+    of the solver's output alive."""
+    l_max = _labor_cap(drive.eps_S, ctx.economy.l0)
+    probe = _probe(ctx, t, y, l_max)
+    x, d, c, f, O, _, _ = _produce(ctx, probe, probe.c_agg_d, drive, l_max)
     state = SimState(
         t=t, x=x, d=d, l=probe.l, c=c, f=f, O=O, S=probe.S,
-        c_agg_d=c_agg, l_perm=probe.l_perm, d_mem=d_y,
+        c_agg_d=probe.c_agg_d, l_perm=probe.l_perm, d_mem=probe.d_mem.copy(),
     )
-    _check_state(state, economy, drive.eps_S, l_max)
+    _check_state(state, ctx.economy, drive.eps_S, l_max)
     return state
 
 
@@ -554,12 +544,6 @@ AGGREGATE_COLUMNS = ("t", "date", "x_total", "d_total", "l_total", "c_total",
                      "f_total", "b2b_total")
 
 
-def _sample_series(state: SimState) -> tuple[np.ndarray, ...]:
-    """The per-sector series the exports write, in column order; an
-    economy-wide total is ``float(v.sum())`` of one of them."""
-    return (state.x, state.d, state.l, state.c, state.f, state.O.sum(axis=1))
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> Path:
     """Long-format per-sector series plus one aggregate row per time.
 
@@ -574,7 +558,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for t, state in zip(traj.times, traj.states):
             head = f"{float(t)!r},{traj.date_at(t).isoformat()},"
-            series = _sample_series(state)
+            series = [get(state) for get in SERIES.values()]
             rows = np.stack(series, axis=1).tolist()
             rows.append([float(v.sum()) for v in series])
             fh.write("".join(
@@ -594,7 +578,8 @@ def write_aggregate_csv(traj: Trajectory, path) -> Path:
         w.writerow(AGGREGATE_COLUMNS)
         for t, state in zip(traj.times, traj.states):
             w.writerow([repr(float(t)), traj.date_at(t).isoformat(),
-                        *(repr(float(v.sum())) for v in _sample_series(state))])
+                        *(repr(float(get(state).sum()))
+                          for get in SERIES.values())])
     return path
 
 

@@ -98,11 +98,11 @@ class Scenario:
 
     def index_for(self, codes) -> np.ndarray:
         """Permutation aligning this scenario's vectors to ``codes``."""
-        if set(codes) != set(self.codes):
-            missing = sorted(set(codes) - set(self.codes))
-            raise ValidationError(
-                f"scenario lacks shocks for sectors {missing[:5]}"
-            )
+        missing = sorted(set(codes) - set(self.codes))
+        extra = sorted(set(self.codes) - set(codes))
+        if missing or extra:
+            raise ValidationError(f"scenario sectors differ from the economy's: "
+                                  f"missing {missing[:5]}, extra {extra[:5]}")
         pos = {c: i for i, c in enumerate(self.codes)}
         return np.asarray([pos[c] for c in codes])
 
@@ -408,7 +408,9 @@ def load_scenario(path) -> Scenario:
             for item in raw["key_dates"]
         )
         shocks = raw["shocks"]
-        codes = tuple(shocks.keys())
+        if not isinstance(shocks, dict):
+            raise TypeError("'shocks' must map sector codes to objects")
+        codes = tuple(shocks)
         cols = {k: [] for k in ("eps_S_L1", "eps_S_L2", "eps_D", "eps_F")}
         for code in codes:
             entry = shocks[code]

@@ -1,3 +1,5 @@
+import re
+from dataclasses import fields, replace
 from datetime import date
 
 import numpy as np
@@ -21,6 +23,8 @@ from pnetsim import (
     total_aad,
 )
 from pnetsim.calibration import (
+    GRID_AXIS_ORDER,
+    SAMPLEABLE,
     EmpiricalDataset,
     apply_grid_point,
     apply_sampled,
@@ -478,6 +482,24 @@ def test_parse_distributions_rejects_unknown_parameter():
         parse_distributions({"nonsense": {"dist": "fixed", "value": 1.0}})
     with pytest.raises(ValueError):
         parse_distributions({"tau": {"dist": "cauchy"}})
+
+
+def test_grid_points_and_draws_overlay_shared_names_alike(be64, ref_scenario):
+    params = BehavioralParams()
+    shared = {"tau": 21.0, "gamma_F": 7.0, "l2": 35.0}
+    scn_g, prm_g = apply_grid_point(be64, ref_scenario, params, shared)
+    scn_s, prm_s = apply_sampled(ref_scenario, params, shared)
+    assert prm_g == prm_s == replace(params, tau=21.0, gamma_F=7.0)
+    for field in fields(ref_scenario):
+        a, b = getattr(scn_g, field.name), getattr(scn_s, field.name)
+        assert np.array_equal(a, b), field.name
+    assert scn_g.l2 == 35.0
+    for name in set(SAMPLEABLE) - set(GRID_AXIS_ORDER):
+        with pytest.raises(ValidationError, match=re.escape(repr([name]))):
+            apply_grid_point(be64, ref_scenario, params, {name: 0.5})
+    for name in set(GRID_AXIS_ORDER) - set(SAMPLEABLE):
+        with pytest.raises(ValidationError, match=re.escape(repr(name))):
+            apply_sampled(ref_scenario, params, {name: 0.5})
 
 
 def test_apply_sampled_conversions(ref_scenario):

@@ -516,3 +516,66 @@ def test_grid_the_scenario_cannot_take_fails_before_any_point(d3_grid_files,
     records = ck.read_text().splitlines()[1:] if ck.exists() else []
     assert records == []
     assert not (tmp_path / "out").exists()
+
+
+def test_scenario_shocks_not_an_object_gives_validation_exit(d2_files, tmp_path,
+                                                             capsys):
+    _, paths, _, scenario_path = d2_files
+    doc = json.loads(scenario_path.read_text())
+    doc["shocks"] = list(doc["shocks"].values())
+    scenario_path.write_text(json.dumps(doc))
+    assert main([
+        "simulate", *economy_flags(paths), "--scenario", str(scenario_path),
+        "--days", "5", "--out", str(tmp_path / "run"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'shocks'" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def lockdown_end_first(tmp_path):
+    scenario = scenario_for(d3_economy(),
+                            key_dates=((date(2020, 3, 15), "lockdown_end"),))
+    return save_scenario(scenario, tmp_path / "end-first.json")
+
+
+@pytest.mark.parametrize("scenario, axis", [
+    ("be64", ("eps_F_aggregate", (0.0, 0.05))),
+    ("be64", ("tau", (7.0, 14.0))),
+    ("end-first", ("tau", (7.0, 14.0))),
+], ids=["other-sectors-eps-F", "other-sectors", "lockdown-end-first"])
+def test_scenario_that_does_not_fit_leaves_the_checkpoint_alone(
+        d3_grid_files, tmp_path, capsys, scenario, axis):
+    scenario_path = (reference_scenario_path() if scenario == "be64"
+                     else lockdown_end_first(tmp_path))
+    ck = tmp_path / "ck.jsonl"
+    ck.write_bytes(b'{"grid_hash": "from an earlier grid"}\n{"index": 0}\n')
+    before = ck.read_bytes()
+    rc = grid_search_d3(tmp_path, scenario_path, d3_grid_files[1],
+                        GridSpec((axis,)), "--checkpoint", str(ck))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ck.read_bytes() == before
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_value_of_the_wrong_type_gives_validation_exit(d3_grid_files,
+                                                           tmp_path, capsys):
+    rc = grid_search_d3(tmp_path, *d3_grid_files, GridSpec((("tau", (None,)),)))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: grid axis 'tau' value None")
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_directory_is_created_only_for_valid_input(d3_grid_files,
+                                                              tmp_path):
+    ck = tmp_path / "new" / "ck.jsonl"
+    grid = GridSpec((("tau", (7.0, 14.0)),))
+    flags = ("--checkpoint", str(ck))
+    assert grid_search_d3(tmp_path, *d3_grid_files, grid, *flags,
+                          "--workers", "0") == 1
+    assert not ck.parent.exists()
+    assert grid_search_d3(tmp_path, *d3_grid_files, grid, *flags) == 0
+    assert len(ck.read_text().splitlines()) == 1 + grid.n_points

@@ -142,7 +142,7 @@ def test_demand_reduction_cases():
 
 def test_consumption_fixed_point(d2, params):
     state = initial_state(d2)
-    m = params.share_consumed(d2)
+    m = d2.c0.sum() / d2.l0.sum()
     total_l = float(d2.l0.sum())
     c_next = _consumption_update(
         state.c_agg_d, 0.0, params.rho, m, l_comp=total_l, l_perm=total_l
@@ -151,14 +151,14 @@ def test_consumption_fixed_point(d2, params):
     assert m * total_l == pytest.approx(float(d2.c0.sum()), rel=1e-12)
 
 
-def test_consumption_share_matches_published_ratio(be64):
-    m = BehavioralParams().share_consumed(be64)
+def test_consumption_share_matches_published_ratio(be64, ref_scenario):
+    m = context(be64, ref_scenario, BehavioralParams()).m
     assert m == pytest.approx(0.86, abs=0.01)
 
 
 def test_consumption_pure_persistence_limit(d2):
     params = BehavioralParams(rho=1.0 - 1e-12)
-    m = params.share_consumed(d2)
+    m = d2.c0.sum() / d2.l0.sum()
     c_next = _consumption_update(42.0, 0.9, params.rho, m, 10.0, 10.0)
     assert c_next == pytest.approx(42.0, rel=1e-9)
 
@@ -167,7 +167,7 @@ def test_consumption_rejects_nonpositive_income(d2, params):
     state = initial_state(d2)
     with pytest.raises(ModelStateError):
         _consumption_update(state.c_agg_d, 0.0, params.rho,
-                            params.share_consumed(d2), 0.0, 100.0)
+                            d2.c0.sum() / d2.l0.sum(), 0.0, 100.0)
 
 
 # -- compensated income and expectations -------------------------------------
@@ -183,7 +183,7 @@ def test_compensated_income_no_compensation_on_growth():
 
 
 def household(zeta_L, pandemic_start):
-    return Household(rho=0.99, delta_s=0.75, m=0.86, L_share=1.0,
+    return Household(rho=0.99, delta_s=0.75, L_share=1.0,
                      zeta_L=zeta_L, b=0.0, pandemic_start=pandemic_start)
 
 

@@ -165,6 +165,16 @@ def test_continuous_snapshots_conserve_allocations(d3, params):
         assert np.all(state.l <= (1 - eps_S) * d3.l0 + 1e-9)
 
 
+def test_adaptive_states_own_their_arrays(d3, params):
+    # A view would keep its segment's whole solver output alive.
+    traj = simulate(d3, labor_shock_scenario(d3), params,
+                    IntegrationConfig(method=METHOD_CONTINUOUS), 120.0)
+    for state in traj.states:
+        for name, value in vars(state).items():
+            if isinstance(value, np.ndarray):
+                assert value.base is None, (state.t, name)
+
+
 def test_trajectory_csv_roundtrip(tmp_path, d2, params):
     scenario = labor_shock_scenario(d2)
     traj = simulate(d2, scenario, params, IntegrationConfig(), 20.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from datetime import date
 
@@ -275,7 +276,8 @@ def test_economy_on_site_flags_drive_the_release(tmp_path, d3):
                                   unflagged.on_site)
     runs = [simulate(e, scenario, BehavioralParams(), IntegrationConfig(), 200.0)
             for e in (flagged, unflagged)]
-    assert not np.array_equal(runs[0].gross_output(), runs[1].gross_output())
+    assert not np.array_equal(runs[0].series(lambda s: s.x),
+                              runs[1].series(lambda s: s.x))
 
 
 def test_ramp_in_is_linear(be64, ref_scenario):
@@ -366,8 +368,11 @@ def test_missing_sector_rejected(be64, ref_scenario):
         eps_D_lockdown=ref_scenario.eps_D_lockdown[:-1],
         eps_F_lockdown=ref_scenario.eps_F_lockdown[:-1],
     )
-    with pytest.raises(ValidationError):
+    last = ref_scenario.codes[-1]
+    with pytest.raises(ValidationError, match=re.escape(f"missing ['{last}']")):
         ShockSchedule(scenario, be64).at(0.0)
+    with pytest.raises(ValidationError, match=re.escape(f"extra ['{last}']")):
+        ref_scenario.index_for(be64.codes[:-1])
 
 
 def test_reference_key_dates_match_timeline(ref_scenario):
