@@ -300,6 +300,74 @@ def test_half_critical_softens_important_inputs(d3):
     assert half[2] == pytest.approx(0.5 * d3.x0[2], rel=1e-14)
 
 
+def rated_inputs(A, sets, prod_fn):
+    """The inputs a minimum rule reads: those whose ratio caps output, and
+    those ``half_critical`` softens."""
+    recipe = A > 0.0
+    critical = recipe & sets.critical_mask
+    important = recipe & sets.important_mask
+    none = np.zeros_like(recipe)
+    return {"leontief": (recipe, none),
+            "strongly_critical": (critical | important, none),
+            "half_critical": (critical, important),
+            "weakly_critical": (critical, none)}[prod_fn]
+
+
+def input_capacity_by_loop(S, A, sets, x0, prod_fn):
+    """``_input_capacity`` of one ``(N, N)`` stock matrix, column by column,
+    each in ascending ``i``."""
+    n = len(x0)
+    out = np.empty(n)
+    for j in range(n):
+        if prod_fn == "linear":
+            stock, need = 0.0, 0.0
+            for i in range(n):
+                stock, need = stock + S[i, j], need + A[i, j]
+            out[j] = stock / need if need > 0 else math.inf
+            continue
+        caps = []
+        for rated in rated_inputs(A, sets, prod_fn):
+            cap = np.float64(math.inf)
+            for i in np.flatnonzero(rated[:, j]):
+                cap = np.minimum(cap, S[i, j] / A[i, j])
+            caps.append(cap)
+        hard, soft = caps
+        if prod_fn == "half_critical":
+            hard = np.minimum(hard, 0.5 * (soft + x0[j]))
+        out[j] = hard
+    return out
+
+
+@pytest.mark.parametrize("prod_fn", dynamics.PRODUCTION_FUNCTIONS)
+@pytest.mark.parametrize("fixture_name", ["d2", "d3", "be64"])
+def test_input_capacity_equals_a_per_column_loop(fixture_name, prod_fn,
+                                                 request, rng):
+    """Bitwise, for one run's stocks and a batch's, with NaN and inf stocks,
+    and with a recipe whose middle and last columns have no input."""
+    economy = request.getfixturevalue(fixture_name)
+    sets = derive_criticality_sets(economy)
+    n = economy.n_sectors
+    bare = economy.A.copy()
+    bare[:, [n // 2, n - 1]] = 0.0
+    for A in (economy.A, bare):
+        S = rng.uniform(0.0, 2.0, (3, n, n)) * initial_inventories(economy)
+        S[1] *= 0.01
+        S[1, rng.integers(n), 0] = math.nan
+        S[2, rng.integers(n), rng.integers(n)] = math.inf
+        S[2, :, 0] = math.inf
+        batch = _input_capacity(S, A, sets, economy.x0, prod_fn)
+        for k in range(3):
+            want = input_capacity_by_loop(S[k], A, sets, economy.x0, prod_fn)
+            one = _input_capacity(S[k], A, sets, economy.x0, prod_fn)
+            assert one.tobytes() == want.tobytes()
+            assert batch[k].tobytes() == want.tobytes()
+        if prod_fn != "linear":
+            hard, soft = rated_inputs(A, sets, prod_fn)
+            read = hard | soft
+            assert np.isnan(batch[1, (np.isnan(S[1]) & read).any(axis=0)]).all()
+            assert np.isinf(batch[:, ~read.any(axis=0)]).all()
+
+
 def test_realized_output_cases():
     inf = np.array([math.inf])
     assert realized_output(np.array([100.0]), inf, np.array([80.0]))[0] == 80.0
@@ -357,6 +425,11 @@ def test_update_inventories_arithmetic_and_clamp():
     S = _restock(np.array([[1.0]]), np.array([[0.0]]),
                  np.array([[1.0]]), np.array([100.0]))
     assert S[0, 0] == 0.0
+    # The clamp turns -0.0 into +0.0, so no stock is -0.0: _input_capacity's
+    # gathered minimum keeps a per-column loop's bits only without it.
+    S = _restock(np.array([[-0.0]]), np.array([[-0.0]]),
+                 np.array([[1.0]]), np.array([0.0]))
+    assert not np.signbit(S[0, 0])
 
 
 # -- labor adjustment ---------------------------------------------------------
