@@ -12,10 +12,11 @@ to reproduce the run bit for bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
-from datetime import date, datetime, timezone
+from datetime import date
 from pathlib import Path
 
 from . import __version__
@@ -59,17 +60,19 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
-                    input_paths: dict) -> Path:
+                    params: BehavioralParams, input_paths: dict) -> Path:
+    """Record the run: ``config`` with the base parameters, which every
+    grid point or Monte Carlo draw that does not override them uses."""
     manifest = {
         "tool": "pnetsim",
         "version": __version__,
         "command": command,
-        "config": config,
+        "config": {**config, **dataclasses.asdict(params),
+                   "gamma_H": params.hiring_speed},
         "inputs": {
             name: {"path": str(p), "sha256": _sha256(p)}
             for name, p in input_paths.items()
         },
-        "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
@@ -186,13 +189,7 @@ def cmd_simulate(args) -> int:
     write_aggregate_csv(traj, out / "aggregate.csv")
     _write_manifest(
         out, "simulate",
-        {
-            "method": config.method, "dt": config.dt, "t_end": t_end,
-            "prod_fn": params.prod_fn, "tau": params.tau,
-            "gamma_F": params.gamma_F, "gamma_H": params.hiring_speed,
-            "delta_s": params.delta_s, "rho": params.rho,
-            "L_share": params.L_share,
-        },
+        {"method": config.method, "dt": config.dt, "t_end": t_end}, params,
         {**paths, "scenario": Path(args.scenario)},
     )
     print(f"wrote {out / 'trajectory.csv'} ({len(traj.times)} samples)")
@@ -225,7 +222,7 @@ def cmd_grid_search(args) -> int:
         out, "grid-search",
         {"workers": args.workers, "n_points": grid.n_points,
          "checkpoint": str(args.checkpoint) if args.checkpoint else None},
-        inputs,
+        params, inputs,
     )
     best = result.argmin
     print(f"argmin: {best.params}")
@@ -259,7 +256,7 @@ def cmd_montecarlo(args) -> int:
         out, "montecarlo",
         {"n": args.n, "seed": args.seed, "observable": args.observable,
          "distributions": raw},
-        inputs,
+        params, inputs,
     )
     print(f"wrote {out / 'bands.csv'} ({args.n} runs, seed {args.seed})")
     return EXIT_OK

@@ -211,10 +211,7 @@ def lockdown_income_retention(scenario: Scenario, economy: Economy) -> float:
     """Retained fraction of aggregate labor income at the first lockdown."""
     order = scenario.index_for(economy.codes)
     eps = scenario.eps_S_L1[order]
-    total = economy.l0.sum()
-    if total <= 0:
-        return 1.0
-    return float(1.0 - np.sum(eps * economy.l0) / total)
+    return float(1.0 - np.sum(eps * economy.l0) / economy.l0.sum())
 
 
 def _consumption_update(

@@ -88,10 +88,7 @@ class Economy:
     @property
     def theta0(self) -> np.ndarray:
         """Baseline household preference shares c0 / sum(c0)."""
-        total = self.c0.sum()
-        if total <= 0:
-            raise ValidationError("total household consumption is zero")
-        return self.c0 / total
+        return self.c0 / self.c0.sum()
 
 
 @dataclass(frozen=True)
@@ -183,6 +180,11 @@ def make_economy(
                       ("l0", l0), ("n_days", n_days)):
         if np.any(arr < 0):
             problems.append(f"{name} contains negative entries")
+    for name, arr in (("c0", c0), ("l0", l0)):
+        # The households' consumption share sum(c0) / sum(l0) and the
+        # preference shares c0 / sum(c0) divide by these totals.
+        if not arr.sum() > 0:
+            problems.append(f"{name} sums to {arr.sum():g}, not above 0")
 
     bad_crit = ~np.isin(crit, CRITICALITY_LEVELS)
     if np.any(bad_crit):

@@ -10,8 +10,8 @@ Two methods are available:
   discrete method only, which is the one calibration runs.
 * ``continuous_adaptive`` -- the embedded Dormand-Prince 5(4) pair applied
   to the daily update treated as a rate field. It makes one solve per
-  shock segment: the solver restarts only at scenario breakpoints and at
-  the pandemic start (where income expectations reset), so its error
+  shock segment: the solver restarts only at scenario breakpoints, the
+  pandemic start (where income expectations reset) among them, so its error
   estimator never straddles a kink, and sample times do not split the
   solve. Steps are at most ``MAX_CONTINUOUS_STEP`` (one day): past about
   2.7 days an explicit step on the be64 reference run leaves RK45's
@@ -147,12 +147,10 @@ def simulate(
 
 
 def _kinks(schedule: ShockSchedule, t_end: float) -> list[float]:
-    """0, ``t_end`` and the times between where the dynamics have a kink
-    (shock breakpoints) or a jump (the pandemic start)."""
+    """0, ``t_end`` and the shock breakpoints between: the kinks, and the
+    pandemic start (a jump), which is the first phase's start."""
     pts = {0.0, float(t_end)}
     pts.update(float(b) for b in schedule.breakpoints if 0.0 < b < t_end)
-    if schedule.pandemic_start is not None and 0.0 < schedule.pandemic_start < t_end:
-        pts.add(float(schedule.pandemic_start))
     return sorted(pts)
 
 

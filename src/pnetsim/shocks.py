@@ -15,6 +15,10 @@ shock magnitudes as positive fractions in [0, 1], and ramp parameters. The
 * during a "lockdown light" phase demand shocks sit at ``r * eps`` and
   labor shocks at zero.
 
+A phase that starts while the previous ramp still runs (say a lockdown
+shorter than ``l1``) cuts that ramp and ramps on from where it stands. The
+compiled holds and ramps tile ``[0, inf)``: each ends where the next starts.
+
 ``_Segment`` holds the one copy of these formulas. ``ShockSchedule.table``
 evaluates them at all of a run's step or sample times in one call;
 ``ShockSchedule.at`` evaluates the segment holding a single time on a
@@ -191,13 +195,7 @@ class _Segment:
 
     @property
     def is_hold(self) -> bool:
-        return self.style == "hold" or self.dur <= 0.0
-
-    def levels(self, t: float, on_site: np.ndarray):
-        """Unclipped (D, F, S) at one time, where a later transition starts."""
-        if self.is_hold:
-            return self.to
-        return self._ramp(t, on_site)
+        return self.style == "hold"
 
     def values(self, t, on_site: np.ndarray):
         """(D, F, S) at ``t``, clipped to [0, 1]: ``(N,)`` arrays for a hold
@@ -242,12 +240,11 @@ class ShockSchedule:
         self._eps_D = scenario.eps_D_lockdown[order]
         self._eps_F = scenario.eps_F_lockdown[order]
         self.phases = _parse_phases(scenario)
-        self.pandemic_start = (
-            min(p.start for p in self.phases) if self.phases else None
-        )
+        self.pandemic_start = self.phases[0].start if self.phases else None
         self._segments = self._build()
         # The segments tile [0, inf) in order of their start.
         self._t0s = np.asarray([seg.t0 for seg in self._segments])
+        self._t0s.setflags(write=False)
 
     # -- construction ------------------------------------------------------
 
@@ -260,34 +257,27 @@ class ShockSchedule:
         return (r * self._eps_D, r * self._eps_F, np.zeros(n))
 
     def _build(self) -> list[_Segment]:
+        # Transition start times strictly increase: key dates do, and a
+        # contiguous phase skips its release. Each transition appends a
+        # ramp, so one that starts before the cursor cuts the last segment,
+        # a ramp that started earlier and still runs. The next transition
+        # also holds a phase's plateau to its end.
         n = len(self.codes)
         zeros = lambda: (np.zeros(n), np.zeros(n), np.zeros(n))  # noqa: E731
         segments: list[_Segment] = []
         cursor = 0.0
         levels = zeros()
 
-        def value_at(t: float):
-            for seg in reversed(segments):
-                if seg.t0 <= t:
-                    return seg.levels(t, self.on_site)
-            return zeros()
-
         def add_transition(t_start, duration, target, style):
             nonlocal cursor, levels
             if t_start < cursor:
-                # The new transition interrupts the previous one mid-ramp.
-                frm = value_at(t_start)
-                while segments and segments[-1].t0 >= t_start:
-                    segments.pop()
-                if segments:
-                    segments[-1].t1 = t_start
-                cursor = t_start
-                levels = frm
+                last = segments[-1]
+                levels = last._ramp(t_start, self.on_site)
+                last.t1 = t_start
             elif t_start > cursor:
                 segments.append(
                     _Segment(cursor, t_start, 0.0, levels, levels, "hold")
                 )
-                cursor = t_start
             segments.append(
                 _Segment(t_start, t_start + duration, duration, levels, target, style)
             )
@@ -299,11 +289,6 @@ class ShockSchedule:
             ramp = scn.l1 if phase.kind == "lockdown" else scn.l2
             style = "linear" if phase.kind == "lockdown" else "release"
             add_transition(phase.start, ramp, self._plateau(phase), style)
-            if cursor < phase.end:
-                segments.append(
-                    _Segment(cursor, phase.end, 0.0, levels, levels, "hold")
-                )
-                cursor = phase.end
             nxt = self.phases[k + 1] if k + 1 < len(self.phases) else None
             if nxt is not None and nxt.start <= phase.end:
                 continue  # contiguous phases: the next entry ramp takes over
@@ -322,13 +307,9 @@ class ShockSchedule:
 
     @property
     def breakpoints(self) -> np.ndarray:
-        """Times where some shock time course has a kink."""
-        pts = set()
-        for seg in self._segments:
-            for t in (seg.t0, seg.t1):
-                if math.isfinite(t) and t > 0.0:
-                    pts.add(t)
-        return np.asarray(sorted(pts))
+        """Times where some shock time course has a kink: every segment
+        start after 0."""
+        return self._t0s[1:]
 
     @property
     def holds(self) -> tuple[tuple[float, float], ...]:

@@ -397,6 +397,20 @@ def test_checkpoint_resume_reproduces_full_run(tmp_path, d3_setup):
     assert resumed.argmin.params == full.argmin.params
 
 
+def test_rerun_without_resume_starts_the_checkpoint_afresh(tmp_path, d3_setup):
+    economy, scenario = d3_setup
+    params = BehavioralParams()
+    dataset = synthesize_dataset(economy, scenario, params)
+    grid = GridSpec((("tau", (7.0, 14.0)),))
+    ck, fresh = tmp_path / "ck.jsonl", tmp_path / "fresh.jsonl"
+    grid_search(economy, scenario, params, dataset,
+                GridSpec((("tau", (7.0, 14.0, 21.0)),)), checkpoint_path=ck)
+    grid_search(economy, scenario, params, dataset, grid, checkpoint_path=ck)
+    assert len(ck.read_text().splitlines()) == 1 + grid.n_points
+    grid_search(economy, scenario, params, dataset, grid, checkpoint_path=fresh)
+    assert ck.read_bytes() == fresh.read_bytes()
+
+
 def test_checkpoint_grid_mismatch_rejected(tmp_path, d3_setup):
     economy, scenario = d3_setup
     params = BehavioralParams()

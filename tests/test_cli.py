@@ -104,8 +104,47 @@ def test_simulate_is_deterministic(d2_files, tmp_path):
             "--scenario", str(scenario_path),
             "--days", "60", "--out", str(out_dir),
         ]) == 0
-        outs.append((out_dir / "trajectory.csv").read_bytes())
+        outs.append([(out_dir / f).read_bytes()
+                     for f in ("trajectory.csv", "manifest.json")])
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("horizon, last", [
+    (["--days", "10.5"], "10.5,2020-03-11"),
+    ([], "395.0,2021-03-31"),  # the end of the scored quarters
+])
+def test_simulate_ends_at_the_horizon(d2_files, tmp_path, horizon, last):
+    _, paths, _, scenario_path = d2_files
+    out_dir = tmp_path / "run"
+    assert main([
+        "simulate", *economy_flags(paths),
+        "--scenario", str(scenario_path), "--out", str(out_dir), *horizon,
+    ]) == 0
+    rows = (out_dir / "aggregate.csv").read_text().splitlines()
+    assert rows[-1].startswith(last + ",")
+
+
+@pytest.mark.parametrize("column", ["l0", "c0"])
+def test_economy_with_a_zero_total_gives_validation_exit(d2_files, tmp_path,
+                                                         capsys, column):
+    economy, paths, _, scenario_path = d2_files
+    with paths["initial_states"].open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if column == "c0":  # keep the accounting identity: c0 moves to f0
+            row["f0"] = repr(float(row["f0"]) + float(row["c0"]))
+        row[column] = "0.0"
+    with paths["initial_states"].open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert main(["validate-data", *economy_flags(paths)]) == 1
+    assert f"{column} sums to 0" in capsys.readouterr().out
+    assert main([
+        "simulate", *economy_flags(paths), "--scenario", str(scenario_path),
+        "--days", "5", "--out", str(tmp_path / "run"),
+    ]) == 1
+    assert f"{column} sums to 0" in capsys.readouterr().err
 
 
 def test_simulate_continuous_method(d2_files, tmp_path):
@@ -394,8 +433,9 @@ def test_montecarlo_cli(d2_files, tmp_path):
     assert lines[0] == "t,date,observable,p2.5,p50,p97.5"
     first = lines[1].split(",")
     assert first[3] == first[4] == first[5]  # single run: degenerate band
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["config"]["n"] == 1
+    config = json.loads((out_dir / "manifest.json").read_text())["config"]
+    assert config["n"] == 1
+    assert config["prod_fn"] == "half_critical"  # the base parameters too
 
 
 def test_montecarlo_default_distributions(d2_files, tmp_path):
@@ -492,6 +532,15 @@ def test_workers_below_one_give_validation_exit(d3_grid_files, tmp_path, capsys,
     assert capsys.readouterr().err.startswith(
         f"error: workers = {workers} must be at least 1")
     assert not (tmp_path / "out").exists()
+
+
+def test_grid_search_manifest_records_the_base_parameters(d3_grid_files,
+                                                         tmp_path):
+    assert grid_search_d3(tmp_path, *d3_grid_files,
+                          GridSpec((("gamma_F", (14.0, 28.0)),)),
+                          "--tau", "7") == 0
+    config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert config["tau"] == 7.0 and config["n_points"] == 2
 
 
 def test_empty_grid_gives_validation_exit(d3_grid_files, tmp_path, capsys):

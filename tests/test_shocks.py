@@ -2,7 +2,7 @@ import json
 import math
 import re
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from pnetsim import (
 )
 from pnetsim.cli import main
 from pnetsim.fixtures import fixture_paths, scenario_for
+from pnetsim.integrate import _kinks
 from pnetsim.shocks import ShockSchedule
 from pnetsim import belgium
 
@@ -181,8 +182,33 @@ def test_hold_spans_keep_at_values_and_exclude_ramps(be64, ref_scenario):
         schedule.at(-1.0)
 
 
-def test_at_is_bitwise_a_row_of_table(be64, ref_scenario):
-    schedule = ShockSchedule(ref_scenario, be64)
+# Phases that start while the previous ramp still runs (l1 = 7, l2 = 42).
+CUT_RAMPS = {
+    "reference": None,
+    "lockdown_16_days_into_the_release": (
+        ("2020-03-15", "lockdown_start"), ("2020-05-04", "lockdown_end"),
+        ("2020-05-20", "lockdown_start"), ("2020-06-30", "lockdown_end")),
+    "lockdown_shorter_than_l1": (
+        ("2020-03-15", "lockdown_start"), ("2020-03-19", "lockdown_end")),
+    "light_phase_ends_in_its_entry_ramp": (
+        ("2020-03-15", "lockdown_start"), ("2020-04-15", "lockdown_light_start"),
+        ("2020-05-01", "lockdown_light_end")),
+}
+
+
+def cut_ramps(schedule):
+    return [seg for seg in schedule._segments
+            if not seg.is_hold and seg.t1 < seg.t0 + seg.dur]
+
+
+@pytest.mark.parametrize("case", CUT_RAMPS)
+def test_at_is_bitwise_a_row_of_table(be64, ref_scenario, case):
+    scenario = ref_scenario
+    if CUT_RAMPS[case] is not None:
+        scenario = replace(ref_scenario, key_dates=tuple(
+            (date.fromisoformat(d), event) for d, event in CUT_RAMPS[case]))
+    schedule = ShockSchedule(scenario, be64)
+    assert bool(cut_ramps(schedule)) == (case != "reference")
     times, styles = [], set()
     for seg in schedule._segments:
         end = min(seg.t1, seg.t0 + 60.0)
@@ -201,6 +227,47 @@ def test_at_is_bitwise_a_row_of_table(be64, ref_scenario):
             assert got.shape == (len(schedule.codes),)
             assert got.tobytes() == getattr(row, name)[0].tobytes(), (t, name)
             assert got.tobytes() == getattr(table, name)[k].tobytes(), (t, name)
+
+
+def random_key_dates(rng, start):
+    """One to four phases with lengths and gaps of 1 to 79 days; a light
+    phase may start the moment a lockdown ends."""
+    events, t = [], int(rng.integers(0, 30))
+    for k in range(int(rng.integers(1, 5))):
+        light = bool(rng.random() < 0.4)
+        if light and events and events[-1][1] == "lockdown_end" and rng.random() < 0.5:
+            t = events.pop()[0]
+        elif k:
+            t += int(rng.integers(1, 80))
+        events.append((t, "lockdown_light_start" if light else "lockdown_start"))
+        t += int(rng.integers(1, 80))
+        events.append((t, "lockdown_light_end" if light else "lockdown_end"))
+    return tuple((start + timedelta(days=d), event) for d, event in events)
+
+
+def test_random_phase_sequences_tile_and_keep_their_kinks(be64, ref_scenario):
+    rng = np.random.default_rng(16)
+    with_cuts = 0
+    for _ in range(300):
+        scenario = replace(
+            ref_scenario, key_dates=random_key_dates(rng, ref_scenario.start_date),
+            l1=float(rng.uniform(0.5, 30.0)), l2=float(rng.uniform(0.5, 90.0)))
+        schedule = ShockSchedule(scenario, be64)
+        segs = schedule._segments
+        assert segs[0].t0 == 0.0 and segs[-1].t1 == math.inf
+        for seg, nxt in zip(segs, segs[1:]):
+            assert seg.t0 < seg.t1 == nxt.t0
+            # The next segment starts from where this one stands.
+            here = seg.to if seg.is_hold else seg._ramp(nxt.t0, be64.on_site)
+            for v, w in zip(here, nxt.frm):
+                np.testing.assert_allclose(v, w, rtol=0, atol=1e-12)
+        ends = sorted(seg.t1 for seg in segs if math.isfinite(seg.t1))
+        assert schedule.breakpoints.tolist() == ends
+        t_end = float(rng.uniform(1.0, 400.0))
+        if 0.0 < schedule.pandemic_start < t_end:
+            assert schedule.pandemic_start in _kinks(schedule, t_end)
+        with_cuts += bool(cut_ramps(schedule))
+    assert with_cuts > 100
 
 
 def test_continuity_no_jump_beyond_ramp_slope(be64, ref_scenario):
