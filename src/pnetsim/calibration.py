@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import PRODUCTION_FUNCTIONS, BehavioralParams
 from .economy import Economy
-from .errors import CheckpointError, SchemaError, ValidationError
+from .errors import CheckpointError, SchemaError, ValidationError, existing_file
 from .integrate import (  # noqa: F401 - simulate: perfbench traces it here
     AGGREGATE_CODE,
     SERIES,
@@ -39,7 +39,7 @@ from .integrate import (  # noqa: F401 - simulate: perfbench traces it here
     simulate,
     simulate_series,
 )
-from .shocks import Scenario, ShockSchedule
+from .shocks import Scenario, ShockSchedule, aggregate_shock
 
 log = logging.getLogger(__name__)
 
@@ -155,9 +155,7 @@ class EmpiricalDataset:
 
 
 def load_dataset(path) -> EmpiricalDataset:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"file not found: {path}")
+    path = existing_file(path)
     observations: dict[str, list[tuple[date, str, float]]] = {}
     seen: set[tuple[str, str, str]] = set()
     with path.open(newline="", encoding="utf-8") as fh:
@@ -210,7 +208,7 @@ def nace21_section(code: str, mapping: dict[str, str] | None = None) -> str:
 
 
 def load_sector_mapping(path) -> dict[str, str]:
-    path = Path(path)
+    path = existing_file(path)
     mapping = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -325,8 +323,8 @@ def horizon_for(scenario: Scenario, quarters) -> float:
 def _simulate_scored(economy: Economy, runs, scenario: Scenario):
     """The ``SCORED_SERIES`` of ``runs`` (sharing ``scenario``'s start
     date), sampled daily to the end of ``DEFAULT_QUARTERS``."""
-    return simulate_series(economy, runs, IntegrationConfig(),
-                           horizon_for(scenario, DEFAULT_QUARTERS), SCORED_SERIES)
+    return simulate_series(economy, runs, horizon_for(scenario, DEFAULT_QUARTERS),
+                           SCORED_SERIES)
 
 
 class _Scorer:
@@ -475,9 +473,7 @@ class GridSpec:
 
 
 def load_grid(path) -> GridSpec:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"file not found: {path}")
+    path = existing_file(path)
     return GridSpec.from_json(path.read_text(encoding="utf-8"))
 
 
@@ -496,11 +492,12 @@ def default_grid() -> GridSpec:
 
 
 def scale_to_aggregate(eps: np.ndarray, weights: np.ndarray, target: float) -> np.ndarray:
-    """Rescale a shock vector so its value-weighted aggregate hits ``target``."""
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("weights sum to zero")
-    current = float(np.sum(eps * weights) / total)
+    """Rescale a shock vector so its value-weighted aggregate hits ``target``,
+    in [0, 1]. No sector's shock exceeds 1: the scaled vector is clipped
+    there, so a large target falls short (on be64, 0.175 gives 0.17473)."""
+    if not 0.0 <= target <= 1.0:
+        raise ValidationError(f"aggregate shock {target} outside [0, 1]")
+    current = aggregate_shock(eps, weights)
     if current <= 0:
         if target == 0:
             return np.zeros_like(eps)
@@ -529,6 +526,20 @@ def _as_float(old, value, *_):
     return float(value)
 
 
+def _scaled_labor_shock(old, value, *_):
+    """Overlay: labor shocks scaled by ``value`` >= 0, each clipped at 1."""
+    if not value >= 0.0:
+        raise ValidationError(f"eps_S_scale = {value} must be at least 0")
+    return np.clip(old * value, 0.0, 1.0)
+
+
+def _daily_rho(old, value, *_):
+    """Overlay: the daily ``rho`` for the quarterly one ``value`` in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"rho_quarters = {value} outside [0, 1]")
+    return min(1.0 - (1.0 - float(value)) / 90.0, 1.0 - 1e-12)
+
+
 #: How a grid point or a Monte Carlo draw changes (scenario, params): each
 #: name sets one or more fields, ``(target, field, overlay)``, where
 #: ``overlay(old, value, scenario, economy)`` gives the field's new value.
@@ -541,11 +552,9 @@ _OVERLAYS = {
     "eps_D_consumer_facing": (("scenario", "eps_D_lockdown",
                                _demand_group(lambda c: c in CONSUMER_FACING)),),
     "eps_F_aggregate": (("scenario", "eps_F_lockdown", _final_demand_aggregate),),
-    "eps_S_scale": tuple(("scenario", field, lambda old, value, *_:
-                          np.clip(old * value, 0.0, 1.0))
+    "eps_S_scale": tuple(("scenario", field, _scaled_labor_shock)
                          for field in ("eps_S_L1", "eps_S_L2")),
-    "rho_quarters": (("params", "rho", lambda old, value, *_:
-                      min(1.0 - (1.0 - float(value)) / 90.0, 1.0 - 1e-12)),),
+    "rho_quarters": (("params", "rho", _daily_rho),),
     **{name: (("scenario", name, _as_float),) for name in ("l1", "l2", "r", "b")},
     **{name: (("params", name, _as_float),)
        for name in ("tau", "gamma_F", "delta_s", "L_share")},
@@ -590,7 +599,7 @@ def _tiebreak_key(params: dict) -> tuple:
 
 def _rank_key(score: PointScore) -> tuple:
     """Order of grid results: stored score, then the grid's axis order."""
-    return (round(score.aad_total, SCORE_DECIMALS), _tiebreak_key(score.params))
+    return (score.aad_total, _tiebreak_key(score.params))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +625,7 @@ class CalibrationResult:
             w.writerow(["rank", "grid_index", "aad_total"] + names)
             for rank, score in enumerate(ordered, start=1):
                 w.writerow(
-                    [rank, score.index, repr(round(score.aad_total, SCORE_DECIMALS))]
+                    [rank, score.index, repr(score.aad_total)]
                     + [score.params.get(n, "") for n in names]
                 )
         return path
@@ -634,10 +643,11 @@ class CalibrationResult:
         return path
 
 
-def _rounded(score: PointScore) -> PointScore:
+def _rounded(score: PointScore, index: int, params: dict) -> PointScore:
+    """What grid point ``index`` at ``params`` stores: ``score`` rounded once."""
     return PointScore(
-        index=score.index,
-        params=score.params,
+        index=index,
+        params=params,
         aad_total=round(score.aad_total, SCORE_DECIMALS),
         cells={
             key: (round(aad, SCORE_DECIMALS), round(ad, SCORE_DECIMALS))
@@ -734,16 +744,13 @@ def _score_chunk(job: _GridJob, indices: list[int]) -> list[PointScore]:
             for p in points]
     series = _simulate_scored(job.economy, runs, job.scenario)
     scores = []
-    for k, (index, point) in enumerate(zip(indices, points)):
-        scn, prm = runs[k]
+    for k, (index, point, (scn, prm)) in enumerate(zip(indices, points, runs)):
         score = score_point(
             job.economy, scn, prm, job.dataset, job.mapping,
             series={n: v[k] for n, v in series.values.items()},
             scorer=job.scorer,
         )
-        score.index = index
-        score.params = point
-        scores.append(_rounded(score))
+        scores.append(_rounded(score, index, point))
     return scores
 
 
@@ -806,23 +813,18 @@ def grid_search(
                 raise ValidationError(
                     f"grid axis {name!r} value {value!r}: {exc}") from None
     completed: dict[int, PointScore] = {}
-    checkpoint = Path(checkpoint_path) if checkpoint_path else None
-    if checkpoint:
-        checkpoint.parent.mkdir(parents=True, exist_ok=True)
-    if checkpoint and checkpoint.exists():
-        if resume:
-            completed, intact = _read_checkpoint(checkpoint, grid)
-            if intact < checkpoint.stat().st_size:
-                os.truncate(checkpoint, intact)
-        else:
-            checkpoint.unlink()
     writer = None
-    if checkpoint:
-        fresh = not checkpoint.exists()
+    if checkpoint_path:
+        checkpoint = Path(checkpoint_path)
+        checkpoint.parent.mkdir(parents=True, exist_ok=True)
+        if resume and checkpoint.exists():
+            completed, intact = _read_checkpoint(checkpoint, grid)
+            os.truncate(checkpoint, intact)
+        else:  # a new file: on ext4, truncating the old one in place is slower
+            checkpoint.unlink(missing_ok=True)
+            checkpoint.write_text(json.dumps({"grid_hash": grid.content_hash()}) + "\n",
+                                  encoding="utf-8")
         writer = checkpoint.open("a", encoding="utf-8")
-        if fresh:
-            writer.write(json.dumps({"grid_hash": grid.content_hash()}) + "\n")
-            writer.flush()
 
     job = _GridJob(economy, scenario, params, dataset, grid, mapping,
                    _Scorer(economy, dataset, mapping, scenario))
@@ -1010,6 +1012,8 @@ def monte_carlo(
         raise ValidationError(f"n_runs = {n_runs} must be at least 1")
     if observable not in OBSERVABLES:
         raise ValidationError(f"unknown observable {observable!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed = {seed} must be an integer, at least 0")
     samplers = parse_distributions(distributions)
     if t_end is None:
         t_end = horizon_for(scenario, DEFAULT_QUARTERS)
@@ -1022,8 +1026,7 @@ def monte_carlo(
     name = OBSERVABLES[observable]
     totals = []
     for k in range(0, n_runs, CHUNK_POINTS):
-        run = simulate_series(economy, runs[k:k + CHUNK_POINTS],
-                              IntegrationConfig(), t_end, (name,))
+        run = simulate_series(economy, runs[k:k + CHUNK_POINTS], t_end, (name,))
         # pop: no chunk's (runs, G, N) array outlives its sum
         totals.append(run.values.pop(name).sum(axis=-1))
     bands = np.percentile(np.vstack(totals), DEFAULT_QUANTILES, axis=0)

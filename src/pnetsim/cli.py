@@ -184,7 +184,6 @@ def cmd_simulate(args) -> int:
     traj = simulate(economy, scenario, params, config, t_end)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_aggregate_csv(traj, out / "aggregate.csv")
     _write_manifest(
@@ -211,7 +210,6 @@ def cmd_grid_search(args) -> int:
         checkpoint_path=args.checkpoint, resume=args.resume,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result.write_leaderboard(out / "leaderboard.csv")
     result.write_optimum_cells(out / "optimum_cells.csv")
     inputs = {**paths, "scenario": Path(args.scenario),
@@ -247,7 +245,6 @@ def cmd_montecarlo(args) -> int:
         observable=args.observable,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result.write_csv(out / "bands.csv")
     inputs = {**paths, "scenario": Path(args.scenario)}
     if args.distributions:

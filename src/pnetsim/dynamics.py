@@ -56,7 +56,7 @@ from .economy import (
     initial_inventories,
 )
 from .errors import ModelStateError, ValidationError
-from .shocks import Scenario, ShockSchedule
+from .shocks import Scenario, ShockSchedule, aggregate_shock
 
 PRODUCTION_FUNCTIONS = (
     "leontief",
@@ -210,8 +210,7 @@ def _zeta_recursion(prev_zeta, rho, zeta_L, L_share):
 def lockdown_income_retention(scenario: Scenario, economy: Economy) -> float:
     """Retained fraction of aggregate labor income at the first lockdown."""
     order = scenario.index_for(economy.codes)
-    eps = scenario.eps_S_L1[order]
-    return float(1.0 - np.sum(eps * economy.l0) / economy.l0.sum())
+    return 1.0 - aggregate_shock(scenario.eps_S_L1[order], economy.l0)
 
 
 def _consumption_update(
@@ -415,9 +414,9 @@ def _labor_update(
     wage_share: np.ndarray | None = None,
     l_max: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``params`` is a ``BehavioralParams`` or the batch's ``PointParams``;
-    ``wage_share`` is the run constant ``ModelContext.wage_share`` and
-    ``l_max`` the step's labor cap ``(1 - eps_S) l0``."""
+    """``params`` is a ``BehavioralParams`` or a ``ModelContext``, read for
+    ``hiring_speed`` and ``gamma_F``; ``wage_share`` is the run constant
+    ``ModelContext.wage_share`` and ``l_max`` the step's labor cap."""
     if wage_share is None:
         wage_share = _wage_share(economy)
     if l_max is None:
@@ -445,45 +444,14 @@ class Household(NamedTuple):
     pandemic_start: float | None
 
 
-@dataclass(frozen=True)
-class PointParams:
-    """Per-point parameters: vectors shaped to broadcast against the state
-    (leading axis ``(B,)`` for a batch, none for a single run), and one
-    ``Household`` per point."""
-
-    tau: np.ndarray  # (..., 1, 1)
-    hiring_speed: np.ndarray  # (..., 1)
-    gamma_F: np.ndarray  # (..., 1)
-    households: tuple[Household, ...]
-
-    @classmethod
-    def stack(cls, economy: Economy, points, schedules, batched: bool) -> "PointParams":
-        lead = (len(points),) if batched else ()
-
-        def col(values, *trailing):
-            return np.asarray(list(values), dtype=float).reshape(lead + trailing)
-
-        return cls(
-            tau=col((p.tau for p in points), 1, 1),
-            hiring_speed=col((p.hiring_speed for p in points), 1),
-            gamma_F=col((p.gamma_F for p in points), 1),
-            households=tuple(
-                Household(p.rho, p.delta_s, p.L_share,
-                          lockdown_income_retention(s.scenario, economy),
-                          s.scenario.b, s.pandemic_start)
-                for p, s in zip(points, schedules)
-            ),
-        )
-
-
 @dataclass
 class ModelContext:
     """Run-constant quantities shared by every step of a run.
 
     ``params`` and ``schedule`` describe one run, whose state holds
     ``(N,)`` / ``(N, N)`` arrays, or are equal-length sequences describing
-    a batch of points stepped together in ``(B, N)`` / ``(B, N, N)`` state.
-    The points of a batch share the bottleneck rule.
+    a batch of points stepped together in ``(B, N)`` / ``(B, N, N)`` state,
+    sharing the bottleneck rule; the per-point fields then lead with ``(B,)``.
     """
 
     economy: Economy
@@ -502,7 +470,10 @@ class ModelContext:
     masks: InputMasks = field(init=False)
     safe_l0: np.ndarray = field(init=False)
     wage_share: np.ndarray = field(init=False)
-    per_point: PointParams = field(init=False)
+    tau: np.ndarray = field(init=False)  # (..., 1, 1)
+    hiring_speed: np.ndarray = field(init=False)  # (..., 1)
+    gamma_F: np.ndarray = field(init=False)  # (..., 1)
+    households: tuple[Household, ...] = field(init=False)
 
     def __post_init__(self):
         economy = self.economy
@@ -526,8 +497,18 @@ class ModelContext:
         self.masks = InputMasks.build(economy.A, self.sets, self.prod_fn)
         self.safe_l0 = _safe_divisor(economy.l0)
         self.wage_share = _wage_share(economy)
-        self.per_point = PointParams.stack(economy, self.points, self.schedules,
-                                           self.batched)
+        lead = (self.size,) if self.batched else ()
+        tau, hiring, firing = np.asarray(
+            [(p.tau, p.hiring_speed, p.gamma_F) for p in self.points], dtype=float).T
+        self.tau = tau.reshape(lead + (1, 1))
+        self.hiring_speed = hiring.reshape(lead + (1,))
+        self.gamma_F = firing.reshape(lead + (1,))
+        self.households = tuple(
+            Household(p.rho, p.delta_s, p.L_share,
+                      lockdown_income_retention(s.scenario, economy),
+                      s.scenario.b, s.pandemic_start)
+            for p, s in zip(self.points, self.schedules)
+        )
 
     @property
     def size(self) -> int:
@@ -583,7 +564,7 @@ def _households(ctx: ModelContext, state: SimState, t_new, dt, drive: Drive):
         points = [[float(v) for v in values]]
     c_agg, l_perm = [], []
     for h, (t_prev, t, step, c_prev, lp_prev, l_now, cut) in zip(
-        ctx.per_point.households, points
+        ctx.households, points
     ):
         rho = h.rho if step == 1.0 else h.rho ** step
         l_comp = compensated_labor_income(l_now, l0_sum, h.b)
@@ -604,8 +585,7 @@ def _produce(ctx: ModelContext, state: SimState, c_agg, drive: Drive,
     the labor cap ``l_max``."""
     economy = ctx.economy
     c_d = drive.theta * np.asarray(c_agg)[..., np.newaxis]
-    O_d = _orders(economy.A, state.d_mem, ctx.S_target, state.S,
-                  ctx.per_point.tau)
+    O_d = _orders(economy.A, state.d_mem, ctx.S_target, state.S, ctx.tau)
     d = O_d.sum(axis=-1) + c_d + drive.f_d
     x_cap = labor_capacity(state, economy, drive.eps_S, ctx.safe_l0, l_max)
     x_inp = _input_capacity(state.S, economy.A, ctx.sets, economy.x0,
@@ -647,7 +627,7 @@ def _advance(
     # Stock and workforce adjustment, scaled by the step size.
     S = _restock(state.S, O, economy.A, x, None if whole else stock_step)
     l = _labor_update(
-        state.l, economy, ctx.per_point, x_cap, x_inp, d, drive.eps_S,
+        state.l, economy, ctx, x_cap, x_inp, d, drive.eps_S,
         dt=step, no_fire=ctx.no_fire, wage_share=ctx.wage_share,
         l_max=l_max,
     )

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, existing_file
 
 # Relative tolerance for the per-sector accounting identity
 # x0[i] == sum_j Z[i, j] + c0[i] + f0[i].
@@ -248,9 +248,7 @@ def initial_inventories(economy: Economy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _read_rows(path) -> list[list[str]]:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"file not found: {path}")
+    path = existing_file(path)
     with path.open(newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:

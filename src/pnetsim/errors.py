@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class PnetError(Exception):
     """Base class for all package errors."""
@@ -9,6 +11,14 @@ class PnetError(Exception):
 
 class SchemaError(PnetError):
     """An input file does not parse against its documented schema."""
+
+
+def existing_file(path) -> Path:
+    """``path`` as a ``Path``; ``SchemaError`` when nothing is there."""
+    path = Path(path)
+    if not path.exists():
+        raise SchemaError(f"file not found: {path}")
+    return path
 
 
 class ValidationError(PnetError, ValueError):

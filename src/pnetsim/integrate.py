@@ -6,8 +6,8 @@ Two methods are available:
   step of at most one day. Steps are aligned so that scenario breakpoints
   (ramp starts and ends) and requested sample times always fall on step
   boundaries. ``simulate_series`` steps several runs together through the
-  batched kernel and keeps only the series it is asked for; it takes the
-  discrete method only, which is the one calibration runs.
+  batched kernel and keeps only the series it is asked for; it runs
+  calibration's one configuration, ``IntegrationConfig()``.
 * ``continuous_adaptive`` -- the embedded Dormand-Prince 5(4) pair applied
   to the daily update treated as a rate field. It makes one solve per
   shock segment: the solver restarts only at scenario breakpoints, the
@@ -263,23 +263,17 @@ class Series:
     values: dict[str, np.ndarray]  # name -> (runs, G, N)
 
 
-def simulate_series(
-    economy: Economy,
-    runs,
-    config: IntegrationConfig,
-    t_end: float,
-    names=("x", "l", "b2b"),
-) -> Series:
+def simulate_series(economy: Economy, runs, t_end: float, names) -> Series:
     """Simulate ``runs`` ((scenario, params) pairs sharing ``prod_fn`` and a
-    start date) with the discrete method and keep only the ``SERIES`` named
+    start date) under ``IntegrationConfig()``, the discrete method with unit
+    steps and one sample per whole day, and keep only the ``SERIES`` named
     in ``names``.
 
     All runs step together in one batched pass (a single run steps
     unbatched); each run's series are bitwise those of its own ``simulate``
     call.
     """
-    if config.method != METHOD_DISCRETE:
-        raise ValidationError("simulate_series runs the discrete method only")
+    config = IntegrationConfig()
     grid = _output_grid(config, t_end)
     runs = list(runs)
     if len({scn.start_date for scn, _ in runs}) != 1:
@@ -507,7 +501,7 @@ def _run_continuous(ctx: ModelContext, grid, t_end) -> list[SimState]:
     for s, (a, b) in enumerate(zip(kinks, kinks[1:])):
         if a == schedule.pandemic_start:
             # Income expectations drop to the shocked level at lockdown start.
-            y[2 * n + 1] = ctx.per_point.households[0].zeta_L
+            y[2 * n + 1] = ctx.households[0].zeta_L
         # A segment lies in one piece of the shock plan: on a hold its
         # shocks are those at its start, on a ramp they are read at each t.
         drive = starts.at(s) if any(t0 <= a < t1 for t0, t1 in holds) else None

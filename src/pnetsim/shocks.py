@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .economy import Economy
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, existing_file
 
 EVENT_LOCKDOWN_START = "lockdown_start"
 EVENT_LOCKDOWN_END = "lockdown_end"
@@ -375,9 +375,7 @@ def aggregate_shock(eps, weights) -> float:
 
 def load_scenario(path) -> Scenario:
     """Read a scenario JSON file; shock magnitudes are fractions in [0, 1]."""
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"file not found: {path}")
+    path = existing_file(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

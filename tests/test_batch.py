@@ -47,10 +47,10 @@ def d3_scenario(d3):
     )
 
 
-def assert_batch_matches_serial(economy, runs, config, t_end):
-    batch = simulate_series(economy, runs, config, t_end, ALL_SERIES)
+def assert_batch_matches_serial(economy, runs, t_end):
+    batch = simulate_series(economy, runs, t_end, ALL_SERIES)
     for k, (scenario, params) in enumerate(runs):
-        traj = simulate(economy, scenario, params, config, t_end)
+        traj = simulate(economy, scenario, params, IntegrationConfig(), t_end)
         np.testing.assert_array_equal(batch.times, traj.times)
         for name in ALL_SERIES:
             serial = traj.series(SERIES[name])
@@ -67,13 +67,12 @@ def mixed_runs(scenario, rule, points):
 @pytest.mark.parametrize("rule", PRODUCTION_FUNCTIONS)
 def test_batch_matches_serial_runs_d3(d3, d3_scenario, rule):
     # A fractional l2 moves a breakpoint off the whole-day grid, so the
-    # points take different numbers of steps.
+    # points take different numbers of steps, some shorter than a day.
     runs = mixed_runs(d3_scenario, rule, [
         (14.0, 42.0, 28.0), (7.0, 28.0, 14.0), (21.0, 37.5, 35.0), (1.0, 56.0, 7.0),
     ])
-    assert_batch_matches_serial(d3, runs, IntegrationConfig(), 395.0)
-    assert_batch_matches_serial(d3, runs[:2], IntegrationConfig(dt=0.5), 120.0)
-    assert_batch_matches_serial(d3, runs[:1], IntegrationConfig(), 120.0)
+    assert_batch_matches_serial(d3, runs, 395.0)
+    assert_batch_matches_serial(d3, runs[:1], 120.0)
 
 
 @pytest.mark.parametrize("rule", PRODUCTION_FUNCTIONS)
@@ -81,21 +80,14 @@ def test_batch_matches_serial_runs_be64(be64, ref_scenario, rule):
     runs = mixed_runs(ref_scenario, rule, [
         (14.0, 42.0, 28.0), (7.0, 28.0, 21.0), (28.0, 49.5, 35.0),
     ])
-    assert_batch_matches_serial(be64, runs, IntegrationConfig(), 150.0)
-
-
-def test_simulate_series_refuses_the_adaptive_method(d3, d3_scenario):
-    config = IntegrationConfig(method="continuous_adaptive")
-    runs = mixed_runs(d3_scenario, "leontief", [(14.0, 42.0, 28.0)])
-    with pytest.raises(ValueError, match="discrete"):
-        simulate_series(d3, runs, config, 90.0)
+    assert_batch_matches_serial(be64, runs, 150.0)
 
 
 def test_batch_rejects_mixed_bottleneck_rules(d3, d3_scenario):
     runs = [(d3_scenario, BehavioralParams(prod_fn="leontief")),
             (d3_scenario, BehavioralParams(prod_fn="linear"))]
     with pytest.raises(ValueError, match="prod_fn"):
-        simulate_series(d3, runs, IntegrationConfig(), 30.0)
+        simulate_series(d3, runs, 30.0, ALL_SERIES)
 
 
 def test_shock_table_rows_equal_point_evaluations(be64, ref_scenario):

@@ -1,3 +1,5 @@
+import json
+import math
 import re
 from dataclasses import fields, replace
 from datetime import date
@@ -16,6 +18,7 @@ from pnetsim import (
     default_grid,
     grid_search,
     load_dataset,
+    load_scenario,
     monte_carlo,
     quarterly_average,
     score_point,
@@ -30,6 +33,7 @@ from pnetsim.calibration import (
     apply_sampled,
     horizon_for,
     indicator_weights,
+    load_grid,
     load_sector_mapping,
     model_quarterly,
     nace21_section,
@@ -168,6 +172,24 @@ def test_dataset_rejects_unknown_indicator(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("load", [load_dataset, load_grid, load_sector_mapping,
+                                  load_scenario])
+def test_loaders_reject_a_missing_file(tmp_path, load):
+    with pytest.raises(SchemaError, match="file not found"):
+        load(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("indicator,date,sector\ngdp,2020-05-01,X1\n", "header must be"),
+    ("indicator,date,sector,value_pct\ngdp,2020-13-01,X1,-1\n", "line 2"),
+], ids=["wrong-header", "bad-date"])
+def test_dataset_rejects_malformed_content(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=message):
+        load_dataset(path)
+
+
 def test_dataset_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text(
@@ -251,6 +273,24 @@ def test_grid_duplicate_axis_rejected():
         GridSpec((("a", (1,)), ("a", (2,))))
 
 
+def test_grid_rejects_an_empty_axis_and_an_index_out_of_range():
+    with pytest.raises(ValidationError, match="'tau' has no values"):
+        GridSpec((("tau", ()),))
+    grid = GridSpec((("tau", (7.0, 14.0)),))
+    for index in (-1, 2):
+        with pytest.raises(IndexError):
+            grid.point_at(index)
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"axes": [["tau"]]}'],
+                         ids=["not-json", "axis-without-values"])
+def test_grid_file_with_malformed_content_rejected(tmp_path, text):
+    path = tmp_path / "grid.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match="malformed grid spec"):
+        load_grid(path)
+
+
 def test_scale_to_aggregate(be64, ref_scenario):
     order = ref_scenario.index_for(be64.codes)
     eps = ref_scenario.eps_F_lockdown[order]
@@ -263,6 +303,13 @@ def test_scale_to_aggregate(be64, ref_scenario):
     np.testing.assert_array_equal(
         scale_to_aggregate(np.zeros(3), np.ones(3), 0.0), np.zeros(3)
     )
+    # Shocks are clipped at 1 sector by sector, so a large target falls short.
+    capped = scale_to_aggregate(eps, be64.f0, 0.175)
+    assert float(np.sum(capped * be64.f0) / be64.f0.sum()) == pytest.approx(
+        0.17473, abs=5e-6)
+    for target in (-0.05, 1.5, math.nan):
+        with pytest.raises(ValidationError, match="outside"):
+            scale_to_aggregate(eps, be64.f0, target)
 
 
 def test_apply_grid_point_overrides(be64, ref_scenario):
@@ -443,6 +490,30 @@ def test_invalid_workers_leave_the_checkpoint_untouched(tmp_path, d3_setup, resu
     assert ck.read_bytes() == before
 
 
+@pytest.mark.parametrize("value", [-0.05, 1.5, math.nan])
+def test_grid_rejects_an_aggregate_final_demand_shock_outside_the_unit_interval(
+        tmp_path, d3_setup, value):
+    economy, scenario = d3_setup
+    scenario = replace(scenario, eps_F_lockdown=np.array([0.1, 0.0, 0.2]))
+    grid = GridSpec((("eps_F_aggregate", (0.0, value)),))
+    ck = tmp_path / "ck.jsonl"
+    ck.write_bytes(b'{"grid_hash": "from an earlier grid"}\n')
+    with pytest.raises(ValidationError, match="eps_F_aggregate"):
+        grid_search(economy, scenario, BehavioralParams(), EmpiricalDataset({}),
+                    grid, checkpoint_path=ck)
+    assert ck.read_bytes() == b'{"grid_hash": "from an earlier grid"}\n'
+
+
+def test_checkpoint_with_an_unterminated_header_is_rejected(tmp_path, d3_setup):
+    economy, scenario = d3_setup
+    grid = GridSpec((("tau", (7.0, 14.0)),))
+    ck = tmp_path / "ck.jsonl"
+    ck.write_text(json.dumps({"grid_hash": grid.content_hash()}))
+    with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
+        grid_search(economy, scenario, BehavioralParams(), EmpiricalDataset({}),
+                    grid, checkpoint_path=ck, resume=True)
+
+
 def test_leaderboard_export(tmp_path, d3_setup):
     economy, scenario = d3_setup
     params = BehavioralParams()
@@ -491,6 +562,28 @@ def test_monte_carlo_single_run_band_is_trajectory(d3_setup):
     assert np.array_equal(res.bands[1], res.bands[2])
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"observable": "wages"}, "unknown observable 'wages'"),
+    ({"seed": -1}, "seed = -1"),
+    ({"seed": 1.5}, "seed = 1.5"),
+], ids=["unknown-observable", "negative-seed", "fractional-seed"])
+def test_monte_carlo_rejects_invalid_input(d3_setup, change, message):
+    economy, scenario = d3_setup
+    kwargs = {"n_runs": 2, "seed": 1, "t_end": 20.0, **change}
+    with pytest.raises(ValidationError, match=message):
+        monte_carlo(economy, scenario, BehavioralParams(),
+                    {"tau": {"dist": "fixed", "value": 14.0}}, **kwargs)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"dist": "uniform", "low": 2.0, "high": 1.0}, "empty uniform range"),
+    (14.0, "spec must be a JSON object"),
+], ids=["empty-uniform-range", "not-an-object"])
+def test_parse_distributions_rejects_malformed_specs(spec, message):
+    with pytest.raises(ValidationError, match=f"tau: {message}"):
+        parse_distributions({"tau": spec})
+
+
 def test_parse_distributions_rejects_unknown_parameter():
     with pytest.raises(ValueError):
         parse_distributions({"nonsense": {"dist": "fixed", "value": 1.0}})
@@ -524,6 +617,25 @@ def test_apply_sampled_conversions(ref_scenario):
     assert np.all(scn.eps_S_L1 <= 1.0)
     assert scn.eps_S_L1[list(scn.codes).index("I55-56")] == 1.0  # clipped
     assert scn.b == 0.5
+
+
+@pytest.mark.parametrize("sample", [
+    {"eps_S_scale": -1.0}, {"eps_S_scale": math.nan},
+    {"rho_quarters": 1.5}, {"rho_quarters": -0.1}, {"rho_quarters": math.nan},
+], ids=["scale-negative", "scale-nan", "rho-above-one", "rho-negative", "rho-nan"])
+def test_apply_sampled_rejects_out_of_range_draws(ref_scenario, sample):
+    (name,) = sample
+    with pytest.raises(ValidationError, match=f"{name} = "):
+        apply_sampled(ref_scenario, BehavioralParams(), sample)
+
+
+def test_apply_sampled_accepts_the_ends_of_the_ranges(ref_scenario):
+    scn, prm = apply_sampled(ref_scenario, BehavioralParams(),
+                             {"eps_S_scale": 0.0, "rho_quarters": 1.0})
+    assert not scn.eps_S_L1.any() and not scn.eps_S_L2.any()
+    assert prm.rho == 1.0 - 1e-12
+    _, prm = apply_sampled(ref_scenario, BehavioralParams(), {"rho_quarters": 0.0})
+    assert prm.rho == 1.0 - 1.0 / 90.0
 
 
 def test_normal_sampler_truncates_at_floor(rng):

@@ -460,9 +460,11 @@ def test_montecarlo_default_distributions(d2_files, tmp_path):
     (["--seed", "7"],  # both draws land above 1
      {"delta_s": {"dist": "uniform", "low": 0.5, "high": 1.5}}),
     ([], [{"tau": {"dist": "fixed", "value": 14.0}}]),
+    (["--seed", "-1"], None),
+    ([], {"eps_S_scale": {"dist": "fixed", "value": -1.0}}),
 ], ids=["n-zero", "n-negative", "unknown-parameter", "unknown-distribution",
         "missing-key", "malformed-json", "missing-file", "delta-s-draw-above-one",
-        "not-an-object"])
+        "not-an-object", "seed-negative", "eps-S-scale-negative"])
 def test_invalid_montecarlo_input_gives_validation_exit(d2_files, tmp_path, capsys,
                                                         flags, distributions):
     _, paths, _, scenario_path = d2_files
@@ -541,6 +543,17 @@ def test_grid_search_manifest_records_the_base_parameters(d3_grid_files,
                           "--tau", "7") == 0
     config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
     assert config["tau"] == 7.0 and config["n_points"] == 2
+
+
+def test_missing_mapping_file_gives_validation_exit(d3_grid_files, tmp_path,
+                                                    capsys):
+    missing = tmp_path / "missing.csv"
+    rc = grid_search_d3(tmp_path, *d3_grid_files, GridSpec((("tau", (7.0, 14.0)),)),
+                        "--mapping", str(missing))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: file not found: {missing}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_grid_gives_validation_exit(d3_grid_files, tmp_path, capsys):

@@ -384,6 +384,43 @@ def test_scenario_rejects_unclosed_phase(ref_scenario, be64):
         ShockSchedule(scenario, be64)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"eps_S_L1": np.zeros(3)}, "eps_S_L1 has shape"),
+    ({"r": 1.5}, "r = 1.5 outside"),
+    ({"l1": 0.0}, "ramp lengths"),
+    ({"key_dates": ((date(2020, 3, 15), "curfew_start"),)}, "unknown event"),
+    ({"key_dates": ((date(2020, 2, 1), "lockdown_start"),)}, "precedes start date"),
+], ids=["vector-shape", "r-above-one", "l1-zero", "unknown-event",
+        "key-date-before-start"])
+def test_scenario_rejects_invalid_fields(ref_scenario, change, message):
+    with pytest.raises(ValidationError, match=message):
+        replace(ref_scenario, **change)
+
+
+@pytest.mark.parametrize("events, message", [
+    (("lockdown_start", "lockdown_start"), "lockdown_start on .* open phase"),
+    (("lockdown_light_start", "lockdown_light_start"),
+     "lockdown_light_start on .* open phase"),
+    (("lockdown_start", "lockdown_light_end"), "without an open light phase"),
+], ids=["lockdown-inside-lockdown", "light-inside-light", "light-end-without-light"])
+def test_phases_reject_misplaced_events(be64, ref_scenario, events, message):
+    key_dates = tuple((date(2020, 3, 15) + timedelta(days=30 * k), event)
+                      for k, event in enumerate(events))
+    with pytest.raises(ValidationError, match=message):
+        ShockSchedule(replace(ref_scenario, key_dates=key_dates), be64)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "invalid JSON"),
+    ('{"start_date": "2020-03-01"}', "malformed scenario"),
+], ids=["not-json", "no-key-dates"])
+def test_scenario_file_with_malformed_content_rejected(tmp_path, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=message):
+        load_scenario(path)
+
+
 def test_scenario_roundtrip(tmp_path, ref_scenario):
     path = save_scenario(ref_scenario, tmp_path / "scenario.json")
     again = load_scenario(path)
