@@ -795,15 +795,18 @@ def grid_search(
     ``CHUNK_POINTS``, one batched pass each; a point's score does not
     depend on its chunk. With a checkpoint path, completed points are
     appended as they finish and are not recomputed when resuming after an
-    interruption. An empty grid, ``workers`` below 1, a scenario that does
-    not fit the economy (its sectors or its key dates) and a grid value the
-    scenario cannot take raise ``ValidationError`` before the checkpoint is
-    touched and before any point runs.
+    interruption. An empty grid, ``workers`` below 1, a checkpoint path that
+    is a directory, a scenario that does not fit the economy (its sectors or
+    its key dates) and a grid value the scenario cannot take raise
+    ``ValidationError`` before the checkpoint is touched and before any
+    point runs.
     """
     if not workers >= 1:
         raise ValidationError(f"workers = {workers} must be at least 1")
     if grid.n_points == 0:
         raise ValidationError("empty grid")
+    if checkpoint_path and Path(checkpoint_path).is_dir():
+        raise ValidationError(f"checkpoint {checkpoint_path} is a directory")
     ShockSchedule(scenario, economy)  # the scenario fits the economy
     for name, values in grid.axes:
         for value in values:

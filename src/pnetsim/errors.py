@@ -14,10 +14,13 @@ class SchemaError(PnetError):
 
 
 def existing_file(path) -> Path:
-    """``path`` as a ``Path``; ``SchemaError`` when nothing is there."""
+    """``path`` as a ``Path``; ``SchemaError`` when nothing is there or a
+    directory is (a named pipe passes)."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"file not found: {path}")
+    if path.is_dir():
+        raise SchemaError(f"a directory, not a file: {path}")
     return path
 
 

@@ -5,6 +5,7 @@ batched pass; none of their results may depend on that batching, on the
 worker count, or on where a run was resumed.
 """
 
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 
@@ -21,7 +22,7 @@ from pnetsim import (
     monte_carlo,
     simulate,
 )
-from pnetsim import calibration
+from pnetsim import calibration, integrate
 from pnetsim.calibration import (
     OBSERVABLES,
     apply_grid_point,
@@ -81,6 +82,64 @@ def test_batch_matches_serial_runs_be64(be64, ref_scenario, rule):
         (14.0, 42.0, 28.0), (7.0, 28.0, 21.0), (28.0, 49.5, 35.0),
     ])
     assert_batch_matches_serial(be64, runs, 150.0)
+
+
+# Both scenarios start their release ramps (28 days or longer) on day 64, so
+# 80-step blocks put a boundary on day 80, inside every ramp (the default
+# budget gives one block on d3).
+RAMP_BLOCK_STEPS = 80
+
+
+def drive_budget(budget, points, economy):
+    """``DRIVE_BLOCK_BYTES`` for one-step blocks, or for ``RAMP_BLOCK_STEPS``
+    steps at ``points`` points."""
+    if budget == "one-step":
+        return 1
+    return RAMP_BLOCK_STEPS * 8 * points * economy.n_sectors
+
+
+@pytest.mark.parametrize("budget", ["one-step", "mid-ramp"])
+@pytest.mark.parametrize("fixture", ["d3", "be64"])
+def test_drive_blocks_leave_batch_series_unchanged(request, d3_scenario,
+                                                   ref_scenario, monkeypatch,
+                                                   fixture, budget):
+    economy = request.getfixturevalue(fixture)
+    if fixture == "d3":  # l2 37.5 ends one point's steps off the whole days
+        runs = mixed_runs(d3_scenario, "half_critical", [
+            (14.0, 42.0, 28.0), (7.0, 28.0, 14.0), (21.0, 37.5, 35.0), (1.0, 56.0, 7.0),
+        ])
+        t_end = 395.0
+    else:
+        runs = mixed_runs(ref_scenario, "half_critical", [
+            (14.0, 42.0, 28.0), (7.0, 28.0, 14.0), (28.0, 37.5, 14.0), (21.0, 42.0, 14.0),
+        ])
+        t_end = 150.0
+    want = simulate_series(economy, runs, t_end, ALL_SERIES)
+    monkeypatch.setattr(integrate, "DRIVE_BLOCK_BYTES",
+                        drive_budget(budget, len(runs), economy))
+    got = simulate_series(economy, runs, t_end, ALL_SERIES)
+    for name in ALL_SERIES:
+        assert np.array_equal(got.values[name], want.values[name]), name
+
+
+def test_chunk_working_memory_does_not_grow_with_the_run(be64, ref_scenario):
+    # A full grid chunk over the scored horizon. Forming the drive for all
+    # its steps at once took about 30 MB beyond the 9.6 MB of series it
+    # returns; blocks of steps take about 5 MB.
+    runs = mixed_runs(ref_scenario, "half_critical", [
+        (tau, l2, 14.0) for tau in (7.0, 14.0, 21.0, 28.0)
+        for l2 in (28.0, 37.5, 42.0, 56.0)
+    ])
+    t_end = calibration.horizon_for(ref_scenario, calibration.DEFAULT_QUARTERS)
+    assert len(runs) == calibration.CHUNK_POINTS and t_end == 395.0
+    tracemalloc.start()
+    try:
+        out = simulate_series(be64, runs, t_end, calibration.SCORED_SERIES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(v.nbytes for v in out.values.values())
+    assert peak - kept < 10e6, (peak, kept)
 
 
 def test_batch_rejects_mixed_bottleneck_rules(d3, d3_scenario):
@@ -225,6 +284,25 @@ def test_monte_carlo_bands_equal_per_draw_path(d3, d3_scenario, observable):
     want = per_draw_bands(d3, d3_scenario, params, distributions, n_runs, 11,
                           120.0, observable)
     assert np.array_equal(res.bands, want)
+
+
+@pytest.mark.parametrize("budget", ["one-step", "mid-ramp"])
+def test_monte_carlo_bands_do_not_depend_on_drive_blocks(d3, d3_scenario,
+                                                        monkeypatch, budget):
+    distributions = {
+        "l2": {"dist": "uniform", "low": 28.0, "high": 56.0},
+        "tau": {"dist": "normal", "mean": 14.0, "sd": 3.0, "min": 1.0},
+    }
+    n_runs = calibration.CHUNK_POINTS + 4  # a full chunk and a short one
+
+    def bands():
+        return monte_carlo(d3, d3_scenario, BehavioralParams(), distributions,
+                           n_runs=n_runs, seed=5, t_end=120.0).bands
+
+    want = bands()
+    monkeypatch.setattr(integrate, "DRIVE_BLOCK_BYTES",
+                        drive_budget(budget, calibration.CHUNK_POINTS, d3))
+    assert np.array_equal(bands(), want)
 
 
 def test_monte_carlo_bands_equal_per_draw_path_be64(be64, ref_scenario):

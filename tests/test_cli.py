@@ -641,3 +641,35 @@ def test_checkpoint_directory_is_created_only_for_valid_input(d3_grid_files,
     assert not ck.parent.exists()
     assert grid_search_d3(tmp_path, *d3_grid_files, grid, *flags) == 0
     assert len(ck.read_text().splitlines()) == 1 + grid.n_points
+
+
+def tree(root):
+    return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None)
+                  for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("case", [
+    "simulate-scenario", "grid-dataset", "grid-checkpoint", "grid-checkpoint-resume",
+])
+def test_directory_given_as_a_file_gives_validation_exit(d3_grid_files, tmp_path,
+                                                         capsys, case):
+    scenario_path, dataset_path = d3_grid_files
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    (folder / "kept.txt").write_text("left alone\n")
+    before = tree(folder)
+    grid = GridSpec((("tau", (7.0, 14.0)),))
+    if case == "simulate-scenario":
+        rc = main(["simulate", "--fixture", "d3", "--scenario", str(folder),
+                   "--days", "5", "--out", str(tmp_path / "out")])
+    elif case == "grid-dataset":
+        rc = grid_search_d3(tmp_path, scenario_path, folder, grid)
+    else:
+        resume = ("--resume",) if case.endswith("resume") else ()
+        rc = grid_search_d3(tmp_path, scenario_path, dataset_path, grid,
+                            "--checkpoint", str(folder), *resume)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert tree(folder) == before
+    assert not (tmp_path / "out").exists()
