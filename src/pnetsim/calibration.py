@@ -29,7 +29,8 @@ import numpy as np
 
 from .dynamics import PRODUCTION_FUNCTIONS, BehavioralParams
 from .economy import Economy
-from .errors import CheckpointError, SchemaError, ValidationError, existing_file
+from .errors import (CheckpointError, SchemaError, ValidationError, existing_file,
+                     keyed_once)
 from .integrate import (  # noqa: F401 - simulate: perfbench traces it here
     AGGREGATE_CODE,
     SERIES,
@@ -209,14 +210,12 @@ def nace21_section(code: str, mapping: dict[str, str] | None = None) -> str:
 
 def load_sector_mapping(path) -> dict[str, str]:
     path = existing_file(path)
-    mapping = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["nace64", "nace21"]:
             raise SchemaError(f"{path}: header must be ['nace64', 'nace21']")
-        for row in reader:
-            mapping[row["nace64"].strip()] = row["nace21"].strip()
-    return mapping
+        return keyed_once(path, ((row["nace64"].strip(), row["nace21"].strip())
+                                 for row in reader))
 
 
 def _pct_reduction(series: np.ndarray, baseline: np.ndarray) -> np.ndarray:

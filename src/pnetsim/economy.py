@@ -9,6 +9,11 @@ simulation runs. Conventions throughout the package:
   of output ``j``; columns of sectors with zero baseline output are zero.
 * ``criticality[i, j]`` rates input ``i`` for buyer ``j``: 1 critical,
   0.5 important, 0 non-critical.
+
+One reader, ``_read_table``, serves all five input files: the IO table and
+the criticality survey (square matrices), the initial states, and the
+optional ``code,n_days`` and ``code,on_site`` override files. It refuses a
+sector code listed twice.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError, existing_file
+from .errors import SchemaError, ValidationError, existing_file, keyed_once
 
 # Relative tolerance for the per-sector accounting identity
 # x0[i] == sum_j Z[i, j] + c0[i] + f0[i].
@@ -247,104 +252,48 @@ def initial_inventories(economy: Economy) -> np.ndarray:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _read_rows(path) -> list[list[str]]:
+STATE_COLUMNS = ("code", "x0", "c0", "f0", "l0", "n_days", "on_site")
+
+
+def _read_table(path, columns=None) -> tuple[list[str], np.ndarray]:
+    """Read a sector-keyed CSV: its row codes and one row of numbers each.
+
+    With ``columns`` the header must be ``columns``, the code column first;
+    with none the file is a square matrix whose first row and column carry
+    the same sector codes. Every code is listed once, and an ``on_site``
+    column holds only 0 and 1.
+    """
     path = existing_file(path)
     with path.open(newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise SchemaError(f"{path}: file is empty")
-    return rows
-
-
-def _parse_cell(text: str, path, row_label: str, col_label: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise SchemaError(
-            f"{path}: non-numeric cell {text!r} at row {row_label!r}, "
-            f"column {col_label!r}"
-        ) from None
-
-
-def read_matrix_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a square matrix CSV whose first row and column carry sector codes."""
-    rows = _read_rows(path)
-    header = [c.strip() for c in rows[0][1:]]
-    n = len(header)
-    if len(rows) - 1 != n:
-        raise SchemaError(
-            f"{path}: {len(rows) - 1} data rows for {n} header columns"
-        )
-    out = np.empty((n, n), dtype=float)
-    row_codes = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != n + 1:
-            raise SchemaError(
-                f"{path}: row {i + 2} has {len(row)} cells, expected {n + 1}"
-            )
-        code = row[0].strip()
-        row_codes.append(code)
-        for j, cell in enumerate(row[1:]):
-            out[i, j] = _parse_cell(cell, path, code, header[j])
-    if row_codes != header:
-        raise SchemaError(f"{path}: row codes do not match column codes")
-    return header, out
-
-
-STATE_COLUMNS = ("code", "x0", "c0", "f0", "l0", "n_days", "on_site")
-
-
-def read_initial_states_csv(path):
-    """Read the per-sector initial-state table.
-
-    Returns ``(codes, x0, c0, f0, l0, n_days, on_site)``.
-    """
-    rows = _read_rows(path)
     header = [c.strip() for c in rows[0]]
-    if header != list(STATE_COLUMNS):
-        raise SchemaError(
-            f"{path}: header {header} does not match {list(STATE_COLUMNS)}"
-        )
-    codes, cols = [], {k: [] for k in STATE_COLUMNS[1:]}
-    for i, row in enumerate(rows[1:]):
-        if len(row) != len(STATE_COLUMNS):
+    if columns is not None and header != list(columns):
+        raise SchemaError(f"{path}: header {header} does not match {list(columns)}")
+    labels = header[1:]
+    table = keyed_once(path, ((row[0].strip(), row) for row in rows[1:]))
+    codes = list(table)
+    if columns is None and codes != labels:
+        raise SchemaError(f"{path}: row codes do not match column codes")
+    values = np.empty((len(codes), len(labels)), dtype=float)
+    for i, (code, row) in enumerate(table.items()):
+        if len(row) != len(header):
             raise SchemaError(
                 f"{path}: row {i + 2} has {len(row)} cells, "
-                f"expected {len(STATE_COLUMNS)}"
+                f"expected {len(header)}"
             )
-        code = row[0].strip()
-        codes.append(code)
-        for key, cell in zip(STATE_COLUMNS[1:], row[1:]):
-            cols[key].append(_parse_cell(cell, path, code, key))
-    on_site = np.asarray(cols["on_site"])
-    if np.any(~np.isin(on_site, (0.0, 1.0))):
-        raise SchemaError(f"{path}: on_site entries must be 0 or 1")
-    return (
-        codes,
-        np.asarray(cols["x0"]),
-        np.asarray(cols["c0"]),
-        np.asarray(cols["f0"]),
-        np.asarray(cols["l0"]),
-        np.asarray(cols["n_days"]),
-        on_site.astype(bool),
-    )
-
-
-def read_vector_csv(path, value_column: str):
-    """Read a two-column ``code,<value>`` CSV, returning (codes, values)."""
-    rows = _read_rows(path)
-    header = [c.strip() for c in rows[0]]
-    if header != ["code", value_column]:
-        raise SchemaError(
-            f"{path}: header {header} does not match ['code', {value_column!r}]"
-        )
-    codes, values = [], []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise SchemaError(f"{path}: expected 2 cells per row")
-        codes.append(row[0].strip())
-        values.append(_parse_cell(row[1], path, row[0], value_column))
-    return codes, np.asarray(values)
+        for j, cell in enumerate(row[1:]):
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise SchemaError(
+                    f"{path}: non-numeric cell {cell!r} at row {code!r}, "
+                    f"column {labels[j]!r}") from None
+    if "on_site" in (columns or ()):
+        if np.any(~np.isin(values[:, labels.index("on_site")], (0.0, 1.0))):
+            raise SchemaError(f"{path}: on_site entries must be 0 or 1")
+    return codes, values
 
 
 def _align(codes_ref: list[str], codes_other: list[str], what: str, path):
@@ -374,28 +323,23 @@ def load_economy(
     ``code,n_days`` / ``code,on_site`` files when data ships split across
     sources.
     """
-    codes, Z = read_matrix_csv(io_table_path)
-    s_codes, x0, c0, f0, l0, n_days, on_site = read_initial_states_csv(
-        initial_states_path
-    )
-    order = _align(codes, s_codes, "initial states", initial_states_path)
-    x0, c0, f0, l0 = x0[order], c0[order], f0[order], l0[order]
-    n_days, on_site = n_days[order], on_site[order]
+    codes, Z = _read_table(io_table_path)
+    s_codes, states = _read_table(initial_states_path, STATE_COLUMNS)
+    states = states[_align(codes, s_codes, "initial states", initial_states_path)]
+    x0, c0, f0, l0, n_days, on_site = states.T
 
-    c_codes, crit = read_matrix_csv(criticality_path)
+    c_codes, crit = _read_table(criticality_path)
     corder = _align(codes, c_codes, "criticality", criticality_path)
     crit = crit[np.ix_(corder, corder)]
 
     if inventory_targets_path is not None:
-        v_codes, values = read_vector_csv(inventory_targets_path, "n_days")
+        v_codes, values = _read_table(inventory_targets_path, ("code", "n_days"))
         n_days = values[_align(codes, v_codes, "inventory targets",
-                               inventory_targets_path)]
+                               inventory_targets_path), 0]
     if on_site_path is not None:
-        v_codes, values = read_vector_csv(on_site_path, "on_site")
-        if np.any(~np.isin(values, (0.0, 1.0))):
-            raise SchemaError(f"{on_site_path}: on_site entries must be 0 or 1")
+        v_codes, values = _read_table(on_site_path, ("code", "on_site"))
         on_site = values[_align(codes, v_codes, "on-site flags",
-                                on_site_path)].astype(bool)
+                                on_site_path), 0]
 
     return make_economy(codes, Z, c0, f0, l0, n_days, crit, on_site, x0=x0)
 

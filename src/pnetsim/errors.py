@@ -24,6 +24,17 @@ def existing_file(path) -> Path:
     return path
 
 
+def keyed_once(path, pairs, what: str = "code") -> dict:
+    """``dict(pairs)``; ``SchemaError`` naming ``path`` and the first key
+    listed twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaError(f"{path}: {what} {key!r} listed twice")
+        out[key] = value
+    return out
+
+
 class ValidationError(PnetError, ValueError):
     """Parsed data or an argument value violates a model invariant.
 

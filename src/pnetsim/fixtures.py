@@ -30,6 +30,8 @@ from .shocks import Scenario, save_scenario
 
 FIXTURE_NAMES = ("d2", "d3", "be64")
 BE64_SEED = 20200301
+# Suppliers rated critical, then important, for each be64 buyer.
+N_CRITICAL, N_IMPORTANT = 4, 6
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -102,7 +104,7 @@ def d3_economy() -> Economy:
 # 64-sector synthetic economy
 # ---------------------------------------------------------------------------
 
-def be64_economy(seed: int = BE64_SEED) -> Economy:
+def be64_economy() -> Economy:
     """Synthetic Belgian-style network fitted to the published margins.
 
     Row totals of the flow matrix reproduce each sector's intermediate
@@ -123,7 +125,7 @@ def be64_economy(seed: int = BE64_SEED) -> Economy:
     rows = np.maximum(x_ref - c0 - f0, 0.0)
     cols = x_ref * (rows.sum() / x_ref.sum())
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BE64_SEED)
     W = np.outer(rows, cols) * rng.lognormal(mean=0.0, sigma=0.8, size=(n, n))
     for _ in range(200):
         rsum = W.sum(axis=1)
@@ -146,10 +148,8 @@ def be64_economy(seed: int = BE64_SEED) -> Economy:
     return economy
 
 
-def _synthetic_criticality(
-    Z: np.ndarray, x_ref: np.ndarray, on_site: np.ndarray,
-    n_critical: int = 4, n_important: int = 6,
-) -> np.ndarray:
+def _synthetic_criticality(Z: np.ndarray, x_ref: np.ndarray,
+                           on_site: np.ndarray) -> np.ndarray:
     """Rate each buyer's largest upstream cost shares critical, next important.
 
     Sectors whose consumption happens on site (hospitality, recreation,
@@ -161,9 +161,9 @@ def _synthetic_criticality(
     for j in range(Z.shape[1]):
         col = np.where(~on_site & (share[:, j] > 0), share[:, j], 0.0)
         ranked = [i for i in np.argsort(col)[::-1] if col[i] > 0]
-        for i in ranked[:n_critical]:
+        for i in ranked[:N_CRITICAL]:
             crit[i, j] = 1.0
-        for i in ranked[n_critical:n_critical + n_important]:
+        for i in ranked[N_CRITICAL:N_CRITICAL + N_IMPORTANT]:
             crit[i, j] = 0.5
     return crit
 

@@ -200,6 +200,14 @@ def test_dataset_rejects_duplicates(tmp_path):
         load_dataset(path)
 
 
+def test_sector_mapping_with_a_code_listed_twice_rejected(tmp_path):
+    path = tmp_path / "mapping.csv"
+    path.write_text("nace64,nace21\nS1,A\nS2,A\nS1,B\n")
+    with pytest.raises(SchemaError) as err:
+        load_sector_mapping(path)
+    assert str(err.value) == f"{path}: code 'S1' listed twice"
+
+
 def test_sector_mapping_file_matches_first_letter_rule():
     mapping = load_sector_mapping(sector_mapping_path())
     for code, letter in mapping.items():

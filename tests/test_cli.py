@@ -73,6 +73,18 @@ def test_validate_data_identity_violation_names_sector(d2_files, capsys):
     assert "X1" in out
 
 
+def test_validate_data_row_listed_twice(d2_files, capsys):
+    # The last of two X2 rows, with n_days 99, used to win.
+    _, paths, _, _ = d2_files
+    lines = paths["initial_states"].read_text().splitlines()
+    cols = lines[2].split(",")
+    cols[5] = "99"
+    paths["initial_states"].write_text("\n".join(lines + [",".join(cols)]) + "\n")
+    assert main(["validate-data", *economy_flags(paths)]) == 1
+    out = capsys.readouterr().out
+    assert out == f"INVALID: {paths['initial_states']}: code 'X2' listed twice\n"
+
+
 def test_simulate_zero_shock_constant_output(tmp_path, capsys):
     economy = d2_economy()
     paths = write_economy(economy, tmp_path / "economy")
@@ -672,4 +684,30 @@ def test_directory_given_as_a_file_gives_validation_exit(d3_grid_files, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert tree(folder) == before
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_with_a_sector_listed_twice_gives_validation_exit(d3_grid_files,
+                                                                 tmp_path, capsys):
+    scenario_path = d3_grid_files[0]
+    text = scenario_path.read_text()
+    first = text.index('"S1": {')
+    entry = text[first:text.index("}", first) + 1]
+    scenario_path.write_text(text.replace(entry, entry + ", " + entry, 1))
+    rc = main(["simulate", "--fixture", "d3", "--scenario", str(scenario_path),
+               "--days", "5", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {scenario_path}: key 'S1' listed twice\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_mapping_with_a_code_listed_twice_gives_validation_exit(d3_grid_files,
+                                                               tmp_path, capsys):
+    mapping = tmp_path / "mapping.csv"
+    mapping.write_text("nace64,nace21\nS1,A\nS2,B\nS3,C\nS1,B\n")
+    rc = grid_search_d3(tmp_path, *d3_grid_files, GridSpec((("tau", (7.0, 14.0)),)),
+                        "--mapping", str(mapping))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {mapping}: code 'S1' listed twice\n"
     assert not (tmp_path / "out").exists()

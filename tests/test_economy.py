@@ -104,20 +104,109 @@ def test_non_numeric_cell_names_position(tmp_path, d2):
     assert "abc" in msg and "X1" in msg and "X2" in msg
 
 
-def test_wrong_column_count(tmp_path, d2):
-    paths = write_economy(d2, tmp_path)
-    lines = paths["io_table"].read_text().splitlines()
+INPUTS = ("io_table", "initial_states", "criticality", "inventory_targets",
+          "on_site")
+
+
+@pytest.fixture()
+def d2_inputs(tmp_path, d2):
+    """d2's three economy files and both override files, one writer each."""
+    paths = write_economy(d2, tmp_path / "economy")
+    paths["inventory_targets"] = tmp_path / "n_days.csv"
+    paths["inventory_targets"].write_text("code,n_days\nX1,10.0\nX2,5.0\n")
+    paths["on_site"] = tmp_path / "on_site.csv"
+    paths["on_site"].write_text("code,on_site\nX1,0\nX2,0\n")
+    return paths
+
+
+def load_inputs(paths):
+    return load_economy(
+        paths["io_table"], paths["initial_states"], paths["criticality"],
+        inventory_targets_path=paths["inventory_targets"],
+        on_site_path=paths["on_site"],
+    )
+
+
+def edit_lines(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def add_a_cell(lines):
     lines[1] += ",1.0"
-    paths["io_table"].write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaError):
-        load_economy(paths["io_table"], paths["initial_states"], paths["criticality"])
 
 
-def test_mismatched_codes_between_files(tmp_path, d2, d3):
-    p2 = write_economy(d2, tmp_path / "a")
-    p3 = write_economy(d3, tmp_path / "b")
-    with pytest.raises(SchemaError):
-        load_economy(p2["io_table"], p3["initial_states"], p2["criticality"])
+def test_wrong_column_count(d2_inputs):
+    for name in INPUTS:
+        path = d2_inputs[name]
+        before = path.read_text()
+        edit_lines(path, add_a_cell)
+        with pytest.raises(SchemaError, match="row 2 has"):
+            load_inputs(d2_inputs)
+        path.write_text(before)
+
+
+def test_mismatched_codes_between_files(d2_inputs):
+    # Every file after the IO table is aligned with the IO table's codes.
+    for name in INPUTS[1:]:
+        path = d2_inputs[name]
+        before = path.read_text()
+        path.write_text(before.replace("X2", "X9"))
+        with pytest.raises(SchemaError, match="do not match the IO table"):
+            load_inputs(d2_inputs)
+        path.write_text(before)
+
+
+def repeat_last_row(lines):
+    lines.append(lines[-1])
+
+
+def rename_last_column(lines):
+    lines[0] = lines[0].rsplit(",", 1)[0] + ",X9"
+
+
+def drop_last_cell(lines):
+    lines[1] = lines[1].rsplit(",", 1)[0]
+
+
+def drop_all_lines(lines):
+    lines.clear()
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@pytest.mark.parametrize("edit, message", [
+    (repeat_last_row, "code 'X2' listed twice"),
+    (rename_last_column, "do(es)? not match"),
+    (drop_last_cell, "row 2 has"),
+    (drop_all_lines, "file is empty"),
+], ids=["repeated-code", "wrong-header", "short-row", "empty"])
+def test_every_input_is_read_with_the_same_checks(d2_inputs, name, edit, message):
+    path = d2_inputs[name]
+    edit_lines(path, edit)
+    with pytest.raises(SchemaError, match=message) as err:
+        load_inputs(d2_inputs)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("name", ["io_table", "criticality"])
+def test_matrix_that_is_not_square_rejected(d2_inputs, name):
+    edit_lines(d2_inputs[name], lambda lines: lines.pop())
+    with pytest.raises(SchemaError, match="row codes do not match column codes"):
+        load_inputs(d2_inputs)
+
+
+def flag_x1_as_2(lines):
+    lines[1] = lines[1][:-1] + "2"
+
+
+@pytest.mark.parametrize("name", ["initial_states", "on_site"])
+def test_on_site_flag_other_than_0_or_1_rejected(d2_inputs, name):
+    # One rule for the column and for the override file, even when the
+    # override replaces the column.
+    edit_lines(d2_inputs[name], flag_x1_as_2)
+    with pytest.raises(SchemaError, match="on_site entries must be 0 or 1"):
+        load_inputs(d2_inputs)
 
 
 def test_initial_states_reordered_rows_are_aligned(tmp_path, d2):

@@ -413,7 +413,9 @@ def test_phases_reject_misplaced_events(be64, ref_scenario, events, message):
 @pytest.mark.parametrize("text, message", [
     ("{not json", "invalid JSON"),
     ('{"start_date": "2020-03-01"}', "malformed scenario"),
-], ids=["not-json", "no-key-dates"])
+    ('{"start_date": "2020-03-01", "start_date": "2020-03-02"}',
+     "key 'start_date' listed twice"),
+], ids=["not-json", "no-key-dates", "key-listed-twice"])
 def test_scenario_file_with_malformed_content_rejected(tmp_path, text, message):
     path = tmp_path / "scenario.json"
     path.write_text(text)
