@@ -16,7 +16,6 @@ per whole day), and scoring and synthesis cover ``DEFAULT_QUARTERS``.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -27,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import keyed_once, parse_json, read_csv, read_text, write_csv
 from .dynamics import PRODUCTION_FUNCTIONS, BehavioralParams
 from .economy import Economy
-from .errors import (CheckpointError, SchemaError, ValidationError, existing_file,
-                     keyed_once)
+from .errors import CheckpointError, SchemaError, ValidationError
 from .integrate import (  # noqa: F401 - simulate: perfbench traces it here
     AGGREGATE_CODE,
     SERIES,
@@ -155,47 +154,34 @@ class EmpiricalDataset:
         return out
 
 
+DATASET_COLUMNS = ("indicator", "date", "sector", "value_pct")
+
+
 def load_dataset(path) -> EmpiricalDataset:
-    path = existing_file(path)
+    """Read a dataset CSV; an (indicator, date, sector) observation listed
+    twice is refused."""
+    _, rows = read_csv(path, DATASET_COLUMNS)
     observations: dict[str, list[tuple[date, str, float]]] = {}
-    seen: set[tuple[str, str, str]] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["indicator", "date", "sector", "value_pct"]
-        if reader.fieldnames != expected:
-            raise SchemaError(f"{path}: header must be {expected}")
-        for k, row in enumerate(reader, start=2):
-            ind = row["indicator"].strip()
-            if ind not in INDICATORS:
-                raise SchemaError(
-                    f"{path}: unknown indicator {ind!r} on line {k}"
-                )
-            try:
-                d = date.fromisoformat(row["date"].strip())
-                value = float(row["value_pct"])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {k}: {exc}") from None
-            sector = row["sector"].strip()
-            key = (ind, row["date"].strip(), sector)
-            if key in seen:
-                raise SchemaError(
-                    f"{path}: duplicate observation {key} on line {k}"
-                )
-            seen.add(key)
-            observations.setdefault(ind, []).append((d, sector, value))
+    for k, (ind, day, sector, value) in enumerate(rows, start=2):
+        if ind not in INDICATORS:
+            raise SchemaError(f"{path}: unknown indicator {ind!r} on line {k}")
+        try:
+            observations.setdefault(ind, []).append(
+                (date.fromisoformat(day), sector, float(value)))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: line {k}: {exc}") from None
+    keyed_once(path, (((ind, d.isoformat(), sector), None)
+                      for ind, obs in observations.items() for d, sector, _ in obs),
+               "observation")
     return EmpiricalDataset(observations)
 
 
 def save_dataset(dataset: EmpiricalDataset, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["indicator", "date", "sector", "value_pct"])
-        for ind in INDICATORS:
-            for d, sector, value in dataset.observations.get(ind, []):
-                w.writerow([ind, d.isoformat(), sector, repr(float(value))])
-    return path
+    return write_csv(path, DATASET_COLUMNS, (
+        [ind, d.isoformat(), sector, repr(float(value))]
+        for ind in INDICATORS
+        for d, sector, value in dataset.observations.get(ind, [])
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +195,9 @@ def nace21_section(code: str, mapping: dict[str, str] | None = None) -> str:
 
 
 def load_sector_mapping(path) -> dict[str, str]:
-    path = existing_file(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["nace64", "nace21"]:
-            raise SchemaError(f"{path}: header must be ['nace64', 'nace21']")
-        return keyed_once(path, ((row["nace64"].strip(), row["nace21"].strip())
-                                 for row in reader))
+    """Read a ``nace64,nace21`` mapping CSV; a code listed twice is refused."""
+    _, rows = read_csv(path, ("nace64", "nace21"))
+    return keyed_once(path, rows)
 
 
 def _pct_reduction(series: np.ndarray, baseline: np.ndarray) -> np.ndarray:
@@ -329,7 +311,8 @@ def _simulate_scored(economy: Economy, runs, scenario: Scenario):
 class _Scorer:
     """What scoring shares across the points of a grid: the dataset's
     quarterly means, the indicator weights and the calendar quarters of the
-    daily samples of ``scenario``'s runs."""
+    daily samples of ``scenario``'s runs. A dataset that names no sector
+    the economy can score in any cell raises ``ValidationError``."""
 
     def __init__(self, economy: Economy, dataset: EmpiricalDataset,
                  mapping: dict[str, str] | None, scenario: Scenario):
@@ -342,10 +325,14 @@ class _Scorer:
             data_q = dataset.quarterly(ind, DEFAULT_QUARTERS)
             weights = indicator_weights(economy, ind, mapping)
             for q in DEFAULT_QUARTERS:
-                candidates = sorted(
-                    s for (s, qq) in data_q if qq == q and s != AGGREGATE_CODE
-                )
-                self._cells.append((ind, q, candidates, data_q, weights))
+                candidates = sorted(  # the weights' keys are what can be scored
+                    s for (s, qq) in data_q
+                    if qq == q and s != AGGREGATE_CODE and s in weights)
+                if candidates:
+                    self._cells.append((ind, q, candidates, data_q, weights))
+        if not self._cells:
+            raise ValidationError("the dataset scores no cell: none of its "
+                                  "sectors is in the economy in a scored quarter")
 
     def score(self, series: dict[str, np.ndarray]) -> PointScore:
         """Score one run's ``SCORED_SERIES``, each a (time, sector) array
@@ -461,19 +448,23 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
+        """The grid of a grid JSON text; a key listed twice is refused."""
+        raw = parse_json(text, "malformed grid spec")
         try:
-            raw = json.loads(text)
             axes = tuple(
                 (str(name), tuple(values)) for name, values in raw["axes"]
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed grid spec: {exc}") from None
         return cls(axes)
 
 
 def load_grid(path) -> GridSpec:
-    path = existing_file(path)
-    return GridSpec.from_json(path.read_text(encoding="utf-8"))
+    text = read_text(path)
+    try:
+        return GridSpec.from_json(text)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def default_grid() -> GridSpec:
@@ -615,31 +606,20 @@ class CalibrationResult:
         return min(self.scores, key=_rank_key)
 
     def write_leaderboard(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         names = [name for name, _ in self.grid.axes]
         ordered = sorted(self.scores, key=_rank_key)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rank", "grid_index", "aad_total"] + names)
-            for rank, score in enumerate(ordered, start=1):
-                w.writerow(
-                    [rank, score.index, repr(score.aad_total)]
-                    + [score.params.get(n, "") for n in names]
-                )
-        return path
+        return write_csv(path, ["rank", "grid_index", "aad_total"] + names, (
+            [rank, score.index, repr(score.aad_total)]
+            + [score.params.get(n, "") for n in names]
+            for rank, score in enumerate(ordered, start=1)
+        ))
 
     def write_optimum_cells(self, path) -> Path:
         """Accuracy/bias matrix of the best point, one row per indicator."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        best = self.argmin
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["indicator", "quarter", "aad_vw", "ad_vw"])
-            for (ind, q), (aad, ad) in sorted(best.cells.items()):
-                w.writerow([ind, q, repr(aad), repr(ad)])
-        return path
+        return write_csv(path, ["indicator", "quarter", "aad_vw", "ad_vw"], (
+            [ind, q, repr(aad), repr(ad)]
+            for (ind, q), (aad, ad) in sorted(self.argmin.cells.items())
+        ))
 
 
 def _rounded(score: PointScore, index: int, params: dict) -> PointScore:
@@ -796,9 +776,9 @@ def grid_search(
     appended as they finish and are not recomputed when resuming after an
     interruption. An empty grid, ``workers`` below 1, a checkpoint path that
     is a directory, a scenario that does not fit the economy (its sectors or
-    its key dates) and a grid value the scenario cannot take raise
-    ``ValidationError`` before the checkpoint is touched and before any
-    point runs.
+    its key dates), a grid value the scenario cannot take and a dataset that
+    scores no cell raise ``ValidationError`` before the checkpoint is
+    touched and before any point runs.
     """
     if not workers >= 1:
         raise ValidationError(f"workers = {workers} must be at least 1")
@@ -814,6 +794,7 @@ def grid_search(
             except (TypeError, ValueError) as exc:
                 raise ValidationError(
                     f"grid axis {name!r} value {value!r}: {exc}") from None
+    scorer = _Scorer(economy, dataset, mapping, scenario)
     completed: dict[int, PointScore] = {}
     writer = None
     if checkpoint_path:
@@ -828,8 +809,7 @@ def grid_search(
                                   encoding="utf-8")
         writer = checkpoint.open("a", encoding="utf-8")
 
-    job = _GridJob(economy, scenario, params, dataset, grid, mapping,
-                   _Scorer(economy, dataset, mapping, scenario))
+    job = _GridJob(economy, scenario, params, dataset, grid, mapping, scorer)
     pending = [i for i in range(grid.n_points) if i not in completed]
     chunks = _chunks(grid, pending, params.prod_fn)
 
@@ -983,19 +963,11 @@ class MonteCarloResult:
         return float(self.bands[-1, k] - self.bands[0, k])
 
     def write_csv(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            labels = [f"p{q:g}" for q in self.quantiles]
-            w.writerow(["t", "date", "observable"] + labels)
-            for k, t in enumerate(self.times):
-                day = (self.start_date + timedelta(days=float(t))).isoformat()
-                w.writerow(
-                    [repr(float(t)), day, self.observable]
-                    + [repr(float(self.bands[j, k])) for j in range(len(self.quantiles))]
-                )
-        return path
+        labels = [f"p{q:g}" for q in self.quantiles]
+        return write_csv(path, ["t", "date", "observable"] + labels, (
+            [t, (self.start_date + timedelta(days=t)).isoformat(), self.observable,
+             *band] for t, band in zip(self.times.tolist(), self.bands.T.tolist())
+        ))
 
 
 def monte_carlo(

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 input validation failure, 2 runtime failure.
 The library raises ``SchemaError`` or ``ValidationError`` (exit 1) where it
-uses an invalid value; the CLI itself checks only the ``--end-date`` string
-and reads the ``--distributions`` file.
+reads a malformed file or uses an invalid value; the CLI itself checks only
+the ``--end-date`` string and reads the ``--distributions`` file itself,
+through the package's one JSON parser (``_files.parse_json``).
 Every output directory receives exactly one ``manifest.json`` with the
 resolved configuration and content hashes of all input files, sufficient
 to reproduce the run bit for bit.
@@ -20,6 +21,7 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__
+from ._files import parse_json, read_text
 from .calibration import (
     DEFAULT_QUARTERS,
     OBSERVABLES,
@@ -159,13 +161,10 @@ def cmd_validate_data(args) -> int:
     paths = _economy_paths(args)
     try:
         economy = _load_economy(paths)
-    except ValidationError as exc:
+    except (SchemaError, ValidationError) as exc:
         print(f"INVALID: {exc}")
-        for detail in exc.details:
+        for detail in getattr(exc, "details", ()):
             print(f"  - {detail}")
-        return EXIT_VALIDATION
-    except SchemaError as exc:
-        print(f"INVALID: {exc}")
         return EXIT_VALIDATION
     print(
         f"OK: {economy.n_sectors} sectors, accounting identity within "
@@ -235,11 +234,7 @@ def cmd_montecarlo(args) -> int:
     params = _params_from_args(args)
     raw = default_distributions()
     if args.distributions:
-        try:
-            raw = json.loads(Path(args.distributions).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ValidationError(
-                f"{args.distributions}: invalid distributions ({exc})") from None
+        raw = parse_json(read_text(args.distributions), args.distributions)
     result = monte_carlo(
         economy, scenario, params, raw, n_runs=args.n, seed=args.seed,
         observable=args.observable,
@@ -356,14 +351,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SchemaError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ValidationError):
-            for detail in exc.details:
-                print(f"  - {detail}", file=sys.stderr)
+        for detail in getattr(exc, "details", ()):
+            print(f"  - {detail}", file=sys.stderr)
         return EXIT_VALIDATION
-    except PnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError) as exc:
+    except (PnetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -12,20 +12,20 @@ simulation runs. Conventions throughout the package:
 
 One reader, ``_read_table``, serves all five input files: the IO table and
 the criticality survey (square matrices), the initial states, and the
-optional ``code,n_days`` and ``code,on_site`` override files. It refuses a
-sector code listed twice.
+optional ``code,n_days`` and ``code,on_site`` override files. Built on
+``_files.read_csv``, it also refuses a sector code listed twice.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError, existing_file, keyed_once
+from ._files import keyed_once, read_csv, write_csv
+from .errors import SchemaError, ValidationError
 
 # Relative tolerance for the per-sector accounting identity
 # x0[i] == sum_j Z[i, j] + c0[i] + f0[i].
@@ -255,35 +255,25 @@ def initial_inventories(economy: Economy) -> np.ndarray:
 STATE_COLUMNS = ("code", "x0", "c0", "f0", "l0", "n_days", "on_site")
 
 
-def _read_table(path, columns=None) -> tuple[list[str], np.ndarray]:
+def _read_table(path, columns=None, order=None) -> tuple[list[str], np.ndarray]:
     """Read a sector-keyed CSV: its row codes and one row of numbers each.
 
-    With ``columns`` the header must be ``columns``, the code column first;
-    with none the file is a square matrix whose first row and column carry
-    the same sector codes. Every code is listed once, and an ``on_site``
-    column holds only 0 and 1.
+    ``_files.read_csv`` checks the file, its header (``columns``, the code
+    column first) and its row lengths. With no ``columns`` the file is a
+    square matrix whose first row and column carry the same sector codes.
+    Every code is listed once, and an ``on_site`` column holds only 0 and 1.
+    With ``order`` (the IO table's codes) the file lists the same codes, and
+    its rows, and a matrix's columns, come back in that order.
     """
-    path = existing_file(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise SchemaError(f"{path}: file is empty")
-    header = [c.strip() for c in rows[0]]
-    if columns is not None and header != list(columns):
-        raise SchemaError(f"{path}: header {header} does not match {list(columns)}")
+    header, rows = read_csv(path, columns)
     labels = header[1:]
-    table = keyed_once(path, ((row[0].strip(), row) for row in rows[1:]))
+    table = keyed_once(path, ((row[0], row[1:]) for row in rows))
     codes = list(table)
     if columns is None and codes != labels:
         raise SchemaError(f"{path}: row codes do not match column codes")
     values = np.empty((len(codes), len(labels)), dtype=float)
-    for i, (code, row) in enumerate(table.items()):
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}: row {i + 2} has {len(row)} cells, "
-                f"expected {len(header)}"
-            )
-        for j, cell in enumerate(row[1:]):
+    for i, (code, cells) in enumerate(table.items()):
+        for j, cell in enumerate(cells):
             try:
                 values[i, j] = float(cell)
             except ValueError:
@@ -293,20 +283,16 @@ def _read_table(path, columns=None) -> tuple[list[str], np.ndarray]:
     if "on_site" in (columns or ()):
         if np.any(~np.isin(values[:, labels.index("on_site")], (0.0, 1.0))):
             raise SchemaError(f"{path}: on_site entries must be 0 or 1")
-    return codes, values
-
-
-def _align(codes_ref: list[str], codes_other: list[str], what: str, path):
-    """Permutation mapping other-file row order onto the reference order."""
-    if set(codes_ref) != set(codes_other):
-        missing = sorted(set(codes_ref) - set(codes_other))
-        extra = sorted(set(codes_other) - set(codes_ref))
+    if order is None:
+        return codes, values
+    if set(codes) != set(order):
         raise SchemaError(
-            f"{path}: sector codes of {what} do not match the IO table "
-            f"(missing {missing[:5]}, unexpected {extra[:5]})"
-        )
-    pos = {c: i for i, c in enumerate(codes_other)}
-    return np.asarray([pos[c] for c in codes_ref])
+            f"{path}: sector codes do not match the IO table (missing "
+            f"{sorted(set(order) - table.keys())[:5]}, unexpected "
+            f"{sorted(table.keys() - set(order))[:5]})")
+    position = {code: i for i, code in enumerate(codes)}
+    perm = [position[code] for code in order]
+    return list(order), values[perm] if columns else values[np.ix_(perm, perm)]
 
 
 def load_economy(
@@ -324,60 +310,32 @@ def load_economy(
     sources.
     """
     codes, Z = _read_table(io_table_path)
-    s_codes, states = _read_table(initial_states_path, STATE_COLUMNS)
-    states = states[_align(codes, s_codes, "initial states", initial_states_path)]
+    _, states = _read_table(initial_states_path, STATE_COLUMNS, codes)
     x0, c0, f0, l0, n_days, on_site = states.T
-
-    c_codes, crit = _read_table(criticality_path)
-    corder = _align(codes, c_codes, "criticality", criticality_path)
-    crit = crit[np.ix_(corder, corder)]
-
+    _, crit = _read_table(criticality_path, order=codes)
     if inventory_targets_path is not None:
-        v_codes, values = _read_table(inventory_targets_path, ("code", "n_days"))
-        n_days = values[_align(codes, v_codes, "inventory targets",
-                               inventory_targets_path), 0]
+        n_days = _read_table(inventory_targets_path, ("code", "n_days"), codes)[1][:, 0]
     if on_site_path is not None:
-        v_codes, values = _read_table(on_site_path, ("code", "on_site"))
-        on_site = values[_align(codes, v_codes, "on-site flags",
-                                on_site_path), 0]
-
+        on_site = _read_table(on_site_path, ("code", "on_site"), codes)[1][:, 0]
     return make_economy(codes, Z, c0, f0, l0, n_days, crit, on_site, x0=x0)
 
 
-def _fmt(v: float) -> str:
-    # repr() gives the shortest string that round-trips the float exactly
-    return repr(float(v))
-
-
 def write_economy(economy: Economy, directory) -> dict[str, Path]:
-    """Write the three economy CSVs; inverse of :func:`load_economy`."""
+    """Write the three economy CSVs; inverse of :func:`load_economy`.
+    ``csv.writer`` writes a float as its ``repr``, which reads back exactly."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    codes = list(economy.codes)
 
-    def write_matrix(name: str, M: np.ndarray) -> Path:
-        path = directory / name
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow([""] + codes)
-            for i, code in enumerate(codes):
-                w.writerow([code] + [_fmt(v) for v in M[i]])
-        return path
+    def write(name: str, header, rows) -> Path:
+        return write_csv(directory / name, header,
+                         ([code, *row] for code, row in zip(economy.codes, rows)))
 
-    paths = {
-        "io_table": write_matrix("io_table.csv", economy.Z),
-        "criticality": write_matrix("criticality.csv", economy.criticality),
+    accounts = np.column_stack((economy.x0, economy.c0, economy.f0, economy.l0,
+                                economy.n_days_inventory)).tolist()
+    return {
+        "io_table": write("io_table.csv", ["", *economy.codes], economy.Z.tolist()),
+        "criticality": write("criticality.csv", ["", *economy.codes],
+                             economy.criticality.tolist()),
+        "initial_states": write(
+            "initial_states.csv", STATE_COLUMNS,
+            ([*row, int(flag)] for row, flag in zip(accounts, economy.on_site))),
     }
-    states = directory / "initial_states.csv"
-    with states.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(STATE_COLUMNS)
-        for i, code in enumerate(codes):
-            w.writerow([
-                code,
-                _fmt(economy.x0[i]), _fmt(economy.c0[i]), _fmt(economy.f0[i]),
-                _fmt(economy.l0[i]), _fmt(economy.n_days_inventory[i]),
-                str(int(economy.on_site[i])),
-            ])
-    paths["initial_states"] = states
-    return paths

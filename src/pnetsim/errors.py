@@ -1,8 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package; ``_files`` owns the
+checks of every input file and the ``SchemaError`` each raises."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 
 class PnetError(Exception):
@@ -11,28 +10,6 @@ class PnetError(Exception):
 
 class SchemaError(PnetError):
     """An input file does not parse against its documented schema."""
-
-
-def existing_file(path) -> Path:
-    """``path`` as a ``Path``; ``SchemaError`` when nothing is there or a
-    directory is (a named pipe passes)."""
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"file not found: {path}")
-    if path.is_dir():
-        raise SchemaError(f"a directory, not a file: {path}")
-    return path
-
-
-def keyed_once(path, pairs, what: str = "code") -> dict:
-    """``dict(pairs)``; ``SchemaError`` naming ``path`` and the first key
-    listed twice."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise SchemaError(f"{path}: {what} {key!r} listed twice")
-        out[key] = value
-    return out
 
 
 class ValidationError(PnetError, ValueError):

@@ -18,12 +18,12 @@ Regenerate everything with ``python -m pnetsim.fixtures <output-dir>``.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from . import belgium
+from ._files import write_csv
 from .calibration import nace21_section
 from .economy import Economy, make_economy, write_economy
 from .shocks import Scenario, save_scenario
@@ -227,14 +227,8 @@ def scenario_for(economy: Economy, **overrides) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def write_sector_mapping(path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["nace64", "nace21"])
-        for code in belgium.SECTOR_CODES:
-            w.writerow([code, nace21_section(code)])
-    return path
+    return write_csv(path, ["nace64", "nace21"],
+                     ([code, nace21_section(code)] for code in belgium.SECTOR_CODES))
 
 
 def generate_all(base_dir=None) -> dict[str, Path]:

@@ -36,7 +36,6 @@ Two methods are available:
 from __future__ import annotations
 
 import bisect
-import csv
 import logging
 import math
 from collections import defaultdict
@@ -46,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import keyed_once, read_csv, write_csv
 from .dynamics import (  # noqa: F401 - _input_capacity: perfbench traces it here
     BehavioralParams,
     Drive,
@@ -60,7 +60,7 @@ from .dynamics import (  # noqa: F401 - _input_capacity: perfbench traces it her
     initial_state,
 )
 from .economy import Economy
-from .errors import IntegrationError, ValidationError
+from .errors import IntegrationError, SchemaError, ValidationError
 from .shocks import Scenario, ShockSchedule
 
 METHOD_DISCRETE = "discrete"
@@ -585,16 +585,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> Path:
 def write_aggregate_csv(traj: Trajectory, path) -> Path:
     """One row of economy-wide totals per time: the ``AGGREGATE_CODE`` rows
     of ``write_trajectory_csv``, value for value."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(AGGREGATE_COLUMNS)
-        for t, state in zip(traj.times, traj.states):
-            w.writerow([repr(float(t)), traj.date_at(t).isoformat(),
-                        *(repr(float(get(state).sum()))
-                          for get in SERIES.values())])
-    return path
+    return write_csv(path, AGGREGATE_COLUMNS, (
+        [repr(float(t)), traj.date_at(t).isoformat(),
+         *(repr(float(get(state).sum())) for get in SERIES.values())]
+        for t, state in zip(traj.times, traj.states)
+    ))
 
 
 def _csv_field(text: str) -> str:
@@ -606,19 +601,13 @@ def _csv_field(text: str) -> str:
 
 
 def read_trajectory_csv(path):
-    """Read a trajectory CSV into ``{column: {(t, sector): value}}``."""
-    path = Path(path)
-    values: dict[str, dict[tuple[float, str], float]] = {
-        c: {} for c in TRAJECTORY_COLUMNS[3:]
-    }
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(TRAJECTORY_COLUMNS):
-            raise IntegrationError(
-                f"{path}: not a trajectory CSV (header {reader.fieldnames})"
-            )
-        for row in reader:
-            key = (float(row["t"]), row["sector"])
-            for col in values:
-                values[col][key] = float(row[col])
-    return values
+    """Read a trajectory CSV into ``{column: {(t, sector): value}}``; a file
+    that is not one, or lists a (t, sector) row twice, raises ``SchemaError``."""
+    _, rows = read_csv(path, TRAJECTORY_COLUMNS)
+    try:
+        table = keyed_once(path, (((float(t), sector), [float(v) for v in values])
+                                  for t, _, sector, *values in rows), "row")
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    return {col: {key: values[j] for key, values in table.items()}
+            for j, col in enumerate(TRAJECTORY_COLUMNS[3:])}

@@ -38,8 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import parse_json, read_text
 from .economy import Economy
-from .errors import SchemaError, ValidationError, existing_file, keyed_once
+from .errors import SchemaError, ValidationError
 
 EVENT_LOCKDOWN_START = "lockdown_start"
 EVENT_LOCKDOWN_END = "lockdown_end"
@@ -376,12 +377,7 @@ def aggregate_shock(eps, weights) -> float:
 def load_scenario(path) -> Scenario:
     """Read a scenario JSON file; shock magnitudes are fractions in [0, 1].
     A key listed twice in any object, a sector of ``shocks`` too, is refused."""
-    path = existing_file(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"),
-                         object_pairs_hook=lambda pairs: keyed_once(path, pairs, "key"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
+    raw = parse_json(read_text(path), path)
     try:
         start = date.fromisoformat(raw["start_date"])
         key_dates = tuple(

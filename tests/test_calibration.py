@@ -180,7 +180,7 @@ def test_loaders_reject_a_missing_file(tmp_path, load):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("indicator,date,sector\ngdp,2020-05-01,X1\n", "header must be"),
+    ("indicator,date,sector\ngdp,2020-05-01,X1\n", "does not match"),
     ("indicator,date,sector,value_pct\ngdp,2020-13-01,X1,-1\n", "line 2"),
 ], ids=["wrong-header", "bad-date"])
 def test_dataset_rejects_malformed_content(tmp_path, text, message):
@@ -290,8 +290,11 @@ def test_grid_rejects_an_empty_axis_and_an_index_out_of_range():
             grid.point_at(index)
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"axes": [["tau"]]}'],
-                         ids=["not-json", "axis-without-values"])
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"axes": [["tau"]]}',
+    '{"axes": [["tau", [7.0]]], "axes": [["l2", [28.0]]]}',
+], ids=["not-json", "axis-without-values", "axes-twice"])
 def test_grid_file_with_malformed_content_rejected(tmp_path, text):
     path = tmp_path / "grid.json"
     path.write_text(text)
@@ -375,6 +378,17 @@ def test_self_scored_dataset_is_exact(d3_setup):
     assert len(score.cells) == 16
     for aad, ad in score.cells.values():
         assert abs(ad) <= aad + 1e-15
+
+
+def test_sectors_the_economy_lacks_do_not_change_a_score(d3_setup):
+    economy, scenario = d3_setup
+    params = BehavioralParams(tau=7.0)
+    dataset = synthesize_dataset(economy, scenario, BehavioralParams())
+    extra = {ind: obs + [(d, "ZZ9", -50.0) for d, _, _ in obs]
+             for ind, obs in dataset.observations.items()}
+    plain = score_point(economy, scenario, params, dataset)
+    padded = score_point(economy, scenario, params, EmpiricalDataset(extra))
+    assert padded == plain and plain.aad_total > 0
 
 
 def test_toy_grid_recovers_generating_point(d3_setup):
@@ -517,8 +531,9 @@ def test_checkpoint_with_an_unterminated_header_is_rejected(tmp_path, d3_setup):
     grid = GridSpec((("tau", (7.0, 14.0)),))
     ck = tmp_path / "ck.jsonl"
     ck.write_text(json.dumps({"grid_hash": grid.content_hash()}))
+    dataset = synthesize_dataset(economy, scenario, BehavioralParams())
     with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
-        grid_search(economy, scenario, BehavioralParams(), EmpiricalDataset({}),
+        grid_search(economy, scenario, BehavioralParams(), dataset,
                     grid, checkpoint_path=ck, resume=True)
 
 

@@ -358,13 +358,6 @@ def test_broken_invariant_gives_runtime_exit_adaptive(d2_files, tmp_path,
     assert "negative inventory at t = 0.0" in capsys.readouterr().err
 
 
-def test_unreadable_trajectory_gives_runtime_exit(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("not,a,trajectory\n1,2,3\n")
-    rc = main(["compare", str(bad), str(bad)])
-    assert rc == 2
-
-
 def test_grid_search_cli_roundtrip(d2_files, tmp_path, capsys):
     economy, paths, scenario, scenario_path = d2_files
     params = BehavioralParams()
@@ -710,4 +703,83 @@ def test_mapping_with_a_code_listed_twice_gives_validation_exit(d3_grid_files,
                         "--mapping", str(mapping))
     assert rc == 1
     assert capsys.readouterr().err == f"error: {mapping}: code 'S1' listed twice\n"
+    assert not (tmp_path / "out").exists()
+
+
+TRAJECTORY_HEADER = "t,date,sector,x,d,l,c,f,b2b_out\n"
+DELTA_S = '{"dist": "uniform", "low": 0.5, "high": 0.6}'
+D3 = ["--fixture", "d3", "--out", "{out}"]
+#: A valid d3 grid search; a later flag overrides one of its files.
+GRID_SEARCH = ["grid-search", *D3, "--scenario", "{scenario}",
+               "--dataset", "{dataset}", "--grid", "{grid}"]
+MONTECARLO = ["montecarlo", *D3, "--scenario", "{scenario}", "--n", "2"]
+SIMULATE = ["simulate", *D3, "--days", "5"]
+
+#: A malformed input file, by case: the file's name and content (None: no
+#: file), and the command that reads it as ``{bad}``.
+MALFORMED = {
+    "mapping-short-row": ("mapping.csv", "nace64,nace21\nS1\nS2,B\nS3,C\n",
+                          [*GRID_SEARCH, "--mapping", "{bad}"]),
+    "dataset-short-row": ("data.csv", "indicator,date,sector,value_pct\ngdp,2020-05-01\n",
+                          [*GRID_SEARCH, "--dataset", "{bad}"]),
+    "dataset-not-utf8": ("data.csv", b"indicator,date\xff\n",
+                         [*GRID_SEARCH, "--dataset", "{bad}"]),
+    "grid-not-json": ("grid.json", "{not json", [*GRID_SEARCH, "--grid", "{bad}"]),
+    "grid-axes-twice": ("grid.json",
+                        '{"axes": [["tau", [7.0]]], "axes": [["tau", [14.0]]]}',
+                        [*GRID_SEARCH, "--grid", "{bad}"]),
+    "scenario-not-json": ("scenario.json", "{not json",
+                          [*SIMULATE, "--scenario", "{bad}"]),
+    "scenario-key-twice": ("scenario.json",
+                           '{"start_date": "2020-03-01", "start_date": "2020-03-02"}',
+                           [*SIMULATE, "--scenario", "{bad}"]),
+    "distributions-not-json": ("dists.json", "{not json",
+                               [*MONTECARLO, "--distributions", "{bad}"]),
+    "distributions-key-twice": ("dists.json",
+                                f'{{"delta_s": {DELTA_S}, "delta_s": {DELTA_S}}}',
+                                [*MONTECARLO, "--distributions", "{bad}"]),
+    "compare-not-a-trajectory": ("bad.csv", "not,a,trajectory\n1,2,3\n",
+                                 ["compare", "{bad}", "{bad}"]),
+    "compare-missing": ("bad.csv", None, ["compare", "{bad}", "{bad}"]),
+    "compare-short-row": ("bad.csv", TRAJECTORY_HEADER + "0.0,2020-03-01,S1,1.0\n",
+                          ["compare", "{bad}", "{bad}"]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_file_gives_validation_exit(d3_grid_files, tmp_path, capsys,
+                                                    case):
+    name, content, command = MALFORMED[case]
+    bad = tmp_path / "bad" / name
+    bad.parent.mkdir()
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    grid = tmp_path / "grid.json"
+    grid.write_text(GridSpec((("tau", (7.0, 14.0)),)).to_json())
+    scenario, dataset = d3_grid_files
+    out = tmp_path / "out"
+    assert main([arg.format(bad=bad, grid=grid, scenario=scenario, dataset=dataset,
+                            out=out) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(bad) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", ["", "gdp,2020-05-15,ZZ9,-1.0\n"],
+                         ids=["header-only", "unknown-sector"])
+def test_dataset_that_scores_no_cell_gives_validation_exit(d3_grid_files, tmp_path,
+                                                           capsys, rows):
+    scenario_path, dataset_path = d3_grid_files
+    dataset_path.write_text("indicator,date,sector,value_pct\n" + rows)
+    checkpoint = tmp_path / "ck" / "ck.jsonl"
+    rc = grid_search_d3(tmp_path, scenario_path, dataset_path,
+                        GridSpec((("tau", (7.0, 14.0)),)), "--checkpoint", str(checkpoint))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "scores no cell" in err
+    assert not checkpoint.parent.exists()
     assert not (tmp_path / "out").exists()

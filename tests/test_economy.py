@@ -1,16 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 
 from pnetsim import (
+    BehavioralParams,
+    IntegrationConfig,
     SchemaError,
     ValidationError,
     derive_criticality_sets,
     initial_inventories,
     load_economy,
     make_economy,
+    simulate,
     write_economy,
 )
-from pnetsim.fixtures import fixture_paths
+from pnetsim.calibration import load_dataset, load_sector_mapping
+from pnetsim.fixtures import fixture_paths, scenario_for
+from pnetsim.integrate import read_trajectory_csv, write_trajectory_csv
 
 
 def load_fixture(name):
@@ -108,14 +115,30 @@ INPUTS = ("io_table", "initial_states", "criticality", "inventory_targets",
           "on_site")
 
 
+#: The CSV files that are not economy files, each with its reader.
+OTHER_READERS = {
+    "dataset": load_dataset,
+    "mapping": load_sector_mapping,
+    "trajectory": read_trajectory_csv,
+}
+
+
 @pytest.fixture()
 def d2_inputs(tmp_path, d2):
-    """d2's three economy files and both override files, one writer each."""
+    """d2's three economy files and both override files, one writer each,
+    and a dataset, a mapping and a two-day trajectory for d2."""
     paths = write_economy(d2, tmp_path / "economy")
     paths["inventory_targets"] = tmp_path / "n_days.csv"
     paths["inventory_targets"].write_text("code,n_days\nX1,10.0\nX2,5.0\n")
     paths["on_site"] = tmp_path / "on_site.csv"
     paths["on_site"].write_text("code,on_site\nX1,0\nX2,0\n")
+    paths["dataset"] = tmp_path / "data.csv"
+    paths["dataset"].write_text("indicator,date,sector,value_pct\n"
+                                "gdp,2020-05-15,X1,-1.0\ngdp,2020-05-15,X2,-2.0\n")
+    paths["mapping"] = tmp_path / "mapping.csv"
+    paths["mapping"].write_text("nace64,nace21\nX1,A\nX2,B\n")
+    traj = simulate(d2, scenario_for(d2), BehavioralParams(), IntegrationConfig(), 2.0)
+    paths["trajectory"] = write_trajectory_csv(traj, tmp_path / "trajectory.csv")
     return paths
 
 
@@ -125,6 +148,13 @@ def load_inputs(paths):
         inventory_targets_path=paths["inventory_targets"],
         on_site_path=paths["on_site"],
     )
+
+
+def read_input(paths, name):
+    """Read the file ``name`` of ``d2_inputs`` with its own reader."""
+    if name in OTHER_READERS:
+        return OTHER_READERS[name](paths[name])
+    return load_inputs(paths)
 
 
 def edit_lines(path, edit):
@@ -174,9 +204,16 @@ def drop_all_lines(lines):
     lines.clear()
 
 
-@pytest.mark.parametrize("name", INPUTS)
+#: What a repeated last row is called, where it is not "code 'X2'".
+REPEATED = {
+    "dataset": "observation ('gdp', '2020-05-15', 'X2')",
+    "trajectory": "row (2.0, 'BE')",
+}
+
+
+@pytest.mark.parametrize("name", INPUTS + tuple(OTHER_READERS))
 @pytest.mark.parametrize("edit, message", [
-    (repeat_last_row, "code 'X2' listed twice"),
+    (repeat_last_row, "{repeated} listed twice"),
     (rename_last_column, "do(es)? not match"),
     (drop_last_cell, "row 2 has"),
     (drop_all_lines, "file is empty"),
@@ -184,8 +221,9 @@ def drop_all_lines(lines):
 def test_every_input_is_read_with_the_same_checks(d2_inputs, name, edit, message):
     path = d2_inputs[name]
     edit_lines(path, edit)
-    with pytest.raises(SchemaError, match=message) as err:
-        load_inputs(d2_inputs)
+    repeated = re.escape(REPEATED.get(name, "code 'X2'"))
+    with pytest.raises(SchemaError, match=message.format(repeated=repeated)) as err:
+        read_input(d2_inputs, name)
     assert str(err.value).startswith(f"{path}: ")
 
 

@@ -1,0 +1,115 @@
+"""Characterization test: the shipped writers give the committed bytes.
+
+``output_hashes`` remakes be64 exports and calibration outputs and hashes
+them; ``golden/sha256.json`` holds the SHA-256 values they had when it was
+last written (regenerate it with ``golden/gen_sha256.py`` after a change
+that moves bits on purpose, and list old and new values in CHANGES.md).
+The grid and the ensemble are defined here, like the benchmark's
+calibration workload at seed 1, so that the tests import no benchmark code.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from pnetsim import (
+    PRODUCTION_FUNCTIONS,
+    BehavioralParams,
+    GridSpec,
+    IntegrationConfig,
+    grid_search,
+    load_economy,
+    load_scenario,
+    monte_carlo,
+    simulate,
+)
+from pnetsim.calibration import (
+    DEFAULT_QUARTERS,
+    apply_grid_point,
+    horizon_for,
+    load_dataset,
+    save_dataset,
+    synthesize_dataset,
+)
+from pnetsim.fixtures import fixture_paths, reference_scenario_path
+from pnetsim.integrate import write_aggregate_csv, write_trajectory_csv
+
+GOLDEN = Path(__file__).parent / "golden" / "sha256.json"
+
+#: 20 points: every bottleneck rule, one behavioural and one scenario axis.
+GRID_AXES = (
+    ("prod_fn", PRODUCTION_FUNCTIONS),
+    ("tau", (7.0, 21.0)),
+    ("l2", (28.0, 56.0)),
+)
+MC_DISTRIBUTIONS = {
+    "eps_S_scale": {"dist": "uniform", "low": 0.8, "high": 1.2},
+    "l2": {"dist": "uniform", "low": 28.0, "high": 56.0},
+    "tau": {"dist": "normal", "mean": 14.0, "sd": 3.0, "min": 1.0},
+}
+MC_RUNS = 40
+MC_DAYS = 120.0
+SEED = 1
+
+NOTE = (
+    "SHA-256 of the be64 trajectory.csv and aggregate.csv of each bottleneck "
+    "rule (discrete, dt 1, to the end of the scored quarters) and of the "
+    "synthesized dataset, leaderboard, optimum cells, checkpoint and Monte "
+    "Carlo bands of tests/test_golden.py's 20-point grid and 40-draw "
+    "ensemble at seed 1. Made on x86-64 with AVX-512, Python 3.11.7, numpy "
+    "2.4.6 and OpenBLAS 0.3.31. Adaptive (continuous_adaptive) outputs are "
+    "left out: their bytes depend on the BLAS kernel OpenBLAS picks for the "
+    "CPU. Regenerate with tests/golden/gen_sha256.py."
+)
+
+
+def write_outputs(directory: Path) -> list[Path]:
+    """Write every covered output under ``directory``."""
+    paths = fixture_paths("be64")
+    economy = load_economy(paths["io_table"], paths["initial_states"],
+                           paths["criticality"])
+    scenario = load_scenario(reference_scenario_path())
+    t_end = horizon_for(scenario, DEFAULT_QUARTERS)
+    written = []
+    for rule in PRODUCTION_FUNCTIONS:
+        traj = simulate(economy, scenario, BehavioralParams(prod_fn=rule),
+                        IntegrationConfig(), t_end)
+        written += [write_trajectory_csv(traj, directory / rule / "trajectory.csv"),
+                    write_aggregate_csv(traj, directory / rule / "aggregate.csv")]
+
+    grid = GridSpec(GRID_AXES)
+    generating = grid.point_at(int(np.random.default_rng(SEED).integers(grid.n_points)))
+    scn, prm = apply_grid_point(economy, scenario, BehavioralParams(), generating)
+    cal = directory / "calibration"
+    written.append(save_dataset(synthesize_dataset(economy, scn, prm),
+                                cal / "dataset.csv"))
+    result = grid_search(economy, scenario, BehavioralParams(),
+                         load_dataset(cal / "dataset.csv"), grid,
+                         checkpoint_path=cal / "checkpoint.jsonl")
+    written += [result.write_leaderboard(cal / "leaderboard.csv"),
+                result.write_optimum_cells(cal / "optimum_cells.csv"),
+                cal / "checkpoint.jsonl"]
+    mc = monte_carlo(economy, scenario, BehavioralParams(), MC_DISTRIBUTIONS,
+                     n_runs=MC_RUNS, seed=SEED, t_end=MC_DAYS)
+    written.append(mc.write_csv(cal / "bands.csv"))
+    return written
+
+
+def output_hashes(directory: Path) -> dict[str, str]:
+    """SHA-256 of each output ``write_outputs`` makes, by its path under
+    ``directory``."""
+    return {
+        path.relative_to(directory).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in write_outputs(directory)
+    }
+
+
+def test_outputs_match_the_committed_hashes(tmp_path):
+    expected = json.loads(GOLDEN.read_text())["sha256"]
+    actual = output_hashes(tmp_path)
+    moved = sorted(name for name in expected.keys() | actual.keys()
+                   if expected.get(name) != actual.get(name))
+    assert not moved, f"SHA-256 moved for: {', '.join(moved)}"
