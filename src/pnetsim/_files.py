@@ -18,7 +18,8 @@ from .errors import SchemaError
 
 
 def read_text(path) -> str:
-    """The text of the UTF-8 file ``path``; ``SchemaError`` when nothing is
+    """The text of the UTF-8 file ``path``, without the byte-order mark a
+    spreadsheet's "CSV UTF-8" puts first; ``SchemaError`` when nothing is
     there, a directory is, or the bytes are not UTF-8 (a named pipe passes)."""
     path = Path(path)
     if not path.exists():
@@ -26,7 +27,7 @@ def read_text(path) -> str:
     if path.is_dir():
         raise SchemaError(f"a directory, not a file: {path}")
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from None
 

@@ -10,8 +10,8 @@ value-weighted average absolute deviation (accuracy) and the signed
 average deviation (bias; positive when the model is too optimistic).
 
 Scoring, grid search, dataset synthesis and Monte Carlo runs all simulate
-the daily discrete model (``IntegrationConfig()``: unit steps, one sample
-per whole day), and scoring and synthesis cover ``DEFAULT_QUARTERS``.
+the daily discrete model (unit steps, one sample per whole day), and
+scoring and synthesis cover ``DEFAULT_QUARTERS``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import CheckpointError, SchemaError, ValidationError
 from .integrate import (  # noqa: F401 - simulate: perfbench traces it here
     AGGREGATE_CODE,
     SERIES,
-    IntegrationConfig,
     Trajectory,
     _output_grid,
     simulate,
@@ -158,16 +157,19 @@ DATASET_COLUMNS = ("indicator", "date", "sector", "value_pct")
 
 
 def load_dataset(path) -> EmpiricalDataset:
-    """Read a dataset CSV; an (indicator, date, sector) observation listed
-    twice is refused."""
+    """Read a dataset CSV; a value that is not a finite number and an
+    (indicator, date, sector) observation listed twice are refused."""
     _, rows = read_csv(path, DATASET_COLUMNS)
     observations: dict[str, list[tuple[date, str, float]]] = {}
     for k, (ind, day, sector, value) in enumerate(rows, start=2):
         if ind not in INDICATORS:
             raise SchemaError(f"{path}: unknown indicator {ind!r} on line {k}")
         try:
+            pct = float(value)
+            if not np.isfinite(pct):
+                raise ValueError(f"value_pct {value!r} is not finite")
             observations.setdefault(ind, []).append(
-                (date.fromisoformat(day), sector, float(value)))
+                (date.fromisoformat(day), sector, pct))
         except ValueError as exc:
             raise SchemaError(f"{path}: line {k}: {exc}") from None
     keyed_once(path, (((ind, d.isoformat(), sector), None)
@@ -316,8 +318,7 @@ class _Scorer:
 
     def __init__(self, economy: Economy, dataset: EmpiricalDataset,
                  mapping: dict[str, str] | None, scenario: Scenario):
-        times = _output_grid(IntegrationConfig(),
-                             horizon_for(scenario, DEFAULT_QUARTERS))
+        times = _output_grid(horizon_for(scenario, DEFAULT_QUARTERS))
         self.frame = _QuarterFrame(times, scenario.start_date, economy, mapping,
                                    DEFAULT_QUARTERS)
         self._cells = []
@@ -432,13 +433,6 @@ class GridSpec:
     def __iter__(self):
         for i in range(self.n_points):
             yield i, self.point_at(i)
-
-    def content_hash(self) -> str:
-        doc = json.dumps(
-            [[name, list(values)] for name, values in self.axes],
-            sort_keys=False,
-        )
-        return hashlib.sha256(doc.encode()).hexdigest()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -658,13 +652,13 @@ def _parse_record(text: bytes) -> PointScore:
     )
 
 
-def _read_checkpoint(path: Path, grid: GridSpec) -> tuple[dict[int, PointScore], int]:
+def _read_checkpoint(path: Path, inputs_hash: str) -> tuple[dict[int, PointScore], int]:
     """Completed points, and the length in bytes of the file's intact part.
 
     A record is complete once its newline is written. A final record that
     is unterminated or unreadable is what a crash during an append leaves;
-    it is dropped and lies outside the intact part. Damage anywhere else
-    raises ``CheckpointError``.
+    it is dropped and lies outside the intact part. A header whose hash is
+    not ``inputs_hash`` and damage anywhere else raise ``CheckpointError``.
     """
     completed: dict[int, PointScore] = {}
     with path.open("rb") as fh:
@@ -672,13 +666,12 @@ def _read_checkpoint(path: Path, grid: GridSpec) -> tuple[dict[int, PointScore],
         try:
             if not header.endswith(b"\n"):
                 raise ValueError("unterminated header")
-            stored_hash = json.loads(header)["grid_hash"]
-        except (ValueError, KeyError, TypeError):
+            stored_hash = json.loads(header).get("inputs_hash")
+        except (ValueError, AttributeError):
             raise CheckpointError(f"{path}: unreadable checkpoint header") from None
-        if stored_hash != grid.content_hash():
-            raise CheckpointError(
-                f"{path}: checkpoint was written for a different grid"
-            )
+        if stored_hash != inputs_hash:
+            raise CheckpointError(f"{path}: checkpoint was written for other "
+                                  "inputs or by an earlier version")
         intact = len(header)
         line = fh.readline()
         lineno = 2
@@ -714,6 +707,26 @@ class _GridJob:
     grid: GridSpec
     mapping: dict[str, str] | None
     scorer: _Scorer
+
+    def inputs_hash(self) -> str:
+        """SHA-256 of all the job carries but the scorer (made from the
+        rest): one JSON text per input, fed in a fixed order. One text at a
+        time and arrays as bytes keep the transient memory small."""
+        e = self.economy
+        h = hashlib.sha256()
+        for part in ([[name, list(values)] for name, values in self.grid.axes],
+                     vars(self.params), vars(self.scenario), e.codes, e.Z, e.x0,
+                     e.c0, e.f0, e.l0, e.n_days_inventory, e.criticality,
+                     e.on_site, self.dataset.observations, self.mapping):
+            h.update(json.dumps(part, default=_hashable).encode())
+        return h.hexdigest()
+
+
+def _hashable(value) -> str:
+    """A date in ISO form; an array or a numpy scalar as the hex of its
+    little-endian float64 bytes, which keep every bit."""
+    return (value.isoformat() if isinstance(value, date)
+            else np.asarray(value, "<f8").tobytes().hex())
 
 
 def _score_chunk(job: _GridJob, indices: list[int]) -> list[PointScore]:
@@ -778,7 +791,8 @@ def grid_search(
     is a directory, a scenario that does not fit the economy (its sectors or
     its key dates), a grid value the scenario cannot take and a dataset that
     scores no cell raise ``ValidationError`` before the checkpoint is
-    touched and before any point runs.
+    touched and before any point runs; so does ``CheckpointError`` on a
+    resume for other inputs. At most one worker starts per chunk.
     """
     if not workers >= 1:
         raise ValidationError(f"workers = {workers} must be at least 1")
@@ -794,24 +808,25 @@ def grid_search(
             except (TypeError, ValueError) as exc:
                 raise ValidationError(
                     f"grid axis {name!r} value {value!r}: {exc}") from None
-    scorer = _Scorer(economy, dataset, mapping, scenario)
+    job = _GridJob(economy, scenario, params, dataset, grid, mapping,
+                   _Scorer(economy, dataset, mapping, scenario))
     completed: dict[int, PointScore] = {}
     writer = None
     if checkpoint_path:
         checkpoint = Path(checkpoint_path)
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
         if resume and checkpoint.exists():
-            completed, intact = _read_checkpoint(checkpoint, grid)
+            completed, intact = _read_checkpoint(checkpoint, job.inputs_hash())
             os.truncate(checkpoint, intact)
         else:  # a new file: on ext4, truncating the old one in place is slower
             checkpoint.unlink(missing_ok=True)
-            checkpoint.write_text(json.dumps({"grid_hash": grid.content_hash()}) + "\n",
+            checkpoint.write_text(json.dumps({"inputs_hash": job.inputs_hash()}) + "\n",
                                   encoding="utf-8")
         writer = checkpoint.open("a", encoding="utf-8")
 
-    job = _GridJob(economy, scenario, params, dataset, grid, mapping, scorer)
     pending = [i for i in range(grid.n_points) if i not in completed]
     chunks = _chunks(grid, pending, params.prod_fn)
+    workers = min(workers, len(chunks))  # a pool forks all its workers at once
 
     def record(scores: list[PointScore]) -> None:
         for score in scores:

@@ -183,6 +183,8 @@ def make_economy(
 
     for name, arr in (("Z", Z), ("x0", x0), ("c0", c0), ("f0", f0),
                       ("l0", l0), ("n_days", n_days)):
+        if not np.all(np.isfinite(arr)):
+            problems.append(f"{name} contains non-finite entries")
         if np.any(arr < 0):
             problems.append(f"{name} contains negative entries")
     for name, arr in (("c0", c0), ("l0", l0)):

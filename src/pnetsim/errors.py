@@ -35,5 +35,5 @@ class IntegrationError(PnetError):
 
 
 class CheckpointError(PnetError):
-    """A grid-search checkpoint does not match the requested grid, or is
-    damaged before its final record."""
+    """A grid-search checkpoint was written for other inputs or by an
+    earlier version, or is damaged before its final record."""

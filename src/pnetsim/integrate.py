@@ -1,13 +1,16 @@
 """Advance the dynamics over a date range and sample trajectories.
 
-Two methods are available:
+``IntegrationConfig`` holds ``method`` and ``dt``. Every run samples by one
+rule, ``_output_grid(t_end)``: each whole day from 0 to ``t_end``, and
+``t_end`` itself when it is fractional. Two methods are available:
 
 * ``discrete`` -- repeated application of the one-step update with a fixed
-  step of at most one day. Steps are aligned so that scenario breakpoints
-  (ramp starts and ends) and requested sample times always fall on step
-  boundaries. ``simulate_series`` steps several runs together through the
-  batched kernel and keeps only the series it is asked for; it runs
-  calibration's one configuration, ``IntegrationConfig()``. The shocks of
+  step of at most one day. Scenario breakpoints (ramp starts and ends) and
+  sample times are step ends, so ``_march`` finds its samples in its table
+  of step end times and calls ``keep(state, g, rows)`` when the points
+  ``rows`` reach sample ``g``. ``simulate_series`` steps several runs
+  together through the batched kernel with unit steps, calibration's one
+  configuration, and keeps only the series it is asked for. The shocks of
   a batch are read one block of steps at a time, at most
   ``DRIVE_BLOCK_BYTES`` per array, so a chunk's working memory does not
   grow with its run length; a single run is one block (be64 over 395 days
@@ -38,7 +41,6 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -78,7 +80,6 @@ log = logging.getLogger(__name__)
 class IntegrationConfig:
     method: str = METHOD_DISCRETE
     dt: float = 1.0
-    output_grid: tuple[float, ...] | None = None  # None: every whole day
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -111,16 +112,11 @@ class Trajectory:
         return self.start_date + timedelta(days=float(t))
 
 
-def _output_grid(config: IntegrationConfig, t_end: float) -> np.ndarray:
+def _output_grid(t_end: float) -> np.ndarray:
+    """The sample times of every run: each whole day from 0 to ``t_end``,
+    and ``t_end`` itself when it is fractional."""
     if not 0.0 < t_end < math.inf:
         raise ValidationError(f"t_end = {t_end} outside (0, inf) days")
-    if config.output_grid is not None:
-        grid = np.asarray(sorted(set(float(t) for t in config.output_grid)))
-        if grid.size == 0:
-            raise ValidationError("output grid is empty")
-        if not (grid[0] >= 0 and grid[-1] <= t_end + 1e-9):
-            raise ValidationError("output grid extends outside [0, t_end]")
-        return grid
     grid = np.arange(0.0, math.floor(t_end) + 1.0)
     if t_end - math.floor(t_end) > 1e-9:
         grid = np.append(grid, t_end)
@@ -135,7 +131,7 @@ def simulate(
     t_end: float,
 ) -> Trajectory:
     """Run the model from the equilibrium epoch to day ``t_end``."""
-    grid = _output_grid(config, t_end)
+    grid = _output_grid(t_end)
     schedule = ShockSchedule(scenario, economy)
     ctx = ModelContext(economy, params, schedule)
     if config.method == METHOD_DISCRETE:
@@ -165,21 +161,10 @@ def _boundaries(schedule: ShockSchedule, grid: np.ndarray, t_end: float):
     return sorted(pts)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """One point's discrete steps and where its samples fall among them."""
-
-    t: np.ndarray  # end time of each step
-    h: np.ndarray  # length of each step
-    samples: list[tuple[int, int]]  # (step index, grid index); -1: the start
-
-
-def _plan(schedule: ShockSchedule, grid, t_end, dt) -> _Plan:
+def _plan(schedule: ShockSchedule, grid, t_end, dt):
+    """One point's discrete steps: the end time and the length of each."""
     bounds = _boundaries(schedule, grid, t_end)
-    position = {float(g): k for k, g in enumerate(grid)}
-    t, h, samples = [], [], []
-    if 0.0 in position:
-        samples.append((-1, position[0.0]))
+    t, h = [], []
     for a, b in zip(bounds, bounds[1:]):
         span = b - a
         n = max(1, math.ceil(span / dt - 1e-9))
@@ -187,9 +172,7 @@ def _plan(schedule: ShockSchedule, grid, t_end, dt) -> _Plan:
         for k in range(1, n + 1):
             t.append(b if k == n else a + k * step)
             h.append(step)
-        if b in position:
-            samples.append((len(t) - 1, position[b]))
-    return _Plan(np.asarray(t), np.asarray(h), samples)
+    return np.asarray(t), np.asarray(h)
 
 
 #: Most bytes one ``(steps, B, N)`` array of the shock drive ``_march``
@@ -200,36 +183,36 @@ DRIVE_BLOCK_BYTES = 2**18
 def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
     """Step every point of ``ctx`` from the equilibrium epoch to ``t_end``.
 
-    Calls ``keep(state, g, rows)`` whenever the points ``rows`` (a slice or
-    an index array into a batch) reach sample ``g`` of ``grid``. Points
-    whose scenarios put breakpoints at different times take different
-    steps; a point that runs out of steps early keeps stepping whole days
-    past ``t_end``, and those states are never kept. The shocks are read
-    in blocks of at most ``DRIVE_BLOCK_BYTES`` per array; a table row does
-    not depend on the other times of its block, so neither do the bits.
+    Each time of ``grid`` (``_output_grid(t_end)``) ends a step; sample 0
+    is the start. At the start and after each step that ends on a sample
+    time, calls ``keep(state, g, rows)``: the points ``rows`` reached
+    sample ``g``. When all points reached one sample (a single run, whose
+    ``state`` is ``(N,)``, always does), ``rows`` is ``slice(None)`` and
+    ``g`` an index, so the keeper copies no rows; else both are index
+    arrays, one entry per point. Points whose scenarios put breakpoints at
+    different times take different steps; a point that runs out of steps
+    early keeps stepping whole days past ``t_end``, and those states are
+    never kept. The shocks are read in blocks of at most
+    ``DRIVE_BLOCK_BYTES`` per array; a table row does not depend on the
+    other times of its block, so neither do the bits.
     """
-    shared: dict[tuple[float, ...], _Plan] = {}
+    shared: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
     plans = []
     for s in ctx.schedules:  # a plan reads its schedule's breakpoints only
         key = tuple(s.breakpoints.tolist())
         if key not in shared:
             shared[key] = _plan(s, grid, t_end, dt)
         plans.append(shared[key])
-    n = max(len(p.t) for p in plans)
+    n = max(len(t) for t, _ in plans)
     T = np.empty((n, ctx.size))
     H = np.ones((n, ctx.size))
-    for k, p in enumerate(plans):
-        T[:, k] = np.concatenate([p.t, t_end + np.arange(1.0, n - len(p.t) + 1.0)])
-        H[:len(p.h), k] = p.h
-    hits: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-    for k, p in enumerate(plans):
-        for j, g in p.samples:
-            hits[j][g].append(k)
-    whole = slice(None)
-
-    def keep_hits(j, state):
-        for g, rows in hits[j].items():
-            keep(state, g, whole if len(rows) == ctx.size else np.asarray(rows))
+    for k, (t, h) in enumerate(plans):
+        T[:, k] = np.concatenate([t, t_end + np.arange(1.0, n - len(t) + 1.0)])
+        H[:len(h), k] = h
+    G = np.minimum(np.searchsorted(grid, T), len(grid) - 1)
+    hit = grid[G] == T
+    any_hit = hit.any(axis=1).tolist()
+    together = (hit.all(axis=1) & (G == G[:, :1]).all(axis=1)).tolist()
 
     if ctx.batched:
         state = initial_batch(ctx.economy, ctx.size)
@@ -237,8 +220,7 @@ def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
     else:  # a single run steps (N,) state with float times
         state = initial_state(ctx.economy)
         times, lengths = T[:, 0].tolist(), H[:, 0].tolist()
-    if -1 in hits:
-        keep_hits(-1, state)
+    keep(state, 0, slice(None))
     block = max(1, DRIVE_BLOCK_BYTES // (8 * ctx.size * ctx.economy.n_sectors))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -251,8 +233,11 @@ def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
             drive = drive.at((slice(None), 0))
         for j in range(lo, hi):
             state = _advance(ctx, state, times[j], lengths[j], drive.at(j - lo))
-            if j in hits:
-                keep_hits(j, state)
+            if together[j]:
+                keep(state, G[j, 0], slice(None))
+            elif any_hit[j]:
+                rows = hit[j].nonzero()[0]
+                keep(state, G[j, rows], rows)
 
 
 def _run_discrete(ctx: ModelContext, grid, t_end, dt) -> list[SimState]:
@@ -287,16 +272,14 @@ class Series:
 
 def simulate_series(economy: Economy, runs, t_end: float, names) -> Series:
     """Simulate ``runs`` ((scenario, params) pairs sharing ``prod_fn`` and a
-    start date) under ``IntegrationConfig()``, the discrete method with unit
-    steps and one sample per whole day, and keep only the ``SERIES`` named
-    in ``names``.
+    start date) by the discrete method with unit steps, and keep only the
+    ``SERIES`` named in ``names``.
 
     All runs step together in one batched pass (a single run steps
     unbatched); each run's series are bitwise those of its own ``simulate``
     call.
     """
-    config = IntegrationConfig()
-    grid = _output_grid(config, t_end)
+    grid = _output_grid(t_end)
     runs = list(runs)
     if len({scn.start_date for scn, _ in runs}) != 1:
         raise ValidationError("runs must share the scenario start date")
@@ -312,7 +295,7 @@ def simulate_series(economy: Economy, runs, t_end: float, names) -> Series:
         for name in names:
             values[name][rows, g] = SERIES[name](state)[rows]
 
-    _march(ctx, grid, t_end, config.dt, keep)
+    _march(ctx, grid, t_end, 1.0, keep)
     return Series(grid, values)
 
 
@@ -510,10 +493,8 @@ def _run_continuous(ctx: ModelContext, grid, t_end) -> list[SimState]:
     states: list[SimState] = [None] * len(grid)
     init = initial_state(ctx.economy)
     y = _pack(init.d, init.l, init.c_agg_d, 1.0, init.S)
-    g = 0  # next sample to take
-    if grid[0] == 0.0:
-        states[0] = init
-        g = 1
+    states[0] = init
+    g = 1  # next sample to take
     kinks = _kinks(schedule, t_end)
     holds = schedule.holds
     starts, samples = (  # the drive at each segment start and sample time

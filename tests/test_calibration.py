@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from pnetsim import (
     grid_search,
     load_dataset,
     load_scenario,
+    make_economy,
     monte_carlo,
     quarterly_average,
     score_point,
@@ -190,6 +192,15 @@ def test_dataset_rejects_malformed_content(tmp_path, text, message):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dataset_rejects_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "data.csv"
+    path.write_text("indicator,date,sector,value_pct\n"
+                    f"gdp,2020-05-01,X1,-1\ngdp,2020-05-02,X1,{value}\n")
+    with pytest.raises(SchemaError, match=f"line 3: value_pct '{value}' is not finite"):
+        load_dataset(path)
+
+
 def test_dataset_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text(
@@ -273,7 +284,6 @@ def test_grid_json_roundtrip(tmp_path):
     path.write_text(grid.to_json())
     again = GridSpec.from_json(path.read_text())
     assert again == grid
-    assert again.content_hash() == grid.content_hash()
 
 
 def test_grid_duplicate_axis_rejected():
@@ -493,6 +503,100 @@ def test_checkpoint_grid_mismatch_rejected(tmp_path, d3_setup):
                     resume=True)
 
 
+def other_inputs(economy, scenario, params, dataset, change):
+    """``grid_search``'s inputs but the grid, with the one named ``change``
+    made different."""
+    inputs = dict(economy=economy, scenario=scenario, params=params,
+                  dataset=dataset, mapping=None)
+    if change == "economy":
+        inputs["economy"] = make_economy(
+            codes=economy.codes, Z=economy.Z, c0=economy.c0, f0=economy.f0,
+            l0=economy.l0, n_days_inventory=economy.n_days_inventory + 1.0,
+            criticality=economy.criticality, on_site=economy.on_site)
+    elif change == "scenario":
+        inputs["scenario"] = replace(scenario, r=scenario.r / 2)
+    elif change == "params":
+        inputs["params"] = replace(params, delta_s=0.5)
+    elif change == "dataset":  # made at another tau
+        inputs["dataset"] = synthesize_dataset(economy, scenario,
+                                               replace(params, tau=21.0))
+    else:
+        inputs["mapping"] = {"S1": "S", "S2": "S", "S3": "T"}
+    return inputs
+
+
+@pytest.mark.parametrize("change", ["economy", "scenario", "params", "dataset",
+                                    "mapping"])
+def test_resume_refuses_a_checkpoint_written_for_other_inputs(tmp_path, d3_setup,
+                                                              change):
+    economy, scenario = d3_setup
+    params = BehavioralParams()
+    dataset = synthesize_dataset(economy, scenario, params)
+    grid = GridSpec((("tau", (7.0, 14.0, 21.0)),))
+    ck = tmp_path / "ck.jsonl"
+    grid_search(economy, scenario, params, dataset, grid, checkpoint_path=ck)
+    before = ck.read_bytes()
+    with pytest.raises(CheckpointError, match="written for other inputs"):
+        grid_search(**other_inputs(economy, scenario, params, dataset, change),
+                    grid=grid, checkpoint_path=ck, resume=True)
+    assert ck.read_bytes() == before
+
+
+def test_resume_refuses_a_checkpoint_of_an_earlier_version(tmp_path, d3_setup):
+    economy, scenario = d3_setup
+    grid = GridSpec((("tau", (7.0, 14.0)),))
+    dataset = synthesize_dataset(economy, scenario, BehavioralParams())
+    ck = tmp_path / "ck.jsonl"
+    # Its header held the hash of the grid alone.
+    grid_hash = hashlib.sha256(json.dumps([["tau", [7.0, 14.0]]]).encode()).hexdigest()
+    ck.write_text(json.dumps({"grid_hash": grid_hash}) + "\n")
+    with pytest.raises(CheckpointError, match="or by an earlier version"):
+        grid_search(economy, scenario, BehavioralParams(), dataset, grid,
+                    checkpoint_path=ck, resume=True)
+
+
+class RecordingPool:
+    """In-process stand-in for ``ProcessPoolExecutor``; records ``max_workers``."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("rules, started", [
+    (("leontief", "linear"), [2]),  # two chunks
+    (("leontief",), []),  # one chunk runs serially
+])
+def test_grid_search_starts_no_more_workers_than_chunks(monkeypatch, d3_setup,
+                                                        rules, started):
+    import concurrent.futures
+
+    from pnetsim import calibration
+
+    economy, scenario = d3_setup
+    params = BehavioralParams()
+    dataset = synthesize_dataset(economy, scenario, params)
+    grid = GridSpec((("prod_fn", rules), ("tau", (7.0, 14.0))))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(calibration, "_WORKER_JOB", None)  # set in-process
+    pooled = grid_search(economy, scenario, params, dataset, grid, workers=64)
+    assert RecordingPool.sizes == started
+    serial = grid_search(economy, scenario, params, dataset, grid)
+    assert pooled.scores == serial.scores
+
+
 @pytest.mark.parametrize("resume", [False, True])
 def test_invalid_workers_leave_the_checkpoint_untouched(tmp_path, d3_setup, resume):
     # Without resume the checkpoint would be deleted; with it, the torn
@@ -530,7 +634,7 @@ def test_checkpoint_with_an_unterminated_header_is_rejected(tmp_path, d3_setup):
     economy, scenario = d3_setup
     grid = GridSpec((("tau", (7.0, 14.0)),))
     ck = tmp_path / "ck.jsonl"
-    ck.write_text(json.dumps({"grid_hash": grid.content_hash()}))
+    ck.write_text(json.dumps({"inputs_hash": "a hash"}))
     dataset = synthesize_dataset(economy, scenario, BehavioralParams())
     with pytest.raises(CheckpointError, match="unreadable checkpoint header"):
         grid_search(economy, scenario, BehavioralParams(), dataset,

@@ -85,6 +85,14 @@ def test_validate_data_row_listed_twice(d2_files, capsys):
     assert out == f"INVALID: {paths['initial_states']}: code 'X2' listed twice\n"
 
 
+def test_validate_data_refuses_a_non_finite_cell(d2_files, capsys):
+    _, paths, _, _ = d2_files
+    text = paths["io_table"].read_text().replace("40.0", "nan", 1)
+    paths["io_table"].write_text(text)
+    assert main(["validate-data", *economy_flags(paths)]) == 1
+    assert "Z contains non-finite entries" in capsys.readouterr().out
+
+
 def test_simulate_zero_shock_constant_output(tmp_path, capsys):
     economy = d2_economy()
     paths = write_economy(economy, tmp_path / "economy")
@@ -599,6 +607,41 @@ def test_scenario_shocks_not_an_object_gives_validation_exit(d2_files, tmp_path,
     assert err.startswith("error: ") and "'shocks'" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+def edited_dataset(dataset_path, target, value: str):
+    """A copy of the dataset whose first value is ``value``."""
+    lines = dataset_path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + value
+    target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+def test_grid_search_refuses_a_non_finite_dataset_value(d3_grid_files, tmp_path,
+                                                        capsys):
+    scenario_path, dataset_path = d3_grid_files
+    nan_data = edited_dataset(dataset_path, tmp_path / "nan.csv", "nan")
+    rc = grid_search_d3(tmp_path, scenario_path, nan_data,
+                        GridSpec((("tau", (7.0, 14.0)),)))
+    assert rc == 1
+    assert "line 2: value_pct 'nan' is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_resume_against_another_dataset_exits_2_and_keeps_the_checkpoint(
+        d3_grid_files, tmp_path, capsys):
+    scenario_path, dataset_path = d3_grid_files
+    grid = GridSpec((("tau", (7.0, 14.0)),))
+    ck = tmp_path / "ck.jsonl"
+    assert grid_search_d3(tmp_path, scenario_path, dataset_path, grid,
+                          "--checkpoint", str(ck)) == 0
+    before = ck.read_bytes()
+    other = edited_dataset(dataset_path, tmp_path / "other.csv", "-99.0")
+    rc = grid_search_d3(tmp_path, scenario_path, other, grid,
+                        "--checkpoint", str(ck), "--resume")
+    assert rc == 2
+    assert "written for other inputs" in capsys.readouterr().err
+    assert ck.read_bytes() == before
 
 
 def lockdown_end_first(tmp_path):

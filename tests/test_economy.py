@@ -1,3 +1,4 @@
+import codecs
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from pnetsim import (
     BehavioralParams,
+    GridSpec,
     IntegrationConfig,
     SchemaError,
     ValidationError,
@@ -15,7 +17,7 @@ from pnetsim import (
     simulate,
     write_economy,
 )
-from pnetsim.calibration import load_dataset, load_sector_mapping
+from pnetsim.calibration import load_dataset, load_grid, load_sector_mapping
 from pnetsim.fixtures import fixture_paths, scenario_for
 from pnetsim.integrate import read_trajectory_csv, write_trajectory_csv
 
@@ -227,6 +229,28 @@ def test_every_input_is_read_with_the_same_checks(d2_inputs, name, edit, message
     assert str(err.value).startswith(f"{path}: ")
 
 
+def loaded(paths, name):
+    """What the reader of the file ``name`` makes of it, comparable by ``==``."""
+    if name == "grid":
+        return load_grid(paths["grid"])
+    if name == "mapping":
+        return load_sector_mapping(paths["mapping"])
+    e = load_economy(paths["io_table"], paths["initial_states"], paths["criticality"])
+    return [e.codes] + [getattr(e, field).tolist() for field in
+                        ("x0", "c0", "f0", "l0", "n_days_inventory", "on_site")]
+
+
+@pytest.mark.parametrize("name", ["mapping", "initial_states", "grid"])
+def test_a_utf8_byte_order_mark_is_read_past(d2_inputs, tmp_path, name):
+    # A spreadsheet's "CSV UTF-8" starts the file with one.
+    d2_inputs["grid"] = tmp_path / "grid.json"
+    d2_inputs["grid"].write_text(GridSpec((("tau", (7.0, 14.0)),)).to_json())
+    plain = loaded(d2_inputs, name)
+    path = d2_inputs[name]
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert loaded(d2_inputs, name) == plain
+
+
 @pytest.mark.parametrize("name", ["io_table", "criticality"])
 def test_matrix_that_is_not_square_rejected(d2_inputs, name):
     edit_lines(d2_inputs[name], lambda lines: lines.pop())
@@ -293,6 +317,43 @@ def test_negative_entries_rejected(d2):
             n_days_inventory=[10.0, 5.0],
             criticality=np.zeros((2, 2)), on_site=[0, 0],
         )
+
+
+D2_ARGS = dict(
+    codes=("X1", "X2"), Z=[[20.0, 30.0], [40.0, 10.0]],
+    c0=[30.0, 40.0], f0=[30.0, 10.0], l0=[55.0, 50.0],
+    n_days_inventory=[10.0, 5.0], criticality=np.zeros((2, 2)), on_site=[0, 0],
+    x0=[110.0, 100.0],
+)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, field", [
+    ("Z", "Z"), ("x0", "x0"), ("c0", "c0"), ("f0", "f0"), ("l0", "l0"),
+    ("n_days", "n_days_inventory"),
+])
+def test_non_finite_entries_rejected(name, field, value):
+    args = {k: np.array(v, dtype=float) for k, v in D2_ARGS.items() if k != "codes"}
+    args[field].flat[-1] = value
+    with pytest.raises(ValidationError) as err:
+        make_economy(codes=D2_ARGS["codes"], **args)
+    assert f"{name} contains non-finite entries" in err.value.details
+
+
+@pytest.mark.parametrize("name, row, cell", [
+    ("io_table", 2, "nan"),  # the flow X2 -> X2
+    ("initial_states", 2, "inf"),  # X2's inventory days
+])
+def test_a_non_finite_cell_in_an_economy_file_is_refused(d2_inputs, name, row, cell):
+    def edit(lines):
+        cols = lines[row].split(",")
+        cols[-1 if name == "io_table" else 5] = cell
+        lines[row] = ",".join(cols)
+
+    edit_lines(d2_inputs[name], edit)
+    with pytest.raises(ValidationError, match="economy validation failed"):
+        load_economy(d2_inputs["io_table"], d2_inputs["initial_states"],
+                     d2_inputs["criticality"])
 
 
 def test_duplicate_codes_rejected():

@@ -33,7 +33,7 @@ from pnetsim.calibration import (
     save_dataset,
     synthesize_dataset,
 )
-from pnetsim.fixtures import fixture_paths, reference_scenario_path
+from pnetsim.fixtures import fixture_paths, generate_all, reference_scenario_path
 from pnetsim.integrate import write_aggregate_csv, write_trajectory_csv
 
 GOLDEN = Path(__file__).parent / "golden" / "sha256.json"
@@ -53,11 +53,17 @@ MC_RUNS = 40
 MC_DAYS = 120.0
 SEED = 1
 
+#: Sub-day steps, under two rules: a sample ends the second step of a day.
+SUB_DAY_DT = 0.5
+SUB_DAY_RULES = ("leontief", "half_critical")
+
 NOTE = (
     "SHA-256 of the be64 trajectory.csv and aggregate.csv of each bottleneck "
-    "rule (discrete, dt 1, to the end of the scored quarters) and of the "
-    "synthesized dataset, leaderboard, optimum cells, checkpoint and Monte "
-    "Carlo bands of tests/test_golden.py's 20-point grid and 40-draw "
+    "rule (discrete, dt 1, to the end of the scored quarters) and of "
+    "leontief and half_critical at dt 0.5, of every file python -m "
+    "pnetsim.fixtures writes, and of the synthesized dataset, leaderboard, "
+    "optimum cells, checkpoint and Monte Carlo bands of "
+    "tests/test_golden.py's 20-point grid and 40-draw "
     "ensemble at seed 1. Made on x86-64 with AVX-512, Python 3.11.7, numpy "
     "2.4.6 and OpenBLAS 0.3.31. Adaptive (continuous_adaptive) outputs are "
     "left out: their bytes depend on the BLAS kernel OpenBLAS picks for the "
@@ -73,11 +79,15 @@ def write_outputs(directory: Path) -> list[Path]:
     scenario = load_scenario(reference_scenario_path())
     t_end = horizon_for(scenario, DEFAULT_QUARTERS)
     written = []
-    for rule in PRODUCTION_FUNCTIONS:
+    runs = [(rule, 1.0, directory / rule) for rule in PRODUCTION_FUNCTIONS]
+    runs += [(rule, SUB_DAY_DT, directory / f"dt{SUB_DAY_DT}" / rule)
+             for rule in SUB_DAY_RULES]
+    for rule, dt, folder in runs:
         traj = simulate(economy, scenario, BehavioralParams(prod_fn=rule),
-                        IntegrationConfig(), t_end)
-        written += [write_trajectory_csv(traj, directory / rule / "trajectory.csv"),
-                    write_aggregate_csv(traj, directory / rule / "aggregate.csv")]
+                        IntegrationConfig(dt=dt), t_end)
+        written += [write_trajectory_csv(traj, folder / "trajectory.csv"),
+                    write_aggregate_csv(traj, folder / "aggregate.csv")]
+    written += generate_all(directory / "data").values()
 
     grid = GridSpec(GRID_AXES)
     generating = grid.point_at(int(np.random.default_rng(SEED).integers(grid.n_points)))

@@ -84,24 +84,12 @@ def test_continuous_determinism(d3, params):
         assert np.array_equal(sa.l, sb.l)
 
 
-def test_output_grid_sampling(d2, params):
-    scenario = scenario_for(d2)
-    grid = (0.0, 10.0, 33.5, 60.0)
-    traj = simulate(d2, scenario, params, IntegrationConfig(output_grid=grid), 60.0)
-    np.testing.assert_array_equal(traj.times, grid)
-    assert len(traj.states) == 4
-    assert traj.states[0].t == 0.0
-
-
 def test_default_grid_is_daily(d2, params):
     traj = simulate(d2, scenario_for(d2), params, IntegrationConfig(), 30.0)
     np.testing.assert_array_equal(traj.times, np.arange(31.0))
 
 
 def test_bad_grid_rejected(d2, params):
-    with pytest.raises(ValueError):
-        simulate(d2, scenario_for(d2), params,
-                 IntegrationConfig(output_grid=(0.0, 99.0)), 30.0)
     with pytest.raises(ValueError):
         simulate(d2, scenario_for(d2), params, IntegrationConfig(), -1.0)
     with pytest.raises(ValidationError, match="t_end"):
@@ -120,21 +108,19 @@ def test_event_alignment_breakpoints_are_boundaries(d2, params):
 
 def test_steps_never_straddle_events(d2, params):
     # with dt close to one day and a breakpoint at fractional offset the
-    # stepper still lands exactly on the event
+    # stepper still lands exactly on the event and on a fractional end
     scenario = replace(labor_shock_scenario(d2), l1=7.5)
-    traj = simulate(d2, scenario, params,
-                    IntegrationConfig(output_grid=(0.0, 21.5, 60.0)), 60.0)
-    assert traj.times[1] == 21.5
+    traj = simulate(d2, scenario, params, IntegrationConfig(), 21.5)
+    np.testing.assert_array_equal(traj.times, [*np.arange(22.0), 21.5])
+    assert traj.times[-1] == traj.states[-1].t == 21.5
 
 
 def test_refinement_consistency(d2, params):
     """Halving dt roughly halves the trajectory change (order >= 1)."""
     scenario = labor_shock_scenario(d2)
-    grid = tuple(np.arange(0.0, 91.0))
     runs = {}
     for dt in (1.0, 0.5, 0.25):
-        traj = simulate(d2, scenario, params,
-                        IntegrationConfig(dt=dt, output_grid=grid), 90.0)
+        traj = simulate(d2, scenario, params, IntegrationConfig(dt=dt), 90.0)
         runs[dt] = traj.aggregate_output()
     gap_coarse = np.max(np.abs(runs[1.0] - runs[0.5]))
     gap_fine = np.max(np.abs(runs[0.5] - runs[0.25]))
@@ -143,12 +129,10 @@ def test_refinement_consistency(d2, params):
 
 def test_discrete_vs_continuous_close(d2, params):
     scenario = labor_shock_scenario(d2)
-    grid = tuple(np.arange(0.0, 91.0))
     a = simulate(d2, scenario, params,
-                 IntegrationConfig(dt=1.0, output_grid=grid), 90.0).aggregate_output()
+                 IntegrationConfig(dt=1.0), 90.0).aggregate_output()
     c = simulate(d2, scenario, params,
-                 IntegrationConfig(method=METHOD_CONTINUOUS, output_grid=grid),
-                 90.0).aggregate_output()
+                 IntegrationConfig(method=METHOD_CONTINUOUS), 90.0).aggregate_output()
     assert np.max(np.abs(a - c)) / a[0] < 0.02
 
 
@@ -227,30 +211,11 @@ def test_trajectory_requires_increasing_times(d2, params):
                    codes=traj.codes, start_date=traj.start_date)
 
 
-STATE_FIELDS = ("x", "d", "l", "c", "f", "O", "S", "c_agg_d", "l_perm", "d_mem")
-
-
-def test_adaptive_samples_do_not_depend_on_the_grid(d3, params):
-    scenario = labor_shock_scenario(d3)
-    daily = simulate(d3, scenario, params,
-                     IntegrationConfig(method=METHOD_CONTINUOUS), 120.0)
-    sparse = simulate(d3, scenario, params,
-                      IntegrationConfig(method=METHOD_CONTINUOUS,
-                                        output_grid=(0.0, 45.0, 90.5, 120.0)),
-                      120.0)
-    for t in (0.0, 45.0, 120.0):
-        a = daily.states[int(t)]
-        b = sparse.states[list(sparse.times).index(t)]
-        for name in STATE_FIELDS:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (t, name)
-
-
 @pytest.mark.parametrize("economy", ["d2", "d3"])
-def test_adaptive_zero_shock_stays_flat_on_a_sparse_grid(economy, params, request):
+def test_adaptive_zero_shock_stays_flat(economy, params, request):
     economy = request.getfixturevalue(economy)
     traj = simulate(economy, scenario_for(economy), params,
-                    IntegrationConfig(method=METHOD_CONTINUOUS,
-                                      output_grid=(0.0, 45.0, 90.0)), 90.0)
+                    IntegrationConfig(method=METHOD_CONTINUOUS), 90.0)
     ref = initial_state(economy)
     for state in traj.states:
         np.testing.assert_allclose(state.x, ref.x, rtol=1e-12, atol=0.0)
@@ -258,8 +223,7 @@ def test_adaptive_zero_shock_stays_flat_on_a_sparse_grid(economy, params, reques
         np.testing.assert_allclose(state.S, ref.S, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("grid", [None, (0.0, 45.0, 90.5, 120.0)])
-def test_one_solve_per_kink_segment(d2, params, monkeypatch, grid):
+def test_one_solve_per_kink_segment(d2, params, monkeypatch):
     scenario = labor_shock_scenario(d2)
     schedule = ShockSchedule(scenario, d2)
     kinks = {0.0, 120.0, schedule.pandemic_start}
@@ -273,7 +237,7 @@ def test_one_solve_per_kink_segment(d2, params, monkeypatch, grid):
 
     monkeypatch.setattr(integrate, "solve_ivp", counted)
     simulate(d2, scenario, params,
-             IntegrationConfig(method=METHOD_CONTINUOUS, output_grid=grid), 120.0)
+             IntegrationConfig(method=METHOD_CONTINUOUS), 120.0)
     assert len(calls) == len(kinks) - 1
     assert all(kw["max_step"] == MAX_CONTINUOUS_STEP == 1.0 for kw in calls)
 
