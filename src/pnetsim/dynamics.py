@@ -16,8 +16,9 @@ carries one ``dt`` per point.
 Its stages, in order:
 
 1. shocks: the step's ``Drive``, a row of the run's shock table, with
-   household preference shares and the share of consumption shocked away,
-   both from one sum (``household_preferences``);
+   the labor cap, exogenous demand, household preference shares and the
+   share of consumption shocked away, the last two from one sum
+   (``household_preferences``);
 2. households (``_households``): compensated labor income
    (``compensated_labor_income``), permanent income (``_zeta_next``,
    ``_zeta_recursion``) and aggregate consumption demand
@@ -35,6 +36,19 @@ Its stages, in order:
 
 Run constants (the rated inputs, inventory targets, the households'
 consumption share ``m``, per-point parameters) live in ``ModelContext``.
+What depends only on the shocks is formed by ``ModelContext.drive`` once
+per block of steps, over the whole block: a discrete single run is one
+block, a batch reads blocks of at most ``integrate.DRIVE_BLOCK_BYTES`` per
+array, and the adaptive method forms
+the drives of all segment starts and of all samples in two calls, and one
+per right-hand side evaluation on a ramp. A step forms everything else,
+the labor band bound of ``_check_state`` included. Elementwise arithmetic
+on a block gives each row the bits it has on its own.
+
+Every array of the state a step returns is new, because trajectories
+keep states: a stage may reuse memory from step to step (scratch the run
+owns) only for a temporary that no state keeps.
+
 The stages are internal: runs go through ``integrate.simulate`` and
 ``integrate.simulate_series``.
 """
@@ -186,8 +200,8 @@ def household_preferences(
     ``eps_D`` may carry leading axes; each row is normalized on its own.
     """
     weighted = (1.0 - eps_D) * theta0
-    total = weighted.sum(axis=-1, keepdims=True)
-    if (total > 0.0).all():
+    total = np.add.reduce(weighted, axis=-1, keepdims=True)
+    if np.logical_and.reduce(total > 0.0, axis=None):
         return weighted / total, total
     warnings.warn(
         "all household demand fully shocked; preferences left at baseline",
@@ -238,9 +252,13 @@ def _safe_divisor(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0, v, 1.0)
 
 
-def _labor_cap(eps_S: np.ndarray, l0: np.ndarray) -> np.ndarray:
-    """Most labor a sector may employ under the labor supply shock."""
-    return (1.0 - eps_S) * l0
+def _unshocked(eps: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``(1 - eps) base``, what a shock ``eps`` leaves of ``base``: the labor
+    cap from ``l0``, exogenous demand from ``f0``. Formed in place, so a
+    block of drives needs no temporary for it."""
+    out = np.subtract(1.0, eps)
+    out *= base
+    return out
 
 
 def labor_capacity(
@@ -250,16 +268,16 @@ def labor_capacity(
     """Output producible with the available workforce.
 
     The workforce itself is capped at ``(1 - eps_S) l0``, so capacity never
-    exceeds ``(1 - eps_S) x0``. Sectors with no baseline labor are inert.
+    exceeds ``(1 - eps_S) x0``. Sectors with no baseline labor are inert:
+    their cap is 0, so their capacity is ``0 / 1 * x0``, which is 0.
     ``safe_l0`` is the run constant ``ModelContext.safe_l0``; ``l_max`` is
-    that cap, when the step has computed it.
+    that cap, when the drive holds it.
     """
     if l_max is None:
-        l_max = _labor_cap(eps_S, economy.l0)
-    l_avail = np.minimum(state.l, l_max)
+        l_max = _unshocked(eps_S, economy.l0)
     if safe_l0 is None:
         safe_l0 = _safe_divisor(economy.l0)
-    return np.where(economy.l0 > 0, (l_avail / safe_l0) * economy.x0, 0.0)
+    return (np.minimum(state.l, l_max) / safe_l0) * economy.x0
 
 
 @dataclass(frozen=True)
@@ -354,7 +372,7 @@ def _input_capacity(
         return np.full(S.shape[:-1], np.inf)
     n = S.shape[-1]
     # One gather, one division and one segmented minimum (see InputMasks).
-    ratio = np.take(S.reshape(S.shape[:-2] + (n * n,)), masks.flat, axis=-1)
+    ratio = S.reshape(S.shape[:-2] + (n * n,)).take(masks.flat, axis=-1)
     ratio /= masks.recipe
     out = np.minimum.reduceat(ratio, masks.starts, axis=-1)
     if masks.empty.size:
@@ -375,7 +393,8 @@ def realized_output(
 
 def _ration(x, d, c_d, f_d, O_d):
     """Strict proportional rationing: every customer gets the fill ratio x/d."""
-    scale = np.where(d > 0, x / np.where(d > 0, d, 1.0), 0.0)
+    served = d > 0
+    scale = np.where(served, x / np.where(served, d, 1.0), 0.0)
     return c_d * scale, f_d * scale, O_d * scale[..., np.newaxis]
 
 
@@ -416,14 +435,15 @@ def _labor_update(
 ) -> np.ndarray:
     """``params`` is a ``BehavioralParams`` or a ``ModelContext``, read for
     ``hiring_speed`` and ``gamma_F``; ``wage_share`` is the run constant
-    ``ModelContext.wage_share`` and ``l_max`` the step's labor cap."""
+    ``ModelContext.wage_share`` and ``l_max`` the step's labor cap. ``dt``
+    None is a whole-day step."""
     if wage_share is None:
         wage_share = _wage_share(economy)
     if l_max is None:
-        l_max = _labor_cap(eps_S, economy.l0)
+        l_max = _unshocked(eps_S, economy.l0)
     delta = wage_share * (np.minimum(x_inp, d) - x_cap)
     speed = np.where(delta >= 0, params.hiring_speed, params.gamma_F)
-    l_new = l_prev + dt * delta / speed
+    l_new = l_prev + (delta if dt is None else dt * delta) / speed
     l_new = np.where(no_fire & (delta < 0), l_prev, l_new)
     # np.clip(l_new, 0.0, l_max), without its Python-level argument handling.
     return np.minimum(np.maximum(l_new, 0.0), l_max)
@@ -518,17 +538,22 @@ class ModelContext:
         """What steps read of the scenario, from shocks of any leading shape."""
         theta, kept = household_preferences(self.theta0, eps_D)
         return Drive(
-            eps_S=eps_S,
-            f_d=(1.0 - eps_F) * self.economy.f0,
+            l_max=_unshocked(eps_S, self.economy.l0),
+            f_d=_unshocked(eps_F, self.economy.f0),
             theta=theta,
             cut=1.0 - kept[..., 0],
         )
 
 
 class Drive(NamedTuple):
-    """The scenario as one step sees it: ``(..., N)`` / ``(...)`` arrays."""
+    """The scenario as one step sees it: ``(..., N)`` / ``(...)`` arrays.
 
-    eps_S: np.ndarray  # labor supply shock
+    ``ModelContext.drive`` forms a whole block of steps' rows at once, and
+    a step reads its row (``at``). The labor cap replaces the labor supply
+    shock it comes from, so a block holds four arrays.
+    """
+
+    l_max: np.ndarray  # labor cap (1 - eps_S) l0 under the labor supply shock
     f_d: np.ndarray  # exogenous demand
     theta: np.ndarray  # household preference shares
     cut: np.ndarray  # share of baseline consumption shocked away
@@ -557,9 +582,9 @@ def _households(ctx: ModelContext, state: SimState, t_new, dt, drive: Drive):
     """
     l0_sum, m = ctx.l0_sum, ctx.m
     values = (state.t, t_new, dt, state.c_agg_d, state.l_perm,
-              state.l.sum(axis=-1), drive.cut)
+              np.add.reduce(state.l, axis=-1), drive.cut)
     if ctx.batched:
-        points = zip(*(np.ravel(v).tolist() for v in values))
+        points = np.array(values).T.tolist()
     else:
         points = [[float(v) for v in values]]
     c_agg, l_perm = [], []
@@ -578,16 +603,14 @@ def _households(ctx: ModelContext, state: SimState, t_new, dt, drive: Drive):
     return np.asarray(c_agg), np.asarray(l_perm)
 
 
-def _produce(ctx: ModelContext, state: SimState, c_agg, drive: Drive,
-             l_max: np.ndarray):
+def _produce(ctx: ModelContext, state: SimState, c_agg, drive: Drive):
     """Demand, capacities, output and rationing from the state's stocks,
-    labor and demand memory, for aggregate household demand ``c_agg`` and
-    the labor cap ``l_max``."""
+    labor and demand memory, for aggregate household demand ``c_agg``."""
     economy = ctx.economy
-    c_d = drive.theta * np.asarray(c_agg)[..., np.newaxis]
+    c_d = drive.theta * (c_agg[:, np.newaxis] if ctx.batched else c_agg)
     O_d = _orders(economy.A, state.d_mem, ctx.S_target, state.S, ctx.tau)
-    d = O_d.sum(axis=-1) + c_d + drive.f_d
-    x_cap = labor_capacity(state, economy, drive.eps_S, ctx.safe_l0, l_max)
+    d = np.add.reduce(O_d, axis=-1) + c_d + drive.f_d
+    x_cap = labor_capacity(state, economy, None, ctx.safe_l0, drive.l_max)
     x_inp = _input_capacity(state.S, economy.A, ctx.sets, economy.x0,
                             ctx.prod_fn, ctx.masks)
     x = realized_output(x_cap, x_inp, d)
@@ -597,14 +620,18 @@ def _produce(ctx: ModelContext, state: SimState, c_agg, drive: Drive,
 
 def _advance(
     ctx: ModelContext, state: SimState, t_new, dt, drive: Drive | None = None,
+    whole: bool = False,
 ) -> SimState:
     """Advance ``state`` to ``t_new`` in one step of length ``dt``.
 
     The model step. For a single run the state holds ``(N,)`` arrays and
     ``t_new`` / ``dt`` are floats; for a batch the state holds ``(B, N)``
-    arrays and ``t_new`` / ``dt`` are ``(B,)``, one per point. ``drive`` is
-    the step's row of the run's shock table; without it a single run reads
-    its shocks at ``t_new`` from the schedule.
+    arrays and ``t_new`` / ``dt`` are ``(B,)``, one per point, and
+    ``whole``, which only a batch reads, says that every point steps one
+    day (``_march`` reads it off its step table; False takes the general
+    path, which gives the same bits). ``drive`` is the step's row of the
+    run's shock table; without it a single run reads its shocks at
+    ``t_new`` from the schedule.
     """
     economy = ctx.economy
     if drive is None:
@@ -613,28 +640,27 @@ def _advance(
     if isinstance(dt, float):  # a single run's step
         whole = dt == 1.0
         step = stock_step = dt
-    else:
+    elif not whole:
         step = np.asarray(dt, dtype=float)[..., np.newaxis]
-        whole, stock_step = bool(np.all(step == 1.0)), step[..., np.newaxis]
+        stock_step = step[..., np.newaxis]
 
     # Demand formation (uses t-1 demand, stocks, labor, and expectations).
     c_agg, l_perm = _households(ctx, state, t_new, dt, drive)
 
     # Productive capacities, realized output and proportional rationing.
-    l_max = _labor_cap(drive.eps_S, economy.l0)
-    x, d, c, f, O, x_cap, x_inp = _produce(ctx, state, c_agg, drive, l_max)
+    x, d, c, f, O, x_cap, x_inp = _produce(ctx, state, c_agg, drive)
 
     # Stock and workforce adjustment, scaled by the step size.
     S = _restock(state.S, O, economy.A, x, None if whole else stock_step)
     l = _labor_update(
-        state.l, economy, ctx, x_cap, x_inp, d, drive.eps_S,
-        dt=step, no_fire=ctx.no_fire, wage_share=ctx.wage_share,
-        l_max=l_max,
+        state.l, economy, ctx, x_cap, x_inp, d, None,
+        dt=None if whole else step, no_fire=ctx.no_fire,
+        wage_share=ctx.wage_share, l_max=drive.l_max,
     )
     d_prev = state.d_mem
     d_mem = d if whole else np.where(step == 1.0, d, d_prev + step * (d - d_prev))
     new = SimState(t_new, x, d, l, c, f, O, S, c_agg, l_perm, d_mem)
-    _check_state(new, economy, drive.eps_S, l_max)
+    _check_state(new, economy, None, drive.l_max)
     return new
 
 
@@ -642,21 +668,32 @@ def _check_state(state: SimState, economy: Economy, eps_S: np.ndarray,
                  l_max: np.ndarray | None = None) -> None:
     """Raise ``ModelStateError`` naming the broken model invariant and ``t``.
 
-    ``l_max`` is the step's labor cap ``(1 - eps_S) l0``.
+    ``l_max`` is the step's labor cap ``(1 - eps_S) l0``, as the drive
+    holds it; its band bound is formed here, on every call. The residual
+    and the tolerance are formed in place, and the reductions are called
+    as ufuncs, which gives the bits of the array methods with fewer calls.
     """
     if l_max is None:
-        l_max = _labor_cap(eps_S, economy.l0)
-    allocated = state.c + state.f + state.O.sum(axis=-1)
-    scale = np.maximum(np.abs(state.x), 1e-300)
-    # A NaN fails every check: it compares false, and ``min`` returns it.
-    if not (np.abs(allocated - state.x) <= 1e-12 * scale + 1e-12).all():
+        l_max = _unshocked(eps_S, economy.l0)
+    residual = state.c + state.f
+    residual += np.add.reduce(state.O, axis=-1)
+    residual -= state.x
+    np.abs(residual, out=residual)
+    tolerance = np.abs(state.x)
+    np.maximum(tolerance, 1e-300, out=tolerance)
+    tolerance *= 1e-12
+    tolerance += 1e-12
+    band = l_max * (1 + 1e-12)
+    band += 1e-12
+    # A NaN fails every check: it compares false, and ``minimum`` returns it.
+    if not np.logical_and.reduce(residual <= tolerance, axis=None):
         broken = "allocation does not conserve output"
-    elif not state.S.min() >= 0.0:
+    elif not np.minimum.reduce(state.S, axis=None) >= 0.0:
         broken = "negative inventory"
-    elif not (state.l.min() >= 0.0
-              and (state.l <= l_max * (1 + 1e-12) + 1e-12).all()):
+    elif not (np.minimum.reduce(state.l, axis=None) >= 0.0
+              and np.logical_and.reduce(state.l <= band, axis=None)):
         broken = "labor outside its admissible band"
-    elif not state.x.min() >= 0.0:
+    elif not np.minimum.reduce(state.x, axis=None) >= 0.0:
         broken = "negative output"
     else:
         return

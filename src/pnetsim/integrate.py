@@ -56,7 +56,6 @@ from .dynamics import (  # noqa: F401 - _input_capacity: perfbench traces it her
     _advance,
     _check_state,
     _input_capacity,
-    _labor_cap,
     _produce,
     initial_batch,
     initial_state,
@@ -194,7 +193,9 @@ def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
     early keeps stepping whole days past ``t_end``, and those states are
     never kept. The shocks are read in blocks of at most
     ``DRIVE_BLOCK_BYTES`` per array; a table row does not depend on the
-    other times of its block, so neither do the bits.
+    other times of its block, so neither do the bits. Whether every point
+    of a step row steps one whole day is read off the step-length table
+    once, not found by each step.
     """
     shared: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
     plans = []
@@ -212,6 +213,7 @@ def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
     G = np.minimum(np.searchsorted(grid, T), len(grid) - 1)
     hit = grid[G] == T
     any_hit = hit.any(axis=1).tolist()
+    whole = (H == 1.0).all(axis=1).tolist()
     together = (hit.all(axis=1) & (G == G[:, :1]).all(axis=1)).tolist()
 
     if ctx.batched:
@@ -232,7 +234,8 @@ def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
         if not ctx.batched:
             drive = drive.at((slice(None), 0))
         for j in range(lo, hi):
-            state = _advance(ctx, state, times[j], lengths[j], drive.at(j - lo))
+            state = _advance(ctx, state, times[j], lengths[j], drive.at(j - lo),
+                             whole[j])
             if together[j]:
                 keep(state, G[j, 0], slice(None))
             elif any_hit[j]:
@@ -471,14 +474,13 @@ def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray,
     """Consistent full state from the integrated slow variables, under the
     shocks ``drive`` at ``t``. The state owns its arrays, so it keeps none
     of the solver's output alive."""
-    l_max = _labor_cap(drive.eps_S, ctx.economy.l0)
-    probe = _probe(ctx, t, y, l_max)
-    x, d, c, f, O, _, _ = _produce(ctx, probe, probe.c_agg_d, drive, l_max)
+    probe = _probe(ctx, t, y, drive.l_max)
+    x, d, c, f, O, _, _ = _produce(ctx, probe, probe.c_agg_d, drive)
     state = SimState(
         t=t, x=x, d=d, l=probe.l, c=c, f=f, O=O, S=probe.S,
         c_agg_d=probe.c_agg_d, l_perm=probe.l_perm, d_mem=probe.d_mem.copy(),
     )
-    _check_state(state, ctx.economy, drive.eps_S, l_max)
+    _check_state(state, ctx.economy, None, drive.l_max)
     return state
 
 

@@ -172,8 +172,20 @@ class _Segment:
     frm: tuple[np.ndarray, np.ndarray, np.ndarray]  # (D, F, S) at t0
     to: tuple[np.ndarray, np.ndarray, np.ndarray]
     style: str  # "hold" | "linear" | "release"
+    on_site: np.ndarray
 
-    def _ramp(self, t, on_site: np.ndarray):
+    def __post_init__(self):
+        # What every evaluation of a ramp reads: its rise, and for a
+        # release the fall of D and F and the sectors that recover slowly
+        # (on site, and shocked less at the end). A hold never ramps, so it
+        # keeps neither: each point of a grid chunk holds its own schedule.
+        if self.style != "hold":
+            self.rise = tuple(v1 - v0 for v0, v1 in zip(self.frm, self.to))
+        if self.style == "release":
+            self.slow = tuple((v0 - v1, self.on_site & (v1 < v0))
+                              for v0, v1 in zip(self.frm[:2], self.to[:2]))
+
+    def _ramp(self, t):
         """Unclipped (D, F, S) along the ramp: ``(N,)`` arrays at one time
         ``t`` (a float), ``(T, N)`` arrays at an array of times.
 
@@ -184,27 +196,25 @@ class _Segment:
             u = min(max((t - self.t0) / self.dur, 0.0), 1.0)
         else:
             u = np.minimum(np.maximum((t - self.t0) / self.dur, 0.0), 1.0)[:, np.newaxis]
-        out = [v0 + (v1 - v0) * u for v0, v1 in zip(self.frm, self.to)]
+        out = [v0 + rise * u for v0, rise in zip(self.frm, self.rise)]
         if self.style == "release":
             # On-site demand recovers slowly at first, then accelerates.
             log_frac = _log(100.0 - 99.0 * u) / _LOG100
-            for k in (0, 1):
-                v0, v1 = self.frm[k], self.to[k]
-                slow = v1 + (v0 - v1) * log_frac
-                out[k] = np.where(on_site & (v1 < v0), slow, out[k])
+            for k, (fall, slow) in enumerate(self.slow):
+                out[k] = np.where(slow, self.to[k] + fall * log_frac, out[k])
         return tuple(out)
 
     @property
     def is_hold(self) -> bool:
         return self.style == "hold"
 
-    def values(self, t, on_site: np.ndarray):
+    def values(self, t):
         """(D, F, S) at ``t``, clipped to [0, 1]: ``(N,)`` arrays for a hold
         or one time (a float), ``(T, N)`` arrays for a ramp at an array of
         times."""
         if self.is_hold:
             return tuple(_clip01(v) for v in self.to)
-        return tuple(_clip01(v) for v in self._ramp(t, on_site))
+        return tuple(_clip01(v) for v in self._ramp(t))
 
 
 def _log(w):
@@ -273,14 +283,16 @@ class ShockSchedule:
             nonlocal cursor, levels
             if t_start < cursor:
                 last = segments[-1]
-                levels = last._ramp(t_start, self.on_site)
+                levels = last._ramp(t_start)
                 last.t1 = t_start
             elif t_start > cursor:
                 segments.append(
-                    _Segment(cursor, t_start, 0.0, levels, levels, "hold")
+                    _Segment(cursor, t_start, 0.0, levels, levels, "hold",
+                             self.on_site)
                 )
             segments.append(
-                _Segment(t_start, t_start + duration, duration, levels, target, style)
+                _Segment(t_start, t_start + duration, duration, levels, target,
+                         style, self.on_site)
             )
             cursor = t_start + duration
             levels = target
@@ -300,7 +312,7 @@ class ShockSchedule:
             add_transition(phase.end, scn.l2, floor, "release")
 
         segments.append(
-            _Segment(cursor, math.inf, 0.0, levels, levels, "hold")
+            _Segment(cursor, math.inf, 0.0, levels, levels, "hold", self.on_site)
         )
         return segments
 
@@ -332,7 +344,7 @@ class ShockSchedule:
         owners = set(owner.tolist())
         for k in owners:
             rows = owner == k if len(owners) > 1 else slice(None)
-            for col, v in zip(cols, self._segments[k].values(t[rows], self.on_site)):
+            for col, v in zip(cols, self._segments[k].values(t[rows])):
                 col[rows] = v
         return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F)
 
@@ -343,7 +355,7 @@ class ShockSchedule:
         if t < 0:
             raise ValueError(f"t = {t} precedes the simulation epoch")
         seg = self._segments[int(self._t0s.searchsorted(t, side="right")) - 1]
-        eps_D, eps_F, eps_S = seg.values(t, self.on_site)
+        eps_D, eps_F, eps_S = seg.values(t)
         return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F)
 
 

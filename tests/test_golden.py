@@ -1,7 +1,8 @@
 """Characterization test: the shipped writers give the committed bytes.
 
-``output_hashes`` remakes be64 exports and calibration outputs and hashes
-them; ``golden/sha256.json`` holds the SHA-256 values they had when it was
+``output_hashes`` remakes be64 exports, the adaptive method's kernel
+probes (``write_probes``), the fixture economies' arrays and calibration
+outputs, and hashes them; ``golden/sha256.json`` holds the SHA-256 values they had when it was
 last written (regenerate it with ``golden/gen_sha256.py`` after a change
 that moves bits on purpose, and list old and new values in CHANGES.md).
 The grid and the ensemble are defined here, like the benchmark's
@@ -19,6 +20,7 @@ from pnetsim import (
     BehavioralParams,
     GridSpec,
     IntegrationConfig,
+    ShockSchedule,
     grid_search,
     load_economy,
     load_scenario,
@@ -33,8 +35,21 @@ from pnetsim.calibration import (
     save_dataset,
     synthesize_dataset,
 )
-from pnetsim.fixtures import fixture_paths, generate_all, reference_scenario_path
-from pnetsim.integrate import write_aggregate_csv, write_trajectory_csv
+from pnetsim.dynamics import ModelContext
+from pnetsim.fixtures import (
+    FIXTURE_NAMES,
+    fixture_paths,
+    generate_all,
+    reference_scenario_path,
+)
+from pnetsim.integrate import (
+    _kinks,
+    _pack,
+    _reconstruct,
+    _rhs,
+    write_aggregate_csv,
+    write_trajectory_csv,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "sha256.json"
 
@@ -57,6 +72,13 @@ SEED = 1
 SUB_DAY_DT = 0.5
 SUB_DAY_RULES = ("leontief", "half_critical")
 
+#: The rules under which the adaptive method's kernel is probed.
+PROBE_RULES = ("leontief", "half_critical")
+
+#: The ``Economy`` arrays hashed for each fixture, as their raw bytes.
+ECONOMY_ARRAYS = ("Z", "A", "x0", "c0", "f0", "l0", "n_days_inventory",
+                  "criticality", "on_site")
+
 NOTE = (
     "SHA-256 of the be64 trajectory.csv and aggregate.csv of each bottleneck "
     "rule (discrete, dt 1, to the end of the scored quarters) and of "
@@ -64,10 +86,17 @@ NOTE = (
     "pnetsim.fixtures writes, and of the synthesized dataset, leaderboard, "
     "optimum cells, checkpoint and Monte Carlo bands of "
     "tests/test_golden.py's 20-point grid and 40-draw "
-    "ensemble at seed 1. Made on x86-64 with AVX-512, Python 3.11.7, numpy "
+    "ensemble at seed 1. Also the raw bytes of the adaptive method's "
+    "right-hand side (integrate._rhs) and of every field of its "
+    "reconstructed states (integrate._reconstruct), probed on be64 under "
+    "leontief and half_critical at fractional times from the discrete "
+    "states, and of every Economy array of d2, d3 and be64 as loaded from "
+    "the shipped files. Made on x86-64 with AVX-512, Python 3.11.7, numpy "
     "2.4.6 and OpenBLAS 0.3.31. Adaptive (continuous_adaptive) outputs are "
     "left out: their bytes depend on the BLAS kernel OpenBLAS picks for the "
-    "CPU. Regenerate with tests/golden/gen_sha256.py."
+    "CPU, through the solver's np.dot. The probes of _rhs and _reconstruct "
+    "call no BLAS, so they belong with the discrete hashes. Regenerate with "
+    "tests/golden/gen_sha256.py."
 )
 
 
@@ -87,7 +116,18 @@ def write_outputs(directory: Path) -> list[Path]:
                         IntegrationConfig(dt=dt), t_end)
         written += [write_trajectory_csv(traj, folder / "trajectory.csv"),
                     write_aggregate_csv(traj, folder / "aggregate.csv")]
+        if dt == 1.0 and rule in PROBE_RULES:
+            written += write_probes(economy, scenario, rule, traj, t_end, folder)
     written += generate_all(directory / "data").values()
+    for name in FIXTURE_NAMES:
+        paths = fixture_paths(name)
+        loaded = load_economy(paths["io_table"], paths["initial_states"],
+                              paths["criticality"])
+        for field in ECONOMY_ARRAYS:
+            path = directory / "economy" / name / f"{field}.bin"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(getattr(loaded, field).tobytes())
+            written.append(path)
 
     grid = GridSpec(GRID_AXES)
     generating = grid.point_at(int(np.random.default_rng(SEED).integers(grid.n_points)))
@@ -104,6 +144,41 @@ def write_outputs(directory: Path) -> list[Path]:
     mc = monte_carlo(economy, scenario, BehavioralParams(), MC_DISTRIBUTIONS,
                      n_runs=MC_RUNS, seed=SEED, t_end=MC_DAYS)
     written.append(mc.write_csv(cal / "bands.csv"))
+    return written
+
+
+def write_probes(economy, scenario, rule, traj, t_end, folder: Path) -> list[Path]:
+    """Write the raw bytes of ``_rhs`` and of every field of
+    ``_reconstruct``'s states, from the discrete states of ``traj``.
+
+    Each segment between kinks is probed half a day after its start and a
+    quarter day past its middle, and the lockdown ramp also at the pandemic
+    start. On a hold both functions get the segment's start drive, as the
+    adaptive run passes it; on a ramp ``_rhs`` reads its shocks at ``t``
+    and ``_reconstruct`` gets the drive at ``t``.
+    """
+    schedule = ShockSchedule(scenario, economy)
+    ctx = ModelContext(economy, BehavioralParams(prod_fn=rule), schedule)
+    kinks = _kinks(schedule, t_end)
+    rhs, states = [], []
+    for a, b in zip(kinks, kinks[1:]):
+        hold = any(t0 <= a < t1 for t0, t1 in schedule.holds)
+        times = [a + 0.5, 0.5 * (a + b) + 0.25]
+        if a == schedule.pandemic_start:
+            times.insert(0, a)
+        for t in times:
+            s = traj.states[int(t)]
+            y = _pack(s.d_mem, s.l, s.c_agg_d, s.l_perm / ctx.l0_sum, s.S)
+            row = schedule.table([a if hold else t])
+            drive = ctx.drive(row.eps_S, row.eps_D, row.eps_F).at(0)
+            rhs.append(_rhs(t, y, ctx, drive if hold else None))
+            state = _reconstruct(ctx, t, y, drive)
+            states += [np.asarray(v, dtype=float) for v in vars(state).values()]
+    written = []
+    for name, arrays in (("adaptive_rhs.bin", rhs),
+                         ("adaptive_reconstruct.bin", states)):
+        written.append(folder / name)
+        written[-1].write_bytes(b"".join(a.tobytes() for a in arrays))
     return written
 
 

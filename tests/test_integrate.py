@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pnetsim import (
+    BehavioralParams,
     IntegrationConfig,
     initial_state,
     simulate,
@@ -16,6 +17,7 @@ from pnetsim import (
 )
 from pnetsim import IntegrationError, ValidationError, integrate
 from pnetsim.dynamics import ModelContext
+from pnetsim.economy import make_economy
 from pnetsim.fixtures import scenario_for
 from pnetsim.integrate import (
     MAX_CONTINUOUS_STEP,
@@ -157,6 +159,38 @@ def test_adaptive_states_own_their_arrays(d3, params):
         for name, value in vars(state).items():
             if isinstance(value, np.ndarray):
                 assert value.base is None, (state.t, name)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+def test_discrete_states_own_their_arrays(d3, params, dt):
+    # A kept state that shared memory with another, say through a buffer a
+    # stage reuses from step to step, would change after the fact. Within
+    # one state, d_mem is d at a whole-day step.
+    traj = simulate(d3, labor_shock_scenario(d3), params,
+                    IntegrationConfig(dt=dt), 60.0)
+    kept = [(s.t, name, value) for s in traj.states
+            for name, value in vars(s).items()
+            if isinstance(value, np.ndarray) and not (name == "d_mem" and value is s.d)]
+    for k, (t, name, value) in enumerate(kept):
+        for t_other, other, array in kept[k + 1:]:
+            assert not np.shares_memory(value, array), (t, name, t_other, other)
+
+
+@pytest.mark.parametrize("method", [METHOD_DISCRETE, METHOD_CONTINUOUS])
+def test_zero_labor_sector_stays_inert(method):
+    # X2 has output and exogenous demand but employs no labor (l0 = 0): its
+    # labor cap is 0, so from the first step on it produces +0.0.
+    economy = make_economy(
+        codes=("X1", "X2"), Z=[[10.0, 0.0], [0.0, 0.0]], c0=[5.0, 0.0],
+        f0=[5.0, 2.0], l0=[5.0, 0.0], n_days_inventory=[1.0, 1.0],
+        criticality=np.zeros((2, 2)), on_site=[0, 0],
+    )
+    traj = simulate(economy, labor_shock_scenario(economy), BehavioralParams(),
+                    IntegrationConfig(method=method), 120.0)
+    x2 = np.array([state.x[1] for state in traj.states[1:]])
+    assert np.all(x2 == 0.0) and not np.signbit(x2).any()
+    assert all(state.d[1] == economy.f0[1] for state in traj.states)
+    assert min(state.x[0] for state in traj.states) < economy.x0[0]
 
 
 def test_trajectory_csv_roundtrip(tmp_path, d2, params):

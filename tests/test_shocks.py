@@ -258,7 +258,7 @@ def test_random_phase_sequences_tile_and_keep_their_kinks(be64, ref_scenario):
         for seg, nxt in zip(segs, segs[1:]):
             assert seg.t0 < seg.t1 == nxt.t0
             # The next segment starts from where this one stands.
-            here = seg.to if seg.is_hold else seg._ramp(nxt.t0, be64.on_site)
+            here = seg.to if seg.is_hold else seg._ramp(nxt.t0)
             for v, w in zip(here, nxt.frm):
                 np.testing.assert_allclose(v, w, rtol=0, atol=1e-12)
         ends = sorted(seg.t1 for seg in segs if math.isfinite(seg.t1))
