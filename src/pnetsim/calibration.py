@@ -8,6 +8,10 @@ normalized to percentage reduction against the pre-shock baseline,
 averaged per calendar quarter, and compared to the data with the
 value-weighted average absolute deviation (accuracy) and the signed
 average deviation (bias; positive when the model is too optimistic).
+A cell, one (indicator, quarter), scores the sectors the dataset names in
+that quarter that have a positive baseline. Which sectors those are, and
+their data and weights, is decided once per grid (``_Scorer``); each
+point then only gathers its quarter means at those sectors.
 
 Scoring, grid search, dataset synthesis and Monte Carlo runs all simulate
 the daily discrete model (unit steps, one sample per whole day), and
@@ -106,14 +110,17 @@ def aad_vw(
         raise ValueError("model, data, and weights must cover the same sectors")
     sectors = sorted(model)
     w = np.asarray([weights[s] for s in sectors], dtype=float)
-    total = w.sum()
-    if total <= 0:
+    if w.sum() <= 0:
         raise ValueError("weights sum to zero")
-    m = np.asarray([model[s] for s in sectors], dtype=float)
-    d = np.asarray([data[s] for s in sectors], dtype=float)
-    aad = float(np.sum(w * np.abs(d - m)) / total)
-    ad = float(np.sum(w * (m - d)) / total)
-    return aad, ad
+    return _aad(np.asarray([model[s] for s in sectors], dtype=float),
+                np.asarray([data[s] for s in sectors], dtype=float), w)
+
+
+def _aad(m: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """``aad_vw`` of model, data and weight vectors in one sector order."""
+    total = w.sum()
+    return (float(np.sum(w * np.abs(d - m)) / total),
+            float(np.sum(w * (m - d)) / total))
 
 
 def total_aad(cells: dict[tuple[str, str], tuple[float, float]]) -> float:
@@ -212,48 +219,46 @@ def _pct_reduction(series: np.ndarray, baseline: np.ndarray) -> np.ndarray:
 
 class _QuarterFrame:
     """Calendar quarters of the sample times and the NACE-21 grouping: the
-    parts of ``model_quarterly`` that do not depend on the run."""
+    parts of ``model_quarterly`` that do not depend on the run.
+    ``quarters`` keeps the requested quarters that hold a sample, and
+    ``columns`` names each indicator's columns: sector codes, or the sorted
+    NACE-21 groups for ``b2b``."""
 
     def __init__(self, times, start_date: date, economy: Economy,
                  mapping: dict[str, str] | None, quarters):
-        self.quarters = tuple(quarters)
         labels = [quarter_of(start_date + timedelta(days=float(t))) for t in times]
-        self.in_quarter = {
-            q: np.asarray([lab == q for lab in labels]) for q in self.quarters
-        }
-        self.codes = economy.codes
+        masks = [(q, np.asarray([lab == q for lab in labels])) for q in quarters]
+        self.quarters = tuple(q for q, sel in masks if sel.any())
+        self.in_quarter = [(sel, int(sel.sum())) for _, sel in masks if sel.any()]
         sections = [nace21_section(c, mapping) for c in economy.codes]
-        self.groups = sorted(set(sections))
-        gindex = {g: k for k, g in enumerate(self.groups)}
-        self.member = np.zeros((len(economy.codes), len(self.groups)))
+        groups = sorted(set(sections))
+        self.columns = {ind: groups if ind == "b2b" else economy.codes
+                        for ind in INDICATORS}
+        gindex = {g: k for k, g in enumerate(groups)}
+        self.member = np.zeros((len(economy.codes), len(groups)))
         for i, group in enumerate(sections):
             self.member[i, gindex[group]] = 1.0
 
-    def _table(self, values: np.ndarray, names) -> dict[tuple[str, str], float]:
-        pct = _pct_reduction(values, values[0])
-        out = {}
-        for q in self.quarters:
-            sel = self.in_quarter[q]
-            if not sel.any():
-                continue
-            block = pct[sel]
-            counts = np.sum(~np.isnan(block), axis=0)
-            sums = np.where(np.isnan(block), 0.0, block).sum(axis=0)
-            for j, name in enumerate(names):
-                if counts[j]:
-                    out[(name, q)] = float(sums[j] / counts[j])
-        return out
+    def means(self, X: np.ndarray, L: np.ndarray,
+              B: np.ndarray) -> dict[str, np.ndarray]:
+        """Each indicator's (quarter, column) mean percentage reduction, from
+        (time, sector) series of gross output, labor and outgoing B2B orders.
+        A column whose day-0 value is not positive holds NaN. A quarter's
+        mean adds its days in day order, then divides by their number."""
+        out = []
+        for values in (X, L, B @ self.member):
+            pct = _pct_reduction(values, values[0])
+            out.append(np.array([pct[sel].sum(axis=0) / n
+                                 for sel, n in self.in_quarter]))
+        x, l, b2b = out
+        return {"b2b": b2b, "gdp": x, "revenue": x, "employment": l}
 
     def tables(self, X: np.ndarray, L: np.ndarray, B: np.ndarray):
-        """Quarterly reductions from (time, sector) series of gross output,
-        labor and outgoing B2B orders."""
-        x_table = self._table(X, self.codes)
-        return {
-            "gdp": x_table,
-            "revenue": dict(x_table),
-            "employment": self._table(L, self.codes),
-            "b2b": self._table(B @ self.member, self.groups),
-        }
+        """``means`` as one dict per indicator, keyed by (column, quarter),
+        without the NaN columns."""
+        return {ind: {(name, q): v for q, row in zip(self.quarters, m.tolist())
+                      for name, v in zip(self.columns[ind], row) if v == v}  # not NaN
+                for ind, m in self.means(X, L, B).items()}
 
 
 def model_quarterly(
@@ -311,10 +316,15 @@ def _simulate_scored(economy: Economy, runs, scenario: Scenario):
 
 
 class _Scorer:
-    """What scoring shares across the points of a grid: the dataset's
-    quarterly means, the indicator weights and the calendar quarters of the
-    daily samples of ``scenario``'s runs. A dataset that names no sector
-    the economy can score in any cell raises ``ValidationError``."""
+    """How each (indicator, quarter) cell of a dataset is scored, decided
+    once per grid: the cell's row of the quarter means of ``scenario``'s
+    daily samples, its columns in ``aad_vw``'s sorted order, and its data
+    and weight vectors. A column scores when the dataset has it in that
+    quarter, it is not ``AGGREGATE_CODE`` and its indicator weight is
+    positive. Each weight is the column's day-0 value (``x0``, ``l0`` or the
+    grouped row sums of ``Z``), so a scored column has a positive baseline.
+    Per point, ``score`` reads the quarter means at those columns. A dataset
+    that scores no cell raises ``ValidationError``."""
 
     def __init__(self, economy: Economy, dataset: EmpiricalDataset,
                  mapping: dict[str, str] | None, scenario: Scenario):
@@ -325,35 +335,29 @@ class _Scorer:
         for ind in dataset.indicators:
             data_q = dataset.quarterly(ind, DEFAULT_QUARTERS)
             weights = indicator_weights(economy, ind, mapping)
-            for q in DEFAULT_QUARTERS:
-                candidates = sorted(  # the weights' keys are what can be scored
-                    s for (s, qq) in data_q
-                    if qq == q and s != AGGREGATE_CODE and s in weights)
-                if candidates:
-                    self._cells.append((ind, q, candidates, data_q, weights))
+            position = {name: j for j, name in enumerate(self.frame.columns[ind])}
+            for row, q in enumerate(self.frame.quarters):
+                sectors = sorted(s for (s, qq) in data_q if qq == q
+                                 and s != AGGREGATE_CODE and weights.get(s, 0.0) > 0)
+                if not sectors:
+                    log.info("no scorable sectors for %s %s; cell skipped", ind, q)
+                    continue
+                self._cells.append((ind, q, row,
+                                    np.array([position[s] for s in sectors]),
+                                    np.array([data_q[(s, q)] for s in sectors]),
+                                    np.array([weights[s] for s in sectors])))
         if not self._cells:
-            raise ValidationError("the dataset scores no cell: none of its "
-                                  "sectors is in the economy in a scored quarter")
+            raise ValidationError(
+                "the dataset scores no cell: none of its sectors is in the economy "
+                "with a positive baseline in a scored quarter")
 
     def score(self, series: dict[str, np.ndarray]) -> PointScore:
         """Score one run's ``SCORED_SERIES``, each a (time, sector) array
         sampled at this scorer's times."""
-        model = self.frame.tables(*(series[name] for name in SCORED_SERIES))
-        cells: dict[tuple[str, str], tuple[float, float]] = {}
-        for ind, q, candidates, data_q, weights in self._cells:
-            model_q = model[ind]
-            sectors = [s for s in candidates if (s, q) in model_q]
-            if not sectors:
-                log.info("no scorable sectors for %s %s; cell skipped", ind, q)
-                continue
-            cells[(ind, q)] = aad_vw(
-                {s: model_q[(s, q)] for s in sectors},
-                {s: data_q[(s, q)] for s in sectors},
-                {s: weights[s] for s in sectors},
-            )
-        return PointScore(
-            index=-1, params={}, aad_total=total_aad(cells), cells=cells
-        )
+        means = self.frame.means(*(series[name] for name in SCORED_SERIES))
+        cells = {(ind, q): _aad(means[ind][row, cols], d, w)
+                 for ind, q, row, cols, d, w in self._cells}
+        return PointScore(index=-1, params={}, aad_total=total_aad(cells), cells=cells)
 
 
 def score_point(
@@ -787,15 +791,17 @@ def grid_search(
     ``CHUNK_POINTS``, one batched pass each; a point's score does not
     depend on its chunk. With a checkpoint path, completed points are
     appended as they finish and are not recomputed when resuming after an
-    interruption. An empty grid, ``workers`` below 1, a checkpoint path that
-    is a directory, a scenario that does not fit the economy (its sectors or
-    its key dates), a grid value the scenario cannot take and a dataset that
-    scores no cell raise ``ValidationError`` before the checkpoint is
-    touched and before any point runs; so does ``CheckpointError`` on a
-    resume for other inputs. At most one worker starts per chunk.
+    interruption. An empty grid, ``workers`` below 1, ``resume`` without a
+    checkpoint path, a checkpoint path that is a directory, a scenario that
+    does not fit the economy (its sectors or its key dates), a grid value
+    the scenario cannot take and a dataset that scores no cell raise
+    ``ValidationError`` before the checkpoint is touched and before any
+    point runs; so does ``CheckpointError`` on a resume for other inputs. At most one worker starts per chunk.
     """
     if not workers >= 1:
         raise ValidationError(f"workers = {workers} must be at least 1")
+    if resume and not checkpoint_path:
+        raise ValidationError("resume needs a checkpoint path")
     if grid.n_points == 0:
         raise ValidationError("empty grid")
     if checkpoint_path and Path(checkpoint_path).is_dir():

@@ -28,6 +28,7 @@ from pnetsim import (
     total_aad,
 )
 from pnetsim.calibration import (
+    AGGREGATE_CODE,
     GRID_AXIS_ORDER,
     SAMPLEABLE,
     EmpiricalDataset,
@@ -46,7 +47,14 @@ from pnetsim.calibration import (
     scale_to_aggregate,
     synthesize_dataset,
 )
-from pnetsim.fixtures import reference_scenario, scenario_for, sector_mapping_path
+from pnetsim.fixtures import (
+    be64_economy,
+    d2_economy,
+    d3_economy,
+    reference_scenario,
+    scenario_for,
+    sector_mapping_path,
+)
 
 QUARTERS = ("2020Q2", "2020Q3", "2020Q4", "2021Q1")
 
@@ -365,8 +373,6 @@ def test_apply_grid_point_rejects_unknown_key(be64, ref_scenario):
 
 @pytest.fixture(scope="module")
 def d3_setup():
-    from pnetsim.fixtures import d3_economy
-
     economy = d3_economy()
     eps_S = np.array([0.3, 0.1, 0.0])
     eps_D = np.array([0.2, 0.0, 0.4])
@@ -399,6 +405,99 @@ def test_sectors_the_economy_lacks_do_not_change_a_score(d3_setup):
     plain = score_point(economy, scenario, params, dataset)
     padded = score_point(economy, scenario, params, EmpiricalDataset(extra))
     assert padded == plain and plain.aad_total > 0
+
+
+def d2_without_x2_labor():
+    """d2 with no labor in X2, so X2's employment baseline is 0."""
+    d2 = d2_economy()
+    return make_economy(codes=d2.codes, Z=d2.Z, c0=d2.c0, f0=d2.f0, l0=[55.0, 0.0],
+                        n_days_inventory=d2.n_days_inventory,
+                        criticality=d2.criticality, on_site=d2.on_site, x0=d2.x0)
+
+
+def reference_score(economy, scenario, params, dataset, mapping):
+    """The dict path: ``model_quarterly`` of the ``simulate`` trajectory,
+    ``aad_vw`` on each cell's sectors that the model reports, ``total_aad``."""
+    traj = simulate(economy, scenario, params, IntegrationConfig(),
+                    horizon_for(scenario, QUARTERS))
+    model = model_quarterly(traj, economy, mapping, QUARTERS)
+    cells = {}
+    for ind in dataset.indicators:
+        data_q = dataset.quarterly(ind, QUARTERS)
+        weights = indicator_weights(economy, ind, mapping)
+        for q in QUARTERS:
+            sectors = sorted(s for (s, qq) in data_q
+                             if qq == q and (s, q) in model[ind] and s in weights)
+            if sectors:
+                cells[(ind, q)] = aad_vw({s: model[ind][(s, q)] for s in sectors},
+                                         {s: data_q[(s, q)] for s in sectors},
+                                         {s: weights[s] for s in sectors})
+    return total_aad(cells), cells
+
+
+def scoring_case(case):
+    """(economy, scenario, scored params, dataset, mapping) for ``case``. The
+    dataset also names a sector the economy lacks, the aggregate code and a
+    quarter that is not scored."""
+    if case == "d2-zero-labor":
+        economy = d2_without_x2_labor()
+        scenario = scenario_for(economy, eps_S_L1=np.array([0.3, 0.0]),
+                                eps_D_lockdown=np.array([0.2, 0.1]))
+        dataset = synthesize_dataset(economy, scenario, BehavioralParams())
+        extra = {"employment": [(date(2020, 8, 15), "X2", -12.0)]}
+    elif case == "d3":
+        economy = d3_economy()
+        scenario = scenario_for(economy, eps_S_L1=np.array([0.3, 0.1, 0.0]),
+                                eps_D_lockdown=np.array([0.2, 0.0, 0.4]))
+        dataset = synthesize_dataset(economy, scenario, BehavioralParams())
+        extra = {}
+    else:
+        economy, scenario = be64_economy(), reference_scenario()
+        dataset = synthesize_dataset(economy, scenario, BehavioralParams(tau=14.0))
+        extra = {}
+    mapping = (load_sector_mapping(sector_mapping_path())
+               if case == "be64-mapping" else None)
+    observations = {}
+    for ind, rows in dataset.observations.items():
+        first = rows[0][1]
+        observations[ind] = rows + extra.get(ind, []) + [
+            (date(2020, 5, 15), "ZZ9", -50.0),
+            (date(2020, 5, 15), AGGREGATE_CODE, -40.0),
+            (date(2021, 5, 15), first, -30.0),  # 2021Q2 is not scored
+        ]
+    return (economy, scenario, BehavioralParams(tau=7.0, prod_fn="half_critical"),
+            EmpiricalDataset(observations), mapping)
+
+
+@pytest.mark.parametrize("case", ["d2-zero-labor", "d3", "be64", "be64-mapping"])
+def test_scorer_is_bitwise_the_dict_path(case):
+    economy, scenario, params, dataset, mapping = scoring_case(case)
+    want_total, want_cells = reference_score(economy, scenario, params, dataset,
+                                             mapping)
+    score = score_point(economy, scenario, params, dataset, mapping)
+    assert score.cells == want_cells
+    assert score.aad_total == want_total > 0
+
+
+def test_a_dataset_naming_only_zero_baseline_sectors_is_refused(tmp_path):
+    economy = d2_without_x2_labor()
+    scenario = scenario_for(economy)
+    dataset = EmpiricalDataset({"employment": [(date(2020, 5, 15), "X2", -10.0)]})
+    ck = tmp_path / "ck.jsonl"
+    with pytest.raises(ValidationError, match="scores no cell"):
+        grid_search(economy, scenario, BehavioralParams(), dataset,
+                    GridSpec((("tau", (7.0, 14.0)),)), checkpoint_path=ck)
+    assert not ck.exists()
+    with pytest.raises(ValidationError, match="scores no cell"):
+        score_point(economy, scenario, BehavioralParams(), dataset)
+
+
+def test_resume_without_a_checkpoint_is_refused(d3_setup):
+    economy, scenario = d3_setup
+    dataset = synthesize_dataset(economy, scenario, BehavioralParams())
+    with pytest.raises(ValidationError, match="resume needs a checkpoint"):
+        grid_search(economy, scenario, BehavioralParams(), dataset,
+                    GridSpec((("tau", (7.0, 14.0)),)), resume=True)
 
 
 def test_toy_grid_recovers_generating_point(d3_setup):

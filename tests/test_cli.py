@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from datetime import date
 from types import SimpleNamespace
 
@@ -825,4 +826,31 @@ def test_dataset_that_scores_no_cell_gives_validation_exit(d3_grid_files, tmp_pa
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "scores no cell" in err
     assert not checkpoint.parent.exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_naming_only_zero_baseline_sectors_gives_validation_exit(
+        d2_files, tmp_path, capsys):
+    economy, _, _, scenario_path = d2_files
+    d2 = write_economy(replace(economy, l0=np.array([55.0, 0.0])), tmp_path / "no-labor")
+    dataset = tmp_path / "data.csv"
+    dataset.write_text("indicator,date,sector,value_pct\nemployment,2020-05-15,X2,-10.0\n")
+    grid = tmp_path / "grid.json"
+    grid.write_text(GridSpec((("tau", (7.0, 14.0)),)).to_json())
+    checkpoint = tmp_path / "ck.jsonl"
+    rc = main(["grid-search", *economy_flags(d2), "--scenario", str(scenario_path),
+               "--dataset", str(dataset), "--grid", str(grid),
+               "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "scores no cell" in capsys.readouterr().err
+    assert not checkpoint.exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_resume_without_a_checkpoint_gives_validation_exit(d3_grid_files, tmp_path,
+                                                          capsys):
+    rc = grid_search_d3(tmp_path, *d3_grid_files, GridSpec((("tau", (7.0, 14.0)),)),
+                        "--resume")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: resume needs a checkpoint")
     assert not (tmp_path / "out").exists()

@@ -25,6 +25,7 @@ from pnetsim import (
     load_economy,
     load_scenario,
     monte_carlo,
+    score_point,
     simulate,
 )
 from pnetsim.calibration import (
@@ -64,6 +65,9 @@ MC_DISTRIBUTIONS = {
     "l2": {"dist": "uniform", "low": 28.0, "high": 56.0},
     "tau": {"dist": "normal", "mean": 14.0, "sd": 3.0, "min": 1.0},
 }
+#: Grid points whose unrounded scores are hashed, besides the generating one:
+#: the stored scores are rounded, which would hide a change in the last bits.
+UNROUNDED_POINTS = (0, 19)
 MC_RUNS = 40
 MC_DAYS = 120.0
 SEED = 1
@@ -86,7 +90,9 @@ NOTE = (
     "pnetsim.fixtures writes, and of the synthesized dataset, leaderboard, "
     "optimum cells, checkpoint and Monte Carlo bands of "
     "tests/test_golden.py's 20-point grid and 40-draw "
-    "ensemble at seed 1. Also the raw bytes of the adaptive method's "
+    "ensemble at seed 1, with the repr of the unrounded score_point "
+    "total and cells of grid points 0, 19 and the generating one. Also "
+    "the raw bytes of the adaptive method's "
     "right-hand side (integrate._rhs) and of every field of its "
     "reconstructed states (integrate._reconstruct), probed on be64 under "
     "leontief and half_critical at fractional times from the discrete "
@@ -130,17 +136,27 @@ def write_outputs(directory: Path) -> list[Path]:
             written.append(path)
 
     grid = GridSpec(GRID_AXES)
-    generating = grid.point_at(int(np.random.default_rng(SEED).integers(grid.n_points)))
-    scn, prm = apply_grid_point(economy, scenario, BehavioralParams(), generating)
+    generating = int(np.random.default_rng(SEED).integers(grid.n_points))
+    scn, prm = apply_grid_point(economy, scenario, BehavioralParams(),
+                                grid.point_at(generating))
     cal = directory / "calibration"
     written.append(save_dataset(synthesize_dataset(economy, scn, prm),
                                 cal / "dataset.csv"))
-    result = grid_search(economy, scenario, BehavioralParams(),
-                         load_dataset(cal / "dataset.csv"), grid,
+    dataset = load_dataset(cal / "dataset.csv")
+    result = grid_search(economy, scenario, BehavioralParams(), dataset, grid,
                          checkpoint_path=cal / "checkpoint.jsonl")
     written += [result.write_leaderboard(cal / "leaderboard.csv"),
                 result.write_optimum_cells(cal / "optimum_cells.csv"),
                 cal / "checkpoint.jsonl"]
+    for index in UNROUNDED_POINTS + (generating,):
+        scn, prm = apply_grid_point(economy, scenario, BehavioralParams(),
+                                    grid.point_at(index))
+        score = score_point(economy, scn, prm, dataset)
+        path = cal / "unrounded" / f"point_{index}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(f"{item!r}\n" for item in
+                                [score.aad_total, *sorted(score.cells.items())]))
+        written.append(path)
     mc = monte_carlo(economy, scenario, BehavioralParams(), MC_DISTRIBUTIONS,
                      n_runs=MC_RUNS, seed=SEED, t_end=MC_DAYS)
     written.append(mc.write_csv(cal / "bands.csv"))
