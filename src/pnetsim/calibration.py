@@ -446,15 +446,18 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GridSpec":
-        """The grid of a grid JSON text; a key listed twice is refused."""
+        """The grid of a grid JSON text; a key listed twice, or an axis
+        whose values are not a JSON array, is refused."""
         raw = parse_json(text, "malformed grid spec")
         try:
-            axes = tuple(
-                (str(name), tuple(values)) for name, values in raw["axes"]
-            )
+            axes = tuple((str(name), values) for name, values in raw["axes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed grid spec: {exc}") from None
-        return cls(axes)
+        for name, values in axes:
+            if not isinstance(values, list):
+                raise SchemaError(f"malformed grid spec: axis {name!r} values "
+                                  "are not a JSON array")
+        return cls(tuple((name, tuple(values)) for name, values in axes))
 
 
 def load_grid(path) -> GridSpec:

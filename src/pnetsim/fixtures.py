@@ -179,23 +179,27 @@ def fixture_economy(name: str) -> Economy:
 # Reference scenario (Belgian 2020-2021 pandemic)
 # ---------------------------------------------------------------------------
 
+def _belgian_timeline(**fields) -> Scenario:
+    """A scenario on the Belgian key dates, residual ratio, furlough
+    fraction and ramp lengths; ``fields`` gives its sectors and shocks and
+    may override any other field."""
+    return Scenario(**{
+        "start_date": belgium.SIMULATION_START,
+        "key_dates": belgium.KEY_DATES,
+        "r": belgium.INTER_LOCKDOWN_RATIO,
+        "b": belgium.FURLOUGH_FRACTION,
+        "l1": belgium.RAMP_IN_DAYS,
+        "l2": belgium.RAMP_OUT_DAYS,
+        **fields,
+    })
+
+
 def reference_scenario() -> Scenario:
     shocks = belgium.shock_percentages()
     codes = belgium.SECTOR_CODES
     pct = np.asarray([shocks[c][:4] for c in codes], dtype=float) / 100.0
-    return Scenario(
-        start_date=belgium.SIMULATION_START,
-        key_dates=belgium.KEY_DATES,
-        codes=codes,
-        eps_S_L1=pct[:, 0],
-        eps_S_L2=pct[:, 1],
-        eps_D_lockdown=pct[:, 2],
-        eps_F_lockdown=pct[:, 3],
-        r=belgium.INTER_LOCKDOWN_RATIO,
-        b=belgium.FURLOUGH_FRACTION,
-        l1=belgium.RAMP_IN_DAYS,
-        l2=belgium.RAMP_OUT_DAYS,
-    )
+    return _belgian_timeline(codes=codes, eps_S_L1=pct[:, 0], eps_S_L2=pct[:, 1],
+                             eps_D_lockdown=pct[:, 2], eps_F_lockdown=pct[:, 3])
 
 
 def scenario_for(economy: Economy, **overrides) -> Scenario:
@@ -204,22 +208,13 @@ def scenario_for(economy: Economy, **overrides) -> Scenario:
     For desk fixtures whose codes are not NACE, shocks default to zero and
     can be overridden per field (fractions in [0, 1]).
     """
-    from dataclasses import replace
-
-    n = economy.n_sectors
-    zeros = np.zeros(n)
-    base = Scenario(
-        start_date=belgium.SIMULATION_START,
-        key_dates=belgium.KEY_DATES,
-        codes=tuple(economy.codes),
-        eps_S_L1=zeros, eps_S_L2=zeros,
-        eps_D_lockdown=zeros, eps_F_lockdown=zeros,
-        r=belgium.INTER_LOCKDOWN_RATIO,
-        b=belgium.FURLOUGH_FRACTION,
-        l1=belgium.RAMP_IN_DAYS,
-        l2=belgium.RAMP_OUT_DAYS,
-    )
-    return replace(base, **overrides) if overrides else base
+    zeros = np.zeros(economy.n_sectors)
+    return _belgian_timeline(**{
+        "codes": tuple(economy.codes),
+        "eps_S_L1": zeros, "eps_S_L2": zeros,
+        "eps_D_lockdown": zeros, "eps_F_lockdown": zeros,
+        **overrides,
+    })
 
 
 # ---------------------------------------------------------------------------

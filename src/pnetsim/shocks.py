@@ -1,23 +1,27 @@
 """Scenario definition and shock time courses.
 
-A :class:`Scenario` lists key dates (lockdown starts and ends), per-sector
-shock magnitudes as positive fractions in [0, 1], and ramp parameters. The
-:class:`ShockSchedule` compiles it into piecewise time functions:
+A :class:`Scenario` lists key dates (lockdown and "lockdown light" starts
+and ends), per-sector shock magnitudes as positive fractions in [0, 1], and
+ramp parameters. The :class:`ShockSchedule` compiles it into piecewise time
+functions in one pass over the key dates, one ramp per event, each from
+where the shocks stand:
 
-* entering a lockdown, shocks ramp linearly from their current level to the
-  lockdown plateau over ``l1`` days;
-* after a lockdown, demand shocks are released over ``l2`` days toward the
-  residual level ``r * eps`` (zero after the final phase) -- linearly for
-  ordinary sectors, along a slow logarithmic curve for sectors whose
-  consumption happens on site (the economy's ``on_site`` flags);
-* labor supply shocks are released linearly over ``l2`` days and are zero
-  outside lockdowns;
-* during a "lockdown light" phase demand shocks sit at ``r * eps`` and
-  labor shocks at zero.
+* ``lockdown_start`` ramps linearly over ``l1`` days to the lockdown plateau
+  ``(eps_D, eps_F, eps_S)``, with ``eps_S_L1`` in the first lockdown and
+  ``eps_S_L2`` in every later one;
+* ``lockdown_light_start`` releases over ``l2`` days to the light plateau
+  ``(r * eps_D, r * eps_F, 0)``; when a lockdown is still open, this is
+  that lockdown's release;
+* ``lockdown_end`` and ``lockdown_light_end`` release over ``l2`` days to
+  the light plateau, or to zero after the last key date.
 
-A phase that starts while the previous ramp still runs (say a lockdown
-shorter than ``l1``) cuts that ramp and ramps on from where it stands. The
-compiled holds and ramps tile ``[0, inf)``: each ends where the next starts.
+A release moves labor shocks linearly, and demand shocks linearly for
+ordinary sectors and along a slow logarithmic curve for sectors whose
+consumption happens on site (the economy's ``on_site`` flags). Between
+ramps the shocks hold. A ramp that starts while the previous one still runs
+(say a lockdown shorter than ``l1``) cuts it and ramps on from where it
+stands. The compiled holds and ramps tile ``[0, inf)``: each ends where the
+next starts.
 
 ``_Segment`` holds the one copy of these formulas. ``ShockSchedule.table``
 evaluates them at all of a run's step or sample times in one call;
@@ -122,48 +126,6 @@ class ShockSample:
     eps_F: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Phase:
-    kind: str  # "lockdown" | "light"
-    start: float
-    end: float
-    ordinal: int  # 1-based lockdown counter; 0 for light phases
-
-
-def _parse_phases(scenario: Scenario) -> list[_Phase]:
-    phases: list[_Phase] = []
-    open_kind: str | None = None
-    open_start = 0.0
-    lockdowns = 0
-    for d, event in scenario.key_dates:
-        t = scenario.day(d)
-        if event == EVENT_LOCKDOWN_START:
-            if open_kind is not None:
-                raise ValidationError(f"{event} on {d} inside an open phase")
-            open_kind, open_start = "lockdown", t
-            lockdowns += 1
-        elif event == EVENT_LOCKDOWN_END:
-            if open_kind != "lockdown":
-                raise ValidationError(f"{event} on {d} without an open lockdown")
-            phases.append(_Phase("lockdown", open_start, t, lockdowns))
-            open_kind = None
-        elif event == EVENT_LIGHT_START:
-            # A light phase may begin the moment a lockdown ends.
-            if open_kind == "lockdown":
-                phases.append(_Phase("lockdown", open_start, t, lockdowns))
-            elif open_kind is not None:
-                raise ValidationError(f"{event} on {d} inside an open phase")
-            open_kind, open_start = "light", t
-        elif event == EVENT_LIGHT_END:
-            if open_kind != "light":
-                raise ValidationError(f"{event} on {d} without an open light phase")
-            phases.append(_Phase("light", open_start, t, 0))
-            open_kind = None
-    if open_kind is not None:
-        raise ValidationError("scenario ends with an unclosed phase")
-    return phases
-
-
 @dataclass
 class _Segment:
     t0: float
@@ -235,49 +197,45 @@ def _clip01(v: np.ndarray) -> np.ndarray:
 class ShockSchedule:
     """Compiled, vector-valued shock time functions for one scenario.
 
-    The scenario compiles into a plan of segments that tile ``[0, inf)``:
-    holds and ramps. ``table`` evaluates it; ``breakpoints`` and ``holds``
-    describe its shape. Pure function of (scenario, economy); safe for
+    The scenario compiles, in one pass over its key dates, into a plan of
+    segments that tile ``[0, inf)``: holds and ramps. A lockdown start
+    ramps over ``l1`` to the lockdown plateau (``eps_S_L1`` in the first
+    lockdown, ``eps_S_L2`` after); a light start ramps over ``l2`` to the
+    light plateau, releasing a lockdown still open; an end releases over
+    ``l2`` to the light plateau, or to zero after the last key date.
+    ``table`` evaluates the plan; ``breakpoints`` and ``holds`` describe
+    its shape. Pure function of (scenario, economy); safe for
     concurrent evaluation. The shocks are aligned to the economy's sector
     order, and the on-site sectors are the economy's.
     """
 
     def __init__(self, scenario: Scenario, economy: Economy):
         self.scenario = scenario
-        order = scenario.index_for(economy.codes)
         self.codes = tuple(economy.codes)
         self.on_site = economy.on_site
-        self._eps_S = (scenario.eps_S_L1[order], scenario.eps_S_L2[order])
-        self._eps_D = scenario.eps_D_lockdown[order]
-        self._eps_F = scenario.eps_F_lockdown[order]
-        self.phases = _parse_phases(scenario)
-        self.pandemic_start = self.phases[0].start if self.phases else None
-        self._segments = self._build()
+        self.pandemic_start = (scenario.day(scenario.key_dates[0][0])
+                               if scenario.key_dates else None)
+        self._segments = self._build(scenario.index_for(economy.codes))
         # The segments tile [0, inf) in order of their start.
         self._t0s = np.asarray([seg.t0 for seg in self._segments])
         self._t0s.setflags(write=False)
 
     # -- construction ------------------------------------------------------
 
-    def _plateau(self, phase: _Phase):
+    def _build(self, order: np.ndarray) -> list[_Segment]:
+        # One ramp per key date, by the rules of the class docstring. Key
+        # dates strictly increase, so ramp starts do: a ramp that starts
+        # before the cursor cuts the last segment, a ramp that still runs.
+        # The next ramp also holds a plateau to its end. Segments never
+        # write to their levels, so they may share plateau arrays.
+        scn = self.scenario
         n = len(self.codes)
-        r = self.scenario.r
-        if phase.kind == "lockdown":
-            eps_S = self._eps_S[0] if phase.ordinal == 1 else self._eps_S[1]
-            return (self._eps_D.copy(), self._eps_F.copy(), eps_S.copy())
-        return (r * self._eps_D, r * self._eps_F, np.zeros(n))
-
-    def _build(self) -> list[_Segment]:
-        # Transition start times strictly increase: key dates do, and a
-        # contiguous phase skips its release. Each transition appends a
-        # ramp, so one that starts before the cursor cuts the last segment,
-        # a ramp that started earlier and still runs. The next transition
-        # also holds a phase's plateau to its end.
-        n = len(self.codes)
-        zeros = lambda: (np.zeros(n), np.zeros(n), np.zeros(n))  # noqa: E731
+        eps_D, eps_F = scn.eps_D_lockdown[order], scn.eps_F_lockdown[order]
+        zeros = (np.zeros(n),) * 3
+        light = (scn.r * eps_D, scn.r * eps_F, zeros[0])
         segments: list[_Segment] = []
         cursor = 0.0
-        levels = zeros()
+        levels = zeros
 
         def add_transition(t_start, duration, target, style):
             nonlocal cursor, levels
@@ -297,19 +255,30 @@ class ShockSchedule:
             cursor = t_start + duration
             levels = target
 
-        scn = self.scenario
-        for k, phase in enumerate(self.phases):
-            ramp = scn.l1 if phase.kind == "lockdown" else scn.l2
-            style = "linear" if phase.kind == "lockdown" else "release"
-            add_transition(phase.start, ramp, self._plateau(phase), style)
-            nxt = self.phases[k + 1] if k + 1 < len(self.phases) else None
-            if nxt is not None and nxt.start <= phase.end:
-                continue  # contiguous phases: the next entry ramp takes over
-            if nxt is not None:
-                floor = (scn.r * self._eps_D, scn.r * self._eps_F, np.zeros(n))
+        open_phase = None  # "lockdown" or "light phase" while one is open
+        lockdowns = 0
+        for k, (d, event) in enumerate(scn.key_dates, start=1):
+            t = scn.day(d)
+            if event == EVENT_LOCKDOWN_START:
+                if open_phase is not None:
+                    raise ValidationError(f"{event} on {d} inside an open phase")
+                eps_S = (scn.eps_S_L2 if lockdowns else scn.eps_S_L1)[order]
+                add_transition(t, scn.l1, (eps_D, eps_F, eps_S), "linear")
+                open_phase, lockdowns = "lockdown", lockdowns + 1
+            elif event == EVENT_LIGHT_START:
+                if open_phase == "light phase":
+                    raise ValidationError(f"{event} on {d} inside an open phase")
+                add_transition(t, scn.l2, light, "release")
+                open_phase = "light phase"
             else:
-                floor = zeros()
-            add_transition(phase.end, scn.l2, floor, "release")
+                closes = "lockdown" if event == EVENT_LOCKDOWN_END else "light phase"
+                if open_phase != closes:
+                    raise ValidationError(f"{event} on {d} without an open {closes}")
+                floor = zeros if k == len(scn.key_dates) else light
+                add_transition(t, scn.l2, floor, "release")
+                open_phase = None
+        if open_phase is not None:
+            raise ValidationError("scenario ends with an unclosed phase")
 
         segments.append(
             _Segment(cursor, math.inf, 0.0, levels, levels, "hold", self.on_site)

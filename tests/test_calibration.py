@@ -308,15 +308,24 @@ def test_grid_rejects_an_empty_axis_and_an_index_out_of_range():
             grid.point_at(index)
 
 
-@pytest.mark.parametrize("text", [
-    "{not json",
-    '{"axes": [["tau"]]}',
-    '{"axes": [["tau", [7.0]]], "axes": [["l2", [28.0]]]}',
-], ids=["not-json", "axis-without-values", "axes-twice"])
-def test_grid_file_with_malformed_content_rejected(tmp_path, text):
+NOT_AN_ARRAY = "malformed grid spec: axis 'tau' values are not a JSON array"
+
+
+# A string or an object as an axis's values would iterate into its
+# characters or keys.
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "malformed grid spec"),
+    ('{"axes": [["tau"]]}', "malformed grid spec"),
+    ('{"axes": [["tau", [7.0]]], "axes": [["l2", [28.0]]]}', "malformed grid spec"),
+    ('{"axes": [["tau", "714"]]}', NOT_AN_ARRAY),
+    ('{"axes": [["tau", {"7": 1, "14": 2}]]}', NOT_AN_ARRAY),
+    ('{"axes": [["tau", 7.0]]}', NOT_AN_ARRAY),
+], ids=["not-json", "axis-without-values", "axes-twice", "axis-string",
+        "axis-object", "axis-number"])
+def test_grid_file_with_malformed_content_rejected(tmp_path, text, message):
     path = tmp_path / "grid.json"
     path.write_text(text)
-    with pytest.raises(SchemaError, match="malformed grid spec"):
+    with pytest.raises(SchemaError, match=message):
         load_grid(path)
 
 

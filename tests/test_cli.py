@@ -772,6 +772,9 @@ MALFORMED = {
     "grid-axes-twice": ("grid.json",
                         '{"axes": [["tau", [7.0]]], "axes": [["tau", [14.0]]]}',
                         [*GRID_SEARCH, "--grid", "{bad}"]),
+    "grid-axis-string": ("grid.json", '{"axes": [["tau", "714"]]}',
+                         [*GRID_SEARCH, "--grid", "{bad}",
+                          "--checkpoint", "{out}/ck.jsonl"]),
     "scenario-not-json": ("scenario.json", "{not json",
                           [*SIMULATE, "--scenario", "{bad}"]),
     "scenario-key-twice": ("scenario.json",

@@ -11,6 +11,8 @@ calibration workload at seed 1, so that the tests import no benchmark code.
 
 import hashlib
 import json
+from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,7 @@ from pnetsim.integrate import (
     write_aggregate_csv,
     write_trajectory_csv,
 )
+from test_shocks import CUT_RAMPS, random_key_dates
 
 GOLDEN = Path(__file__).parent / "golden" / "sha256.json"
 
@@ -83,6 +86,12 @@ PROBE_RULES = ("leontief", "half_critical")
 ECONOMY_ARRAYS = ("Z", "A", "x0", "c0", "f0", "l0", "n_days_inventory",
                   "criticality", "on_site")
 
+#: The shock plans hashed besides the ``CUT_RAMPS`` cases: seeded random
+#: key-date sequences with random ``l1`` and ``l2``, each read at a fixed
+#: time grid, at every breakpoint and at the float just below it.
+SHOCK_PLAN_SEQUENCES = 100
+SHOCK_PLAN_TIMES = np.linspace(0.0, 500.0, 1001)
+
 NOTE = (
     "SHA-256 of the be64 trajectory.csv and aggregate.csv of each bottleneck "
     "rule (discrete, dt 1, to the end of the scored quarters) and of "
@@ -97,7 +106,10 @@ NOTE = (
     "reconstructed states (integrate._reconstruct), probed on be64 under "
     "leontief and half_critical at fractional times from the discrete "
     "states, and of every Economy array of d2, d3 and be64 as loaded from "
-    "the shipped files. Made on x86-64 with AVX-512, Python 3.11.7, numpy "
+    "the shipped files, and of the be64 shock plan (ShockSchedule table and at, "
+    "breakpoints, holds, pandemic start) of the reference scenario, of "
+    "tests/test_shocks.py's CUT_RAMPS cases and of 100 seeded random "
+    "key-date sequences. Made on x86-64 with AVX-512, Python 3.11.7, numpy "
     "2.4.6 and OpenBLAS 0.3.31. Adaptive (continuous_adaptive) outputs are "
     "left out: their bytes depend on the BLAS kernel OpenBLAS picks for the "
     "CPU, through the solver's np.dot. The probes of _rhs and _reconstruct "
@@ -124,6 +136,7 @@ def write_outputs(directory: Path) -> list[Path]:
                     write_aggregate_csv(traj, folder / "aggregate.csv")]
         if dt == 1.0 and rule in PROBE_RULES:
             written += write_probes(economy, scenario, rule, traj, t_end, folder)
+    written += write_shock_plans(economy, scenario, directory / "shocks")
     written += generate_all(directory / "data").values()
     for name in FIXTURE_NAMES:
         paths = fixture_paths(name)
@@ -196,6 +209,45 @@ def write_probes(economy, scenario, rule, traj, t_end, folder: Path) -> list[Pat
         written.append(folder / name)
         written[-1].write_bytes(b"".join(a.tobytes() for a in arrays))
     return written
+
+
+def write_shock_plans(economy, scenario, folder: Path) -> list[Path]:
+    """Write the raw bytes of the shock plan of each ``CUT_RAMPS`` case
+    (``<case>.bin``), and the SHA-256 of the plan of each seeded random
+    key-date sequence (``random_key_dates.txt``, one line each)."""
+    folder.mkdir(parents=True, exist_ok=True)
+    written = []
+    for case, events in CUT_RAMPS.items():
+        scn = scenario if events is None else replace(scenario, key_dates=tuple(
+            (date.fromisoformat(d), event) for d, event in events))
+        written.append(folder / f"{case}.bin")
+        written[-1].write_bytes(plan_bytes(ShockSchedule(scn, economy)))
+    rng = np.random.default_rng(SEED)
+    lines = []
+    for k in range(SHOCK_PLAN_SEQUENCES):
+        scn = replace(scenario,
+                      key_dates=random_key_dates(rng, scenario.start_date),
+                      l1=float(rng.uniform(0.5, 30.0)),
+                      l2=float(rng.uniform(0.5, 90.0)))
+        digest = hashlib.sha256(plan_bytes(ShockSchedule(scn, economy)))
+        lines.append(f"{k} {digest.hexdigest()}\n")
+    written.append(folder / "random_key_dates.txt")
+    written[-1].write_text("".join(lines))
+    return written
+
+
+def plan_bytes(schedule) -> bytes:
+    """The shocks of ``schedule`` at ``SHOCK_PLAN_TIMES`` and at each
+    breakpoint and the float below it (``table``, and ``at`` at every 37th
+    of those times), with its breakpoints, holds and pandemic start."""
+    kinks = schedule.breakpoints
+    times = np.concatenate([SHOCK_PLAN_TIMES, kinks, np.nextafter(kinks, -np.inf)])
+    parts = [times, kinks, np.asarray(schedule.holds, dtype=float),
+             np.asarray([schedule.pandemic_start], dtype=float)]
+    for sample in [schedule.table(times),
+                   *(schedule.at(float(t)) for t in times[::37])]:
+        parts += [sample.eps_S, sample.eps_D, sample.eps_F]
+    return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
 
 def output_hashes(directory: Path) -> dict[str, str]:

@@ -402,7 +402,11 @@ def test_scenario_rejects_invalid_fields(ref_scenario, change, message):
     (("lockdown_light_start", "lockdown_light_start"),
      "lockdown_light_start on .* open phase"),
     (("lockdown_start", "lockdown_light_end"), "without an open light phase"),
-], ids=["lockdown-inside-lockdown", "light-inside-light", "light-end-without-light"])
+    (("lockdown_end",), "lockdown_end on .* without an open lockdown"),
+    (("lockdown_light_start", "lockdown_end"), "without an open lockdown"),
+    (("lockdown_light_start", "lockdown_start"), "lockdown_start on .* open phase"),
+], ids=["lockdown-inside-lockdown", "light-inside-light", "light-end-without-light",
+        "lockdown-end-first", "lockdown-end-inside-light", "lockdown-inside-light"])
 def test_phases_reject_misplaced_events(be64, ref_scenario, events, message):
     key_dates = tuple((date(2020, 3, 15) + timedelta(days=30 * k), event)
                       for k, event in enumerate(events))
