@@ -799,7 +799,8 @@ def grid_search(
     does not fit the economy (its sectors or its key dates), a grid value
     the scenario cannot take and a dataset that scores no cell raise
     ``ValidationError`` before the checkpoint is touched and before any
-    point runs; so does ``CheckpointError`` on a resume for other inputs. At most one worker starts per chunk.
+    point runs; so does ``CheckpointError`` on a resume for other inputs.
+    At most one worker starts per chunk.
     """
     if not workers >= 1:
         raise ValidationError(f"workers = {workers} must be at least 1")

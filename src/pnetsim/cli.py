@@ -36,7 +36,7 @@ from .calibration import (
 from .dynamics import PRODUCTION_FUNCTIONS, BehavioralParams
 from .economy import Economy, load_economy
 from .errors import PnetError, SchemaError, ValidationError
-from .fixtures import fixture_paths
+from .fixtures import FIXTURE_NAMES, fixture_paths
 from .integrate import (
     METHOD_DISCRETE,
     METHODS,
@@ -83,7 +83,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
 
 
 def _add_economy_args(p: argparse.ArgumentParser):
-    p.add_argument("--fixture", choices=("d2", "d3", "be64"),
+    p.add_argument("--fixture", choices=FIXTURE_NAMES,
                    help="use a packaged fixture instead of explicit paths")
     p.add_argument("--io-table", type=Path)
     p.add_argument("--initial-states", type=Path)

@@ -2,28 +2,22 @@ import numpy as np
 import pytest
 
 from pnetsim import BehavioralParams
-from pnetsim.fixtures import (
-    be64_economy,
-    d2_economy,
-    d3_economy,
-    reference_scenario,
-    scenario_for,
-)
+from pnetsim.fixtures import fixture_economy, reference_scenario, scenario_for
 
 
 @pytest.fixture(scope="session")
 def d2():
-    return d2_economy()
+    return fixture_economy("d2")
 
 
 @pytest.fixture(scope="session")
 def d3():
-    return d3_economy()
+    return fixture_economy("d3")
 
 
 @pytest.fixture(scope="session")
 def be64():
-    return be64_economy()
+    return fixture_economy("be64")
 
 
 @pytest.fixture(scope="session")

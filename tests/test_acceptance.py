@@ -39,9 +39,8 @@ from pnetsim.dynamics import (
     initial_inventories,
 )
 from pnetsim.fixtures import (
-    be64_economy,
-    d2_economy,
-    d3_economy,
+    FIXTURE_NAMES,
+    fixture_economy,
     reference_scenario,
     scenario_for,
 )
@@ -56,7 +55,7 @@ def report(n, message):
 
 @pytest.fixture(scope="module")
 def be64():
-    return be64_economy()
+    return fixture_economy("be64")
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +83,7 @@ def reference_runs(be64, ref_scenario):
 
 def test_criterion_01_equilibrium_preservation():
     elapsed = 0.0
-    for economy in (d2_economy(), d3_economy(), be64_economy()):
+    for economy in map(fixture_economy, FIXTURE_NAMES):
         scenario = scenario_for(economy)
         params = BehavioralParams()
         ctx = ModelContext(economy, params, ShockSchedule(scenario, economy))
@@ -129,7 +128,7 @@ def test_criterion_03_production_function_ordering(be64):
     rng = np.random.default_rng(1234)
     t0 = time.perf_counter()
     n_states = 0
-    for economy in (d3_economy(), be64):
+    for economy in (fixture_economy("d3"), be64):
         sets = derive_criticality_sets(economy)
         targets = initial_inventories(economy)
         state = initial_state(economy)

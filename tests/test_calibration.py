@@ -48,9 +48,7 @@ from pnetsim.calibration import (
     synthesize_dataset,
 )
 from pnetsim.fixtures import (
-    be64_economy,
-    d2_economy,
-    d3_economy,
+    fixture_economy,
     reference_scenario,
     scenario_for,
     sector_mapping_path,
@@ -382,7 +380,7 @@ def test_apply_grid_point_rejects_unknown_key(be64, ref_scenario):
 
 @pytest.fixture(scope="module")
 def d3_setup():
-    economy = d3_economy()
+    economy = fixture_economy("d3")
     eps_S = np.array([0.3, 0.1, 0.0])
     eps_D = np.array([0.2, 0.0, 0.4])
     scenario = scenario_for(
@@ -418,7 +416,7 @@ def test_sectors_the_economy_lacks_do_not_change_a_score(d3_setup):
 
 def d2_without_x2_labor():
     """d2 with no labor in X2, so X2's employment baseline is 0."""
-    d2 = d2_economy()
+    d2 = fixture_economy("d2")
     return make_economy(codes=d2.codes, Z=d2.Z, c0=d2.c0, f0=d2.f0, l0=[55.0, 0.0],
                         n_days_inventory=d2.n_days_inventory,
                         criticality=d2.criticality, on_site=d2.on_site, x0=d2.x0)
@@ -455,13 +453,13 @@ def scoring_case(case):
         dataset = synthesize_dataset(economy, scenario, BehavioralParams())
         extra = {"employment": [(date(2020, 8, 15), "X2", -12.0)]}
     elif case == "d3":
-        economy = d3_economy()
+        economy = fixture_economy("d3")
         scenario = scenario_for(economy, eps_S_L1=np.array([0.3, 0.1, 0.0]),
                                 eps_D_lockdown=np.array([0.2, 0.0, 0.4]))
         dataset = synthesize_dataset(economy, scenario, BehavioralParams())
         extra = {}
     else:
-        economy, scenario = be64_economy(), reference_scenario()
+        economy, scenario = fixture_economy("be64"), reference_scenario()
         dataset = synthesize_dataset(economy, scenario, BehavioralParams(tau=14.0))
         extra = {}
     mapping = (load_sector_mapping(sector_mapping_path())

@@ -14,14 +14,13 @@ from pnetsim import (
 from pnetsim.calibration import apply_grid_point, save_dataset, synthesize_dataset
 from pnetsim.cli import main
 from pnetsim.fixtures import (
-    d2_economy, d3_economy, reference_scenario_path, scenario_for,
-    sector_mapping_path,
+    fixture_economy, reference_scenario_path, scenario_for, sector_mapping_path,
 )
 
 
 @pytest.fixture()
 def d2_files(tmp_path):
-    economy = d2_economy()
+    economy = fixture_economy("d2")
     paths = write_economy(economy, tmp_path / "economy")
     scenario = scenario_for(
         economy,
@@ -95,7 +94,7 @@ def test_validate_data_refuses_a_non_finite_cell(d2_files, capsys):
 
 
 def test_simulate_zero_shock_constant_output(tmp_path, capsys):
-    economy = d2_economy()
+    economy = fixture_economy("d2")
     paths = write_economy(economy, tmp_path / "economy")
     scenario_path = save_scenario(scenario_for(economy), tmp_path / "scn.json")
     out_dir = tmp_path / "run"
@@ -215,7 +214,7 @@ def test_simulate_reference_dips_and_recovers(tmp_path):
 
 
 def test_aggregate_csv_rows_are_the_trajectory_totals(tmp_path):
-    economy = d3_economy()
+    economy = fixture_economy("d3")
     scenario = scenario_for(economy, eps_S_L1=np.array([0.3, 0.1, 0.0]),
                             eps_D_lockdown=np.array([0.2, 0.5, 0.1]))
     scenario_path = save_scenario(scenario, tmp_path / "d3.json")
@@ -236,7 +235,7 @@ def test_aggregate_csv_rows_are_the_trajectory_totals(tmp_path):
 
 
 def test_override_files_apply_with_fixture(tmp_path):
-    scenario = scenario_for(d3_economy(), eps_S_L1=np.array([0.3, 0.1, 0.0]),
+    scenario = scenario_for(fixture_economy("d3"), eps_S_L1=np.array([0.3, 0.1, 0.0]),
                             eps_D_lockdown=np.array([0.2, 0.5, 0.1]))
     scenario_path = save_scenario(scenario, tmp_path / "d3.json")
     overrides = {
@@ -522,7 +521,7 @@ def test_montecarlo_defaults_match_reference_ensemble():
 @pytest.fixture()
 def d3_grid_files(tmp_path):
     """d3's default scenario, a dataset it generates, and its file paths."""
-    economy = d3_economy()
+    economy = fixture_economy("d3")
     scenario = scenario_for(economy)
     dataset = synthesize_dataset(economy, scenario, BehavioralParams())
     return (save_scenario(scenario, tmp_path / "scenario.json"),
@@ -646,7 +645,7 @@ def test_resume_against_another_dataset_exits_2_and_keeps_the_checkpoint(
 
 
 def lockdown_end_first(tmp_path):
-    scenario = scenario_for(d3_economy(),
+    scenario = scenario_for(fixture_economy("d3"),
                             key_dates=((date(2020, 3, 15), "lockdown_end"),))
     return save_scenario(scenario, tmp_path / "end-first.json")
 

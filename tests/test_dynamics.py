@@ -641,9 +641,9 @@ def test_check_state_runs_under_python_optimize():
         "import sys\n"
         "from pnetsim import ModelStateError, initial_state\n"
         "from pnetsim.dynamics import _check_state\n"
-        "from pnetsim.fixtures import d2_economy\n"
+        "from pnetsim.fixtures import fixture_economy\n"
         "print(sys.flags.optimize)\n"
-        "d2 = d2_economy()\n"
+        "d2 = fixture_economy('d2')\n"
         "state = initial_state(d2)\n"
         "state.S[0, 1] = -1.0\n"
         "try:\n"

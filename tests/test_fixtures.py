@@ -1,21 +1,21 @@
 import filecmp
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pnetsim import belgium, load_economy
+from pnetsim import ValidationError, load_economy
+from pnetsim.calibration import load_sector_mapping, nace21_section
 from pnetsim.fixtures import (
     FIXTURE_NAMES,
-    be64_economy,
-    data_dir,
     fixture_economy,
     fixture_paths,
-    generate_all,
     reference_scenario_path,
+    scenario_for,
     sector_mapping_path,
 )
 from pnetsim.shocks import load_scenario
+
+from golden import gen_fixtures
 
 
 def test_d2_matches_documented_numbers(d2):
@@ -48,8 +48,8 @@ def test_shipped_fixture_files_load_and_validate(name):
 
 
 def test_regeneration_is_byte_identical(tmp_path):
-    generate_all(tmp_path)
-    shipped = data_dir()
+    gen_fixtures.generate_all(tmp_path)
+    shipped = gen_fixtures.data_dir()
     regenerated = list(tmp_path.rglob("*.*"))
     assert regenerated
     for path in regenerated:
@@ -58,15 +58,15 @@ def test_regeneration_is_byte_identical(tmp_path):
 
 
 def test_be64_same_seed_same_economy():
-    a = be64_economy()
-    b = be64_economy()
+    a = gen_fixtures.be64_economy()
+    b = gen_fixtures.be64_economy()
     assert np.array_equal(a.Z, b.Z)
     assert np.array_equal(a.criticality, b.criticality)
 
 
 def test_be64_uses_published_reference_columns(be64):
-    accounts = belgium.initial_accounts()
-    n_days = belgium.inventory_days()
+    accounts = gen_fixtures.initial_accounts()
+    n_days = gen_fixtures.inventory_days()
     for i, code in enumerate(be64.codes):
         assert be64.c0[i] == accounts[code][1]
         assert be64.f0[i] == accounts[code][2]
@@ -95,19 +95,32 @@ def test_reference_scenario_values(be64, ref_scenario):
     assert ref_scenario.l2 == 42.0
 
 
-def test_shipped_scenario_file_matches_builder(ref_scenario):
-    loaded = load_scenario(reference_scenario_path())
-    assert loaded.codes == ref_scenario.codes
-    np.testing.assert_array_equal(loaded.eps_S_L1, ref_scenario.eps_S_L1)
-    np.testing.assert_array_equal(loaded.eps_F_lockdown, ref_scenario.eps_F_lockdown)
-    assert loaded.key_dates == ref_scenario.key_dates
+@pytest.mark.parametrize("name", ("d2", "d3"))
+def test_scenario_for_takes_the_shipped_timeline(name):
+    economy = fixture_economy(name)
+    shipped = load_scenario(reference_scenario_path())
+    scenario = scenario_for(economy)
+    for field in ("start_date", "key_dates", "r", "b", "l1", "l2"):
+        assert getattr(scenario, field) == getattr(shipped, field), field
+    assert scenario.codes == economy.codes
+    for field in ("eps_S_L1", "eps_S_L2", "eps_D_lockdown", "eps_F_lockdown"):
+        np.testing.assert_array_equal(getattr(scenario, field),
+                                      np.zeros(economy.n_sectors))
+    shock = np.full(economy.n_sectors, 0.25)
+    overridden = scenario_for(economy, eps_S_L1=shock, l2=28.0)
+    np.testing.assert_array_equal(overridden.eps_S_L1, shock)
+    np.testing.assert_array_equal(overridden.eps_S_L2, np.zeros(economy.n_sectors))
+    assert overridden.l2 == 28.0
+    assert overridden.key_dates == shipped.key_dates
+    with pytest.raises(ValidationError, match="eps_D_lockdown has shape"):
+        scenario_for(economy, eps_D_lockdown=np.zeros(economy.n_sectors + 1))
 
 
-def test_mapping_file_exists_and_covers_all_codes():
-    text = Path(sector_mapping_path()).read_text().splitlines()
-    assert text[0] == "nace64,nace21"
-    codes = {line.split(",")[0] for line in text[1:]}
-    assert codes == set(belgium.SECTOR_CODES)
+def test_mapping_file_exists_and_covers_all_codes(be64):
+    header = sector_mapping_path().read_text().splitlines()[0]
+    assert header == "nace64,nace21"
+    mapping = load_sector_mapping(sector_mapping_path())
+    assert mapping == {code: nace21_section(code) for code in be64.codes}
 
 
 def test_unknown_fixture_rejected():

@@ -42,7 +42,6 @@ from pnetsim.dynamics import ModelContext
 from pnetsim.fixtures import (
     FIXTURE_NAMES,
     fixture_paths,
-    generate_all,
     reference_scenario_path,
 )
 from pnetsim.integrate import (
@@ -53,6 +52,7 @@ from pnetsim.integrate import (
     write_aggregate_csv,
     write_trajectory_csv,
 )
+from golden.gen_fixtures import generate_all
 from test_shocks import CUT_RAMPS, random_key_dates
 
 GOLDEN = Path(__file__).parent / "golden" / "sha256.json"
@@ -95,9 +95,9 @@ SHOCK_PLAN_TIMES = np.linspace(0.0, 500.0, 1001)
 NOTE = (
     "SHA-256 of the be64 trajectory.csv and aggregate.csv of each bottleneck "
     "rule (discrete, dt 1, to the end of the scored quarters) and of "
-    "leontief and half_critical at dt 0.5, of every file python -m "
-    "pnetsim.fixtures writes, and of the synthesized dataset, leaderboard, "
-    "optimum cells, checkpoint and Monte Carlo bands of "
+    "leontief and half_critical at dt 0.5, of every file "
+    "tests/golden/gen_fixtures.py writes, and of the synthesized dataset, "
+    "leaderboard, optimum cells, checkpoint and Monte Carlo bands of "
     "tests/test_golden.py's 20-point grid and 40-draw "
     "ensemble at seed 1, with the repr of the unrounded score_point "
     "total and cells of grid points 0, 19 and the generating one. Also "

@@ -27,7 +27,7 @@ import pnetsim, pnetsim.cli
 from pnetsim import (BehavioralParams, GridSpec, IntegrationConfig,
                      grid_search, simulate)
 from pnetsim.calibration import synthesize_dataset
-from pnetsim.fixtures import d3_economy, scenario_for
+from pnetsim.fixtures import fixture_economy, scenario_for
 
 
 def scipy_modules():
@@ -35,7 +35,7 @@ def scipy_modules():
 
 
 print(scipy_modules())
-d3 = d3_economy()
+d3 = fixture_economy("d3")
 scenario = scenario_for(d3)
 params = BehavioralParams()
 simulate(d3, scenario, params, IntegrationConfig(), 30.0)

@@ -23,7 +23,8 @@ from pnetsim.cli import main
 from pnetsim.fixtures import fixture_paths, scenario_for
 from pnetsim.integrate import _kinks
 from pnetsim.shocks import ShockSchedule
-from pnetsim import belgium
+
+from golden.gen_fixtures import KEY_DATES
 
 
 def day(scenario, iso):
@@ -486,6 +487,6 @@ def test_missing_sector_rejected(be64, ref_scenario):
 
 
 def test_reference_key_dates_match_timeline(ref_scenario):
-    assert ref_scenario.key_dates == belgium.KEY_DATES
+    assert ref_scenario.key_dates == KEY_DATES
     assert ref_scenario.start_date == date(2020, 3, 1)
     assert day(ref_scenario, "2020-03-15") == 14.0
