@@ -753,28 +753,48 @@ def _score_chunk(job: _GridJob, indices: list[int]) -> list[PointScore]:
     return scores
 
 
-def _chunks(grid: GridSpec, pending: list[int], prod_fn: str):
-    """Pending indices grouped by bottleneck rule, at most ``CHUNK_POINTS``
-    a chunk."""
-    by_rule: dict[str, list[int]] = {}
-    for i in pending:
-        by_rule.setdefault(grid.point_at(i).get("prod_fn", prod_fn), []).append(i)
-    return [
-        group[k:k + CHUNK_POINTS] for group in by_rule.values()
-        for k in range(0, len(group), CHUNK_POINTS)
-    ]
+_WORKER_JOB = None  # (evaluate, job), set once in each pool worker
 
 
-_WORKER_JOB: _GridJob | None = None
-
-
-def _init_worker(job: _GridJob):
+def _init_worker(evaluate, job):
     global _WORKER_JOB
-    _WORKER_JOB = job
+    _WORKER_JOB = (evaluate, job)
 
 
-def _score_chunk_in_worker(indices: list[int]) -> list[PointScore]:
-    return _score_chunk(_WORKER_JOB, indices)
+def _evaluate_in_worker(chunk: list):
+    evaluate, job = _WORKER_JOB
+    return evaluate(job, chunk)
+
+
+def _run_chunks(evaluate, job, keys: dict, workers: int, record) -> None:
+    """Pass ``evaluate(job, chunk)`` to ``record`` chunk by chunk, in order.
+    A chunk is up to ``CHUNK_POINTS`` items of one key (``keys`` maps item
+    to key), keys in first-seen order. At most one worker starts per chunk,
+    as a pool forks all at once; with one, the chunks run in this process.
+    Each forked worker gets ``(evaluate, job)`` once. The pool is shut down
+    before this returns, also when ``record`` raises."""
+    groups: dict = {}
+    for item, key in keys.items():
+        groups.setdefault(key, []).append(item)
+    chunks = [group[k:k + CHUNK_POINTS] for group in groups.values()
+              for k in range(0, len(group), CHUNK_POINTS)]
+    workers = min(workers, len(chunks))
+    if workers <= 1:
+        for chunk in chunks:
+            record(evaluate(job, chunk))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(evaluate, job)) as pool:
+        for result in pool.map(_evaluate_in_worker, chunks):
+            record(result)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a ``value`` that is not an integer of at least ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValidationError(f"{name} = {value} must be an integer, at least {least}")
 
 
 def grid_search(
@@ -790,20 +810,19 @@ def grid_search(
 ) -> CalibrationResult:
     """Score every grid point; deterministic regardless of worker count.
 
-    Points sharing ``prod_fn`` are simulated in chunks of at most
-    ``CHUNK_POINTS``, one batched pass each; a point's score does not
-    depend on its chunk. With a checkpoint path, completed points are
-    appended as they finish and are not recomputed when resuming after an
-    interruption. An empty grid, ``workers`` below 1, ``resume`` without a
-    checkpoint path, a checkpoint path that is a directory, a scenario that
-    does not fit the economy (its sectors or its key dates), a grid value
-    the scenario cannot take and a dataset that scores no cell raise
-    ``ValidationError`` before the checkpoint is touched and before any
-    point runs; so does ``CheckpointError`` on a resume for other inputs.
-    At most one worker starts per chunk.
+    ``_run_chunks`` simulates points sharing ``prod_fn`` in batched chunks
+    and says how many workers start; a point's score does not depend on
+    its chunk. With a checkpoint path, completed points are appended as
+    they finish and are not recomputed when resuming after an interruption.
+    An empty grid, ``workers`` that is not an integer of at least 1,
+    ``resume`` without a checkpoint path, a checkpoint path that is a
+    directory, a scenario that does not fit the economy (its sectors or its
+    key dates), a grid value the scenario cannot take and a dataset that
+    scores no cell raise ``ValidationError`` before the checkpoint is
+    touched and before any point runs; so does ``CheckpointError`` on a
+    resume for other inputs.
     """
-    if not workers >= 1:
-        raise ValidationError(f"workers = {workers} must be at least 1")
+    _check_count("workers", workers, 1)
     if resume and not checkpoint_path:
         raise ValidationError("resume needs a checkpoint path")
     if grid.n_points == 0:
@@ -821,7 +840,6 @@ def grid_search(
     job = _GridJob(economy, scenario, params, dataset, grid, mapping,
                    _Scorer(economy, dataset, mapping, scenario))
     completed: dict[int, PointScore] = {}
-    writer = None
     if checkpoint_path:
         checkpoint = Path(checkpoint_path)
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
@@ -832,34 +850,17 @@ def grid_search(
             checkpoint.unlink(missing_ok=True)
             checkpoint.write_text(json.dumps({"inputs_hash": job.inputs_hash()}) + "\n",
                                   encoding="utf-8")
-        writer = checkpoint.open("a", encoding="utf-8")
-
-    pending = [i for i in range(grid.n_points) if i not in completed]
-    chunks = _chunks(grid, pending, params.prod_fn)
-    workers = min(workers, len(chunks))  # a pool forks all its workers at once
 
     def record(scores: list[PointScore]) -> None:
         for score in scores:
             completed[score.index] = score
-            if writer:
-                writer.write(_checkpoint_record(score) + "\n")
-                writer.flush()
+        if checkpoint_path:
+            with checkpoint.open("a", encoding="utf-8") as fh:
+                fh.writelines(_checkpoint_record(score) + "\n" for score in scores)
 
-    try:
-        if workers <= 1:
-            for chunk in chunks:
-                record(_score_chunk(job, chunk))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(job,),
-            ) as pool:
-                for scores in pool.map(_score_chunk_in_worker, chunks):
-                    record(scores)
-    finally:
-        if writer:
-            writer.close()
+    pending = {i: grid.point_at(i).get("prod_fn", params.prod_fn)
+               for i in range(grid.n_points) if i not in completed}
+    _run_chunks(_score_chunk, job, pending, workers, record)
     scores = [completed[i] for i in range(grid.n_points)]
     return CalibrationResult(grid=grid, scores=scores)
 
@@ -995,6 +996,13 @@ class MonteCarloResult:
         ))
 
 
+def _chunk_totals(job, draws: list[int]) -> np.ndarray:
+    """(draw, time) totals of ``job``'s ``draws``, summed before the next chunk runs."""
+    economy, runs, t_end, name = job
+    run = simulate_series(economy, [runs[k] for k in draws], t_end, (name,))
+    return run.values[name].sum(axis=-1)
+
+
 def monte_carlo(
     economy: Economy,
     scenario: Scenario,
@@ -1007,12 +1015,10 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Ensemble of simulations under sampled parameters, with quantile bands;
     invalid input, a draw included, raises ``ValidationError`` before any run."""
-    if not n_runs >= 1:
-        raise ValidationError(f"n_runs = {n_runs} must be at least 1")
+    _check_count("n_runs", n_runs, 1)
     if observable not in OBSERVABLES:
         raise ValidationError(f"unknown observable {observable!r}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValidationError(f"seed = {seed} must be an integer, at least 0")
+    _check_count("seed", seed, 0)
     samplers = parse_distributions(distributions)
     if t_end is None:
         t_end = horizon_for(scenario, DEFAULT_QUARTERS)
@@ -1022,15 +1028,12 @@ def monte_carlo(
         for _ in range(n_runs)
     ]
     runs = [apply_sampled(scenario, params, sample) for sample in draws]
-    name = OBSERVABLES[observable]
     totals = []
-    for k in range(0, n_runs, CHUNK_POINTS):
-        run = simulate_series(economy, runs[k:k + CHUNK_POINTS], t_end, (name,))
-        # pop: no chunk's (runs, G, N) array outlives its sum
-        totals.append(run.values.pop(name).sum(axis=-1))
+    _run_chunks(_chunk_totals, (economy, runs, t_end, OBSERVABLES[observable]),
+                dict.fromkeys(range(n_runs)), 1, totals.append)
     bands = np.percentile(np.vstack(totals), DEFAULT_QUANTILES, axis=0)
     return MonteCarloResult(
-        times=run.times,
+        times=_output_grid(t_end),
         quantiles=DEFAULT_QUANTILES,
         bands=bands,
         observable=observable,

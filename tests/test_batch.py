@@ -269,8 +269,12 @@ def per_draw_bands(economy, scenario, params, distributions, n_runs, seed, t_end
     return np.percentile(np.vstack(series), (2.5, 50.0, 97.5), axis=0)
 
 
-@pytest.mark.parametrize("observable", sorted(OBSERVABLES))
-def test_monte_carlo_bands_equal_per_draw_path(d3, d3_scenario, observable):
+@pytest.mark.parametrize("observable, cap", [
+    pytest.param(observable, cap, id=observable + (f"-cap{cap}" if cap else ""))
+    for observable in sorted(OBSERVABLES) for cap in (None, 1, 3)
+])
+def test_monte_carlo_bands_equal_per_draw_path(d3, d3_scenario, monkeypatch,
+                                               observable, cap):
     distributions = {
         "eps_S_scale": {"dist": "uniform", "low": 0.8, "high": 1.2},
         "l2": {"dist": "uniform", "low": 28.0, "high": 56.0},
@@ -278,7 +282,9 @@ def test_monte_carlo_bands_equal_per_draw_path(d3, d3_scenario, observable):
         "b": {"dist": "uniform", "low": 0.5, "high": 1.0},
     }
     params = BehavioralParams()
-    n_runs = calibration.CHUNK_POINTS + 4  # more than one chunk
+    n_runs = calibration.CHUNK_POINTS + 4  # more than one chunk at every cap
+    if cap:
+        monkeypatch.setattr(calibration, "CHUNK_POINTS", cap)
     res = monte_carlo(d3, d3_scenario, params, distributions, n_runs=n_runs,
                       seed=11, t_end=120.0, observable=observable)
     want = per_draw_bands(d3, d3_scenario, params, distributions, n_runs, 11,

@@ -703,6 +703,40 @@ def test_grid_search_starts_no_more_workers_than_chunks(monkeypatch, d3_setup,
     assert pooled.scores == serial.scores
 
 
+def test_chunks_group_by_key_in_first_seen_order(monkeypatch):
+    from pnetsim import calibration
+
+    monkeypatch.setattr(calibration, "CHUNK_POINTS", 2)
+    got = []
+    calibration._run_chunks(lambda job, chunk: (job, chunk), "job",
+                            {4: "b", 0: "a", 1: "b", 2: "b", 3: "a"}, 1, got.append)
+    assert got == [("job", [4, 1]), ("job", [2]), ("job", [0, 3])]
+
+
+def test_the_pool_is_shut_down_when_a_record_fails(monkeypatch):
+    import concurrent.futures
+
+    from pnetsim import calibration
+
+    exits = []
+
+    class ExitRecordingPool(RecordingPool):
+        def __exit__(self, *exc):
+            exits.append(exc[0])
+            return False
+
+    def record(result):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ExitRecordingPool)
+    monkeypatch.setattr(ExitRecordingPool, "sizes", [])
+    monkeypatch.setattr(calibration, "_WORKER_JOB", None)  # set in-process
+    with pytest.raises(OSError):
+        calibration._run_chunks(lambda job, chunk: chunk, None, {0: "a", 1: "b"},
+                                2, record)
+    assert ExitRecordingPool.sizes == [2] and exits == [OSError]
+
+
 @pytest.mark.parametrize("resume", [False, True])
 def test_invalid_workers_leave_the_checkpoint_untouched(tmp_path, d3_setup, resume):
     # Without resume the checkpoint would be deleted; with it, the torn
@@ -716,10 +750,11 @@ def test_invalid_workers_leave_the_checkpoint_untouched(tmp_path, d3_setup, resu
     with ck.open("a") as fh:
         fh.write('{"index": 1, "par')
     before = ck.read_bytes()
-    with pytest.raises(ValidationError, match="workers = 0"):
-        grid_search(economy, scenario, params, dataset, grid, workers=0,
-                    checkpoint_path=ck, resume=resume)
-    assert ck.read_bytes() == before
+    for workers in (0, 1.5):
+        with pytest.raises(ValidationError, match=f"workers = {workers} "):
+            grid_search(economy, scenario, params, dataset, grid, workers=workers,
+                        checkpoint_path=ck, resume=resume)
+        assert ck.read_bytes() == before
 
 
 @pytest.mark.parametrize("value", [-0.05, 1.5, math.nan])
@@ -799,7 +834,10 @@ def test_monte_carlo_single_run_band_is_trajectory(d3_setup):
     ({"observable": "wages"}, "unknown observable 'wages'"),
     ({"seed": -1}, "seed = -1"),
     ({"seed": 1.5}, "seed = 1.5"),
-], ids=["unknown-observable", "negative-seed", "fractional-seed"])
+    ({"n_runs": 0}, "n_runs = 0 must be an integer, at least 1"),
+    ({"n_runs": 2.5}, "n_runs = 2.5 must be an integer, at least 1"),
+], ids=["unknown-observable", "negative-seed", "fractional-seed", "no-runs",
+        "fractional-runs"])
 def test_monte_carlo_rejects_invalid_input(d3_setup, change, message):
     economy, scenario = d3_setup
     kwargs = {"n_runs": 2, "seed": 1, "t_end": 20.0, **change}

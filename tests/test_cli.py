@@ -545,7 +545,7 @@ def test_workers_below_one_give_validation_exit(d3_grid_files, tmp_path, capsys,
                         GridSpec((("tau", (7.0, 14.0)),)), "--workers", workers)
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        f"error: workers = {workers} must be at least 1")
+        f"error: workers = {workers} must be an integer, at least 1")
     assert not (tmp_path / "out").exists()
 
 
