@@ -10,9 +10,10 @@ allocation identity c + f + sum(O) = x holds at every stored state.
 The step exists once, as the array kernel ``_advance``. It works on a
 single run's ``(N,)`` vectors and ``(N, N)`` matrices, or on a batch with
 a leading axis, ``(B, N)`` and ``(B, N, N)``, one row per parameter point;
-every point's result is bitwise the same as stepping that point alone. A
-single run steps a scalar ``dt`` and keeps its scalars as floats; a batch
-carries one ``dt`` per point.
+every point's result is bitwise the same as stepping that point alone.
+``ModelContext`` picks the layout from its point count: one point steps
+``(N,)`` state with a scalar ``dt`` and keeps its scalars as floats, and a
+batch carries one ``dt`` per point.
 Its stages, in order:
 
 1. shocks: the step's ``Drive``, a row of the run's shock table, with
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -409,11 +410,7 @@ def _restock(S_prev, O, A, x, dt=None) -> np.ndarray:
 
 
 def _no_fire_mask(economy: Economy) -> np.ndarray:
-    mask = np.zeros(economy.n_sectors, dtype=bool)
-    for code in DEFAULT_NO_FIRING:
-        if code in economy.sectors.positions:
-            mask[economy.sectors.position(code)] = True
-    return mask
+    return np.array([code in DEFAULT_NO_FIRING for code in economy.codes])
 
 
 def _wage_share(economy: Economy) -> np.ndarray:
@@ -468,17 +465,19 @@ class Household(NamedTuple):
 class ModelContext:
     """Run-constant quantities shared by every step of a run.
 
-    ``params`` and ``schedule`` describe one run, whose state holds
-    ``(N,)`` / ``(N, N)`` arrays, or are equal-length sequences describing
-    a batch of points stepped together in ``(B, N)`` / ``(B, N, N)`` state,
-    sharing the bottleneck rule; the per-point fields then lead with ``(B,)``.
+    ``params`` and ``schedule`` describe one point, or are equal-length
+    sequences of points sharing the bottleneck rule; they are read once,
+    and ``schedules`` keeps the schedules. The state layout is decided
+    here, from the point count, whoever builds the context: one point
+    steps ``(N,)`` / ``(N, N)`` state with float times, and several points
+    step together in ``(B, N)`` / ``(B, N, N)`` state (``batched``), whose
+    per-point fields lead with ``(B,)``.
     """
 
     economy: Economy
-    params: BehavioralParams | Sequence[BehavioralParams]
-    schedule: ShockSchedule | Sequence[ShockSchedule]
+    params: InitVar[BehavioralParams | Sequence[BehavioralParams]]
+    schedule: InitVar[ShockSchedule | Sequence[ShockSchedule]]
     batched: bool = field(init=False)
-    points: tuple[BehavioralParams, ...] = field(init=False)
     schedules: tuple[ShockSchedule, ...] = field(init=False)
     prod_fn: str = field(init=False)
     sets: CriticalitySets = field(init=False)
@@ -495,17 +494,17 @@ class ModelContext:
     gamma_F: np.ndarray = field(init=False)  # (..., 1)
     households: tuple[Household, ...] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, params, schedule):
         economy = self.economy
-        self.batched = not isinstance(self.params, BehavioralParams)
-        self.points = tuple(self.params) if self.batched else (self.params,)
-        self.schedules = (
-            tuple(self.schedule) if self.batched else (self.schedule,)
-        )
-        if not self.points or len(self.points) != len(self.schedules):
+        if isinstance(params, BehavioralParams):
+            params, schedule = (params,), (schedule,)
+        points, self.schedules = tuple(params), tuple(schedule)
+        if not points or len(points) != len(self.schedules):
             raise ValueError("one shock schedule required per parameter point")
-        first = self.points[0]
-        if any(p.prod_fn != first.prod_fn for p in self.points):
+        # One point keeps the (N,) layout: a batch of one steps 1.10-1.17x slower.
+        self.batched = len(points) > 1
+        first = points[0]
+        if any(p.prod_fn != first.prod_fn for p in points):
             raise ValueError("the points of a batch must share prod_fn")
         self.prod_fn = first.prod_fn
         self.sets = derive_criticality_sets(economy)
@@ -519,7 +518,7 @@ class ModelContext:
         self.wage_share = _wage_share(economy)
         lead = (self.size,) if self.batched else ()
         tau, hiring, firing = np.asarray(
-            [(p.tau, p.hiring_speed, p.gamma_F) for p in self.points], dtype=float).T
+            [(p.tau, p.hiring_speed, p.gamma_F) for p in points], dtype=float).T
         self.tau = tau.reshape(lead + (1, 1))
         self.hiring_speed = hiring.reshape(lead + (1,))
         self.gamma_F = firing.reshape(lead + (1,))
@@ -527,12 +526,12 @@ class ModelContext:
             Household(p.rho, p.delta_s, p.L_share,
                       lockdown_income_retention(s.scenario, economy),
                       s.scenario.b, s.pandemic_start)
-            for p, s in zip(self.points, self.schedules)
+            for p, s in zip(points, self.schedules)
         )
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.schedules)
 
     def drive(self, eps_S: np.ndarray, eps_D: np.ndarray, eps_F: np.ndarray) -> "Drive":
         """What steps read of the scenario, from shocks of any leading shape."""
@@ -624,20 +623,20 @@ def _advance(
 ) -> SimState:
     """Advance ``state`` to ``t_new`` in one step of length ``dt``.
 
-    The model step. For a single run the state holds ``(N,)`` arrays and
-    ``t_new`` / ``dt`` are floats; for a batch the state holds ``(B, N)``
-    arrays and ``t_new`` / ``dt`` are ``(B,)``, one per point, and
-    ``whole``, which only a batch reads, says that every point steps one
-    day (``_march`` reads it off its step table; False takes the general
-    path, which gives the same bits). ``drive`` is the step's row of the
-    run's shock table; without it a single run reads its shocks at
-    ``t_new`` from the schedule.
+    The model step, in the layout ``ctx.batched`` names. For one point
+    the state holds ``(N,)`` arrays and ``t_new`` / ``dt`` are floats; for
+    a batch the state holds ``(B, N)`` arrays and ``t_new`` / ``dt`` are
+    ``(B,)``, one per point, and ``whole``, which only a batch reads, says
+    that every point steps one day (``_march`` reads it off its step
+    table; False takes the general path, which gives the same bits).
+    ``drive`` is the step's row of the run's shock table; without it one
+    point reads its shocks at ``t_new`` from its schedule.
     """
     economy = ctx.economy
     if drive is None:
-        shocks = ctx.schedule.at(t_new)
+        shocks = ctx.schedules[0].at(t_new)
         drive = ctx.drive(shocks.eps_S, shocks.eps_D, shocks.eps_F)
-    if isinstance(dt, float):  # a single run's step
+    if not ctx.batched:
         whole = dt == 1.0
         step = stock_step = dt
     elif not whole:

@@ -19,7 +19,7 @@ optional ``code,n_days`` and ``code,on_site`` override files. Built on
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,39 +39,16 @@ CRITICALITY_LEVELS = (0.0, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
-class SectorIndex:
-    """Bijection between sector codes and matrix positions."""
-
-    codes: tuple[str, ...]
-    positions: dict[str, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if len(set(self.codes)) != len(self.codes):
-            dupes = sorted({c for c in self.codes if self.codes.count(c) > 1})
-            raise ValidationError(f"duplicate sector codes: {dupes}")
-        object.__setattr__(
-            self, "positions", {c: i for i, c in enumerate(self.codes)}
-        )
-
-    def position(self, code: str) -> int:
-        try:
-            return self.positions[code]
-        except KeyError:
-            raise KeyError(f"unknown sector code {code!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-
-@dataclass(frozen=True)
 class Economy:
     """Validated static production network.
 
-    All arrays are read-only; ``A`` is derived from ``Z`` and ``x0`` at
-    construction time and never stored independently on disk.
+    ``codes`` lists the sector codes, each once, in matrix order; a code's
+    position is ``codes.index(code)``. All arrays are read-only; ``A`` is
+    derived from ``Z`` and ``x0`` at construction time and never stored
+    independently on disk.
     """
 
-    sectors: SectorIndex
+    codes: tuple[str, ...]
     Z: np.ndarray
     x0: np.ndarray
     c0: np.ndarray
@@ -84,11 +61,7 @@ class Economy:
 
     @property
     def n_sectors(self) -> int:
-        return len(self.sectors)
-
-    @property
-    def codes(self) -> tuple[str, ...]:
-        return self.sectors.codes
+        return len(self.codes)
 
     @property
     def theta0(self) -> np.ndarray:
@@ -142,8 +115,11 @@ def make_economy(
     ``IDENTITY_RTOL`` relative tolerance and violations are reported per
     sector.
     """
-    sectors = SectorIndex(tuple(codes))
-    n = len(sectors)
+    codes = tuple(codes)
+    if len(set(codes)) != len(codes):
+        dupes = sorted({c for c in codes if codes.count(c) > 1})
+        raise ValidationError(f"duplicate sector codes: {dupes}")
+    n = len(codes)
     Z = np.asarray(Z, dtype=float)
     c0 = np.asarray(c0, dtype=float)
     f0 = np.asarray(f0, dtype=float)
@@ -176,7 +152,7 @@ def make_economy(
         bad = np.flatnonzero(residual > IDENTITY_RTOL * scale)
         for i in bad:
             problems.append(
-                f"sector {sectors.codes[i]}: output {x0[i]:g} != "
+                f"sector {codes[i]}: output {x0[i]:g} != "
                 f"intermediate sales {row_totals[i]:g} + household {c0[i]:g} "
                 f"+ exogenous {f0[i]:g} (residual {residual[i]:g})"
             )
@@ -197,7 +173,7 @@ def make_economy(
     if np.any(bad_crit):
         i, j = np.argwhere(bad_crit)[0]
         problems.append(
-            f"criticality[{sectors.codes[i]},{sectors.codes[j]}] = {crit[i, j]:g} "
+            f"criticality[{codes[i]},{codes[j]}] = {crit[i, j]:g} "
             "not in {0, 0.5, 1}"
         )
 
@@ -215,13 +191,13 @@ def make_economy(
         worst = heavy[np.argmax(col_sums[heavy])]
         warnings.warn(
             f"intermediate cost shares exceed output value for "
-            f"{heavy.size} sector(s), worst {sectors.codes[worst]} "
+            f"{heavy.size} sector(s), worst {codes[worst]} "
             f"({col_sums[worst]:.6f})",
             stacklevel=2,
         )
 
     return Economy(
-        sectors=sectors,
+        codes=codes,
         Z=_freeze(Z),
         x0=_freeze(x0),
         c0=_freeze(c0),

@@ -10,8 +10,9 @@ rule, ``_output_grid(t_end)``: each whole day from 0 to ``t_end``, and
   of step end times and calls ``keep(state, g, rows)`` when the points
   ``rows`` reach sample ``g``. ``simulate_series`` steps several runs
   together through the batched kernel with unit steps, calibration's one
-  configuration, and keeps only the series it is asked for. The shocks of
-  a batch are read one block of steps at a time, at most
+  configuration, and keeps only the series it is asked for; one run steps
+  in the single layout, as every one-point ``ModelContext`` does. The
+  shocks of a batch are read one block of steps at a time, at most
   ``DRIVE_BLOCK_BYTES`` per array, so a chunk's working memory does not
   grow with its run length; a single run is one block (be64 over 395 days
   takes 199 KB).
@@ -185,13 +186,13 @@ def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
     Each time of ``grid`` (``_output_grid(t_end)``) ends a step; sample 0
     is the start. At the start and after each step that ends on a sample
     time, calls ``keep(state, g, rows)``: the points ``rows`` reached
-    sample ``g``. When all points reached one sample (a single run, whose
-    ``state`` is ``(N,)``, always does), ``rows`` is ``slice(None)`` and
-    ``g`` an index, so the keeper copies no rows; else both are index
-    arrays, one entry per point. Points whose scenarios put breakpoints at
-    different times take different steps; a point that runs out of steps
-    early keeps stepping whole days past ``t_end``, and those states are
-    never kept. The shocks are read in blocks of at most
+    sample ``g``. When all points reached one sample (a one-point
+    context, whose ``state`` is ``(N,)``, always does), ``rows`` is
+    ``slice(None)`` and ``g`` an index, so the keeper copies no rows; else
+    both are index arrays, one entry per point. Points whose scenarios put
+    breakpoints at different times take different steps; a point that runs
+    out of steps early keeps stepping whole days past ``t_end``, and those
+    states are never kept. The shocks are read in blocks of at most
     ``DRIVE_BLOCK_BYTES`` per array; a table row does not depend on the
     other times of its block, so neither do the bits. Whether every point
     of a step row steps one whole day is read off the step-length table
@@ -219,7 +220,7 @@ def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
     if ctx.batched:
         state = initial_batch(ctx.economy, ctx.size)
         times, lengths = T, H
-    else:  # a single run steps (N,) state with float times
+    else:  # one point steps (N,) state with float times
         state = initial_state(ctx.economy)
         times, lengths = T[:, 0].tolist(), H[:, 0].tolist()
     keep(state, 0, slice(None))
@@ -278,9 +279,9 @@ def simulate_series(economy: Economy, runs, t_end: float, names) -> Series:
     start date) by the discrete method with unit steps, and keep only the
     ``SERIES`` named in ``names``.
 
-    All runs step together in one batched pass (a single run steps
-    unbatched); each run's series are bitwise those of its own ``simulate``
-    call.
+    All runs step together in one pass, batched when there are several
+    (``ModelContext`` picks the layout from the run count); each run's
+    series are bitwise those of its own ``simulate`` call.
     """
     grid = _output_grid(t_end)
     runs = list(runs)
@@ -288,11 +289,8 @@ def simulate_series(economy: Economy, runs, t_end: float, names) -> Series:
         raise ValidationError("runs must share the scenario start date")
     n = economy.n_sectors
     values = {name: np.empty((len(runs), len(grid), n)) for name in names}
-    params = [prm for _, prm in runs]
     schedules = [ShockSchedule(scn, economy) for scn, _ in runs]
-    if len(runs) == 1:  # a batch of one steps slower than a single run
-        params, schedules = params[0], schedules[0]
-    ctx = ModelContext(economy, params, schedules)
+    ctx = ModelContext(economy, [prm for _, prm in runs], schedules)
 
     def keep(state, g, rows):
         for name in names:
@@ -490,7 +488,7 @@ MAX_CONTINUOUS_STEP = 1.0
 
 def _run_continuous(ctx: ModelContext, grid, t_end) -> list[SimState]:
     n = ctx.economy.n_sectors
-    schedule = ctx.schedule
+    schedule = ctx.schedules[0]
     grid = [float(g) for g in grid]
     states: list[SimState] = [None] * len(grid)
     init = initial_state(ctx.economy)

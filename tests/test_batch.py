@@ -31,10 +31,11 @@ from pnetsim.calibration import (
     synthesize_dataset,
 )
 from pnetsim.fixtures import scenario_for
+from pnetsim.dynamics import ModelContext
 from pnetsim.integrate import SERIES, simulate_series
 from pnetsim.shocks import ShockSchedule
 
-ALL_SERIES = ("x", "l", "b2b", "c")
+ALL_SERIES = tuple(SERIES)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,22 @@ def test_batch_matches_serial_runs_d3(d3, d3_scenario, rule):
         (14.0, 42.0, 28.0), (7.0, 28.0, 14.0), (21.0, 37.5, 35.0), (1.0, 56.0, 7.0),
     ])
     assert_batch_matches_serial(d3, runs, 395.0)
+    # One run steps as a single run, also with steps shorter than a day.
     assert_batch_matches_serial(d3, runs[:1], 120.0)
+    assert_batch_matches_serial(d3, runs[2:3], 395.0)
+
+
+def test_one_point_context_steps_as_a_single_run(d3, d3_scenario):
+    schedule = ShockSchedule(replace(d3_scenario, l2=37.5), d3)
+    ctx = ModelContext(d3, [BehavioralParams()], [schedule])
+    assert not ctx.batched
+    kept = []
+    integrate._march(ctx, integrate._output_grid(120.0), 120.0, 1.0,
+                     lambda state, g, rows: kept.append(state))
+    assert len(kept) == 121
+    for state in kept:
+        assert state.x.shape == (3,) and state.S.shape == (3, 3)
+        assert isinstance(state.c_agg_d, float) and isinstance(state.t, float)
 
 
 @pytest.mark.parametrize("rule", PRODUCTION_FUNCTIONS)
@@ -182,17 +198,34 @@ def leaderboard(result, path) -> bytes:
     return path.read_bytes()
 
 
-def test_grid_independent_of_chunking_and_workers(d3_grid, tmp_path, monkeypatch):
+def grid_outputs(d3_grid, out, workers=1) -> dict[str, bytes]:
+    """The leaderboard, optimum cells and checkpoint of a grid search."""
     economy, scenario, params, dataset, grid = d3_grid
-    default = grid_search(economy, scenario, params, dataset, grid)
-    want = leaderboard(default, tmp_path / "default.csv")
-    assert default.argmin.aad_total == 0.0
-    two = grid_search(economy, scenario, params, dataset, grid, workers=2)
-    assert leaderboard(two, tmp_path / "two.csv") == want
-    monkeypatch.setattr(calibration, "CHUNK_POINTS", 1)
-    one = grid_search(economy, scenario, params, dataset, grid)
-    assert leaderboard(one, tmp_path / "one.csv") == want
-    assert [s.cells for s in one.scores] == [s.cells for s in default.scores]
+    ck = out / "ck.jsonl"
+    result = grid_search(economy, scenario, params, dataset, grid,
+                         workers=workers, checkpoint_path=ck)
+    assert result.argmin.aad_total == 0.0
+    return {
+        "leaderboard": leaderboard(result, out / "leaderboard.csv"),
+        "cells": result.write_optimum_cells(out / "cells.csv").read_bytes(),
+        "checkpoint": ck.read_bytes(),
+    }
+
+
+@pytest.fixture(scope="module")
+def d3_grid_default(d3_grid, tmp_path_factory):
+    return grid_outputs(d3_grid, tmp_path_factory.mktemp("default"))
+
+
+# Cap 1 steps every point as a single run, caps 2 and 3 step batches, and
+# cap 16 takes each rule's four points in one chunk.
+@pytest.mark.parametrize("workers", [1, 2], ids="workers{}".format)
+@pytest.mark.parametrize("cap", [1, 2, 3, 16], ids="cap{}".format)
+def test_grid_independent_of_chunking_and_workers(d3_grid, d3_grid_default,
+                                                  tmp_path, monkeypatch, cap,
+                                                  workers):
+    monkeypatch.setattr(calibration, "CHUNK_POINTS", cap)
+    assert grid_outputs(d3_grid, tmp_path, workers) == d3_grid_default
 
 
 def test_grid_resume_mid_chunk(d3_grid, tmp_path):

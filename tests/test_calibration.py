@@ -251,9 +251,9 @@ def test_zero_shock_model_reductions_are_zero(d3, params):
 
 def test_indicator_weights(be64):
     w = indicator_weights(be64, "gdp")
-    assert w["I55-56"] == float(be64.x0[be64.sectors.position("I55-56")])
+    assert w["I55-56"] == float(be64.x0[be64.codes.index("I55-56")])
     w = indicator_weights(be64, "employment")
-    assert w["O84"] == float(be64.l0[be64.sectors.position("O84")])
+    assert w["O84"] == float(be64.l0[be64.codes.index("O84")])
     w21 = indicator_weights(be64, "b2b")
     rows = be64.Z.sum(axis=1)
     want_c = sum(float(rows[i]) for i, c in enumerate(be64.codes) if c.startswith("C"))

@@ -475,7 +475,7 @@ def test_adjust_labor_hiring_slower_than_firing(d2, params):
 def test_no_firing_sectors_never_decrease(be64, ref_scenario):
     params = BehavioralParams()
     state = initial_state(be64)
-    i = be64.sectors.position("O84")
+    i = be64.codes.index("O84")
     d = be64.x0.copy()
     d[i] = 0.5 * be64.x0[i]
     l_new = update_labor(state, be64, params, be64.x0.copy(),
@@ -545,7 +545,7 @@ def test_d2_shocked_sector_falls_to_half_output(d2):
 def test_step_invariants_along_shocked_run(d2):
     scenario = d2_labor_scenario(d2)
     ctx = context(d2, scenario, BehavioralParams())
-    schedule = ctx.schedule
+    schedule = ctx.schedules[0]
     state = initial_state(d2)
     for k in range(1, 60):
         state = _advance(ctx, state, state.t + 1.0, 1.0)

@@ -98,7 +98,7 @@ def test_negative_time_rejected(be64, ref_scenario):
 def test_first_lockdown_plateau_values(be64, ref_scenario):
     t = day(ref_scenario, "2020-04-15")  # mid-L1, past the 7-day ramp
     sample = ShockSchedule(ref_scenario, be64).at(t)
-    i = be64.sectors.position("I55-56")
+    i = be64.codes.index("I55-56")
     assert sample.eps_D[i] == pytest.approx(0.80, abs=1e-12)
     assert sample.eps_S[i] == pytest.approx(0.925, abs=1e-12)
     assert sample.eps_F[i] == pytest.approx(0.80, abs=1e-12)
@@ -107,7 +107,7 @@ def test_first_lockdown_plateau_values(be64, ref_scenario):
 def test_second_lockdown_uses_its_own_labor_shocks(be64, ref_scenario):
     t = day(ref_scenario, "2020-11-10")  # inside L2, past the ramp
     sample = ShockSchedule(ref_scenario, be64).at(t)
-    i = be64.sectors.position("I55-56")
+    i = be64.codes.index("I55-56")
     assert sample.eps_S[i] == pytest.approx(0.70, abs=1e-12)
     assert sample.eps_D[i] == pytest.approx(0.80, abs=1e-12)
 
@@ -303,8 +303,8 @@ def test_on_site_release_slower_than_linear(be64, ref_scenario):
     schedule = ShockSchedule(scenario, be64)
     t = day(scenario, "2020-05-04") + scenario.l2 / 2.0
     sample = schedule.at(t)
-    i = be64.sectors.position("I55-56")   # on-site
-    j = be64.sectors.position("G46")      # not on-site
+    i = be64.codes.index("I55-56")   # on-site
+    j = be64.codes.index("G46")      # not on-site
     order = scenario.index_for(be64.codes)
     frac_on = sample.eps_D[i] / scenario.eps_D_lockdown[order][i]
     frac_off = sample.eps_D[j] / scenario.eps_D_lockdown[order][j]
@@ -350,7 +350,7 @@ def test_economy_on_site_flags_drive_the_release(tmp_path, d3):
 
 def test_ramp_in_is_linear(be64, ref_scenario):
     t_start = day(ref_scenario, "2020-03-15")
-    i = be64.sectors.position("I55-56")
+    i = be64.codes.index("I55-56")
     half = ShockSchedule(ref_scenario, be64).at(t_start + 3.5).eps_S[i]
     assert half == pytest.approx(0.925 / 2.0, abs=1e-12)
 
