@@ -40,9 +40,10 @@ consumption share ``m``, per-point parameters) live in ``ModelContext``.
 What depends only on the shocks is formed by ``ModelContext.drive`` once
 per block of steps, over the whole block: a discrete single run is one
 block, a batch reads blocks of at most ``integrate.DRIVE_BLOCK_BYTES`` per
-array, and the adaptive method forms
-the drives of all segment starts and of all samples in two calls, and one
-per right-hand side evaluation on a ramp. A step forms everything else,
+array, and the adaptive method forms the drives of all segment starts and
+of all samples in two calls, and on a ramp one per step attempt, over the
+attempt's six evaluation times (and one for each of the two evaluations
+that pick a segment's first step). A step forms everything else,
 the labor band bound of ``_check_state`` included. Elementwise arithmetic
 on a block gives each row the bits it has on its own.
 
@@ -630,7 +631,8 @@ def _advance(
     that every point steps one day (``_march`` reads it off its step
     table; False takes the general path, which gives the same bits).
     ``drive`` is the step's row of the run's shock table; without it one
-    point reads its shocks at ``t_new`` from its schedule.
+    point reads its shocks at ``t_new`` from its schedule. Every run passes
+    a drive.
     """
     economy = ctx.economy
     if drive is None:
@@ -679,7 +681,6 @@ def _check_state(state: SimState, economy: Economy, eps_S: np.ndarray,
     residual -= state.x
     np.abs(residual, out=residual)
     tolerance = np.abs(state.x)
-    np.maximum(tolerance, 1e-300, out=tolerance)
     tolerance *= 1e-12
     tolerance += 1e-12
     band = l_max * (1 + 1e-12)

@@ -31,7 +31,9 @@ rule, ``_output_grid(t_end)``: each whole day from 0 to ``t_end``, and
   aggregate consumption, income expectations), so the allocation identity
   holds exactly at every snapshot. A reconstructed state owns its arrays,
   so a trajectory keeps none of the solver's output alive. The error
-  tolerances are fixed at ``SOLVER_RTOL`` and ``SOLVER_ATOL``. The solver
+  tolerances are fixed at ``SOLVER_RTOL`` and ``SOLVER_ATOL``. A hold
+  segment's shocks are one drive; on a ramp the solver forms the drives of
+  each step attempt's six evaluation times in one block. The solver
   (``solve_ivp``) lives in this module and is bitwise scipy's ``RK45``;
   the run path no longer imports scipy, whose ``scipy.integrate`` took
   about 0.5 s and 50 MB.
@@ -40,6 +42,7 @@ rule, ``_output_grid(t_end)``: each whole day from 0 to ``t_end``, and
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -373,13 +376,19 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
 
 
 def solve_ivp(fun, t_span, y0, *, t_eval, args=(), rtol=1e-3, atol=1e-6,
-              max_step=math.inf) -> Solution:
+              max_step=math.inf, _drives=None) -> Solution:
     """Integrate ``y' = fun(t, y, *args)`` forward over ``t_span`` with the
     Dormand-Prince 5(4) pair and sample it at ``t_eval`` from each step's
     dense output. It gives bitwise the ``t``, ``y`` and ``nfev`` of
     ``scipy.integrate.solve_ivp`` with ``method="RK45"`` and the same
     arguments, except that ``rtol`` is not clamped to 100 machine epsilons
-    (the run path passes ``SOLVER_RTOL``)."""
+    (the run path passes ``SOLVER_RTOL``).
+
+    ``_drives``, when given, maps a list of times to a ``Drive`` block with
+    one row per time; each evaluation then calls ``fun(t, y, *args, row)``
+    with the row of its ``t``. It is called once per step attempt, for
+    that attempt's six evaluation times, and once for each of the two
+    evaluations that pick the first step."""
     t, t_bound = map(float, t_span)
     t_eval = np.asarray(t_eval, dtype=float)
     y = np.asarray(y0, dtype=float)
@@ -389,10 +398,18 @@ def solve_ivp(fun, t_span, y0, *, t_eval, args=(), rtol=1e-3, atol=1e-6,
         raise ValueError("t_eval must increase strictly within t_span")
     nfev = 0
 
-    def rhs(t, y):
+    def rows(times):  # the extra arguments of the evaluations at ``times``
+        if _drives is None:
+            return [()] * len(times)
+        block = _drives(times)
+        return [(block.at(k),) for k in range(len(times))]
+
+    def rhs(t, y, row=None):  # without ``row``, the evaluation forms its own
         nonlocal nfev
         nfev += 1
-        return fun(t, y, *args)
+        if row is None:
+            row = rows([t])[0]
+        return fun(t, y, *args, *row)
 
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_bound, max_step, rtol, atol)
@@ -403,6 +420,8 @@ def solve_ivp(fun, t_span, y0, *, t_eval, args=(), rtol=1e-3, atol=1e-6,
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
+        K[0] = f
+        abs_y = np.abs(y)
         while True:  # one step: shrink it until its error is in tolerance
             if h_abs < min_step:
                 return Solution(False, TOO_SMALL_STEP, t_eval[:done],
@@ -410,14 +429,26 @@ def solve_ivp(fun, t_span, y0, *, t_eval, args=(), rtol=1e-3, atol=1e-6,
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
-            for s, a, c in _STAGES:
-                dy = np.dot(K[:s].T, a) * h
-                K[s] = rhs(t + c * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _B)
-            K[-1] = f_new = rhs(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _rms(np.dot(K.T, _E) * h / scale)
+            times = [t + c * h for _, _, c in _STAGES] + [t + h]
+            extra = rows(times)
+            for (s, a, _), t_s, row in zip(_STAGES, times, extra):
+                # y + h sum_j a_j K_j, with scipy's bits: (K^T a) h + y
+                dy = np.dot(K[:s].T, a)
+                dy *= h
+                dy += y
+                K[s] = rhs(t_s, dy, row)
+            y_new = np.dot(K[:-1].T, _B)
+            y_new *= h
+            y_new += y
+            K[-1] = f_new = rhs(times[-1], y_new, extra[-1])
+            scale = np.abs(y_new)
+            np.maximum(abs_y, scale, out=scale)
+            scale *= rtol
+            scale += atol
+            err = np.dot(K.T, _E)
+            err *= h
+            err /= scale
+            error = _rms(err)
             if error < 1:
                 factor = (MAX_FACTOR if error == 0 else
                           min(MAX_FACTOR, SAFETY * error ** _ERROR_EXPONENT))
@@ -461,10 +492,20 @@ def _probe(ctx: ModelContext, t: float, y: np.ndarray,
 
 def _rhs(t: float, y: np.ndarray, ctx: ModelContext,
          drive: Drive | None = None) -> np.ndarray:
-    """The daily update as a rate field. ``drive`` holds the shocks of a
-    hold segment; without it they are read at ``t``."""
+    """The daily update as a rate field. ``drive`` holds the shocks at
+    ``t``: on a hold, the segment's one drive; on a ramp, ``t``'s row of
+    the drives the solver forms for a step attempt (``_drives``). Without
+    it ``_advance`` reads them at ``t``, with the same bits."""
     nxt = _advance(ctx, _probe(ctx, t, y), t, dt=1.0, drive=drive)
-    return _pack(nxt.d, nxt.l, nxt.c_agg_d, nxt.l_perm / ctx.l0_sum, nxt.S) - y
+    out = _pack(nxt.d, nxt.l, nxt.c_agg_d, nxt.l_perm / ctx.l0_sum, nxt.S)
+    out -= y
+    return out
+
+
+def _drives(ctx: ModelContext, times) -> Drive:
+    """The drives of ``ctx``'s one point at ``times``, one row per time."""
+    tab = ctx.schedules[0].table(times)
+    return ctx.drive(tab.eps_S, tab.eps_D, tab.eps_F)
 
 
 def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray,
@@ -497,21 +538,23 @@ def _run_continuous(ctx: ModelContext, grid, t_end) -> list[SimState]:
     g = 1  # next sample to take
     kinks = _kinks(schedule, t_end)
     holds = schedule.holds
-    starts, samples = (  # the drive at each segment start and sample time
-        ctx.drive(tab.eps_S, tab.eps_D, tab.eps_F)
-        for tab in (schedule.table(kinks[:-1]), schedule.table(grid))
-    )
+    # The drive at each segment start and sample time.
+    starts, samples = _drives(ctx, kinks[:-1]), _drives(ctx, grid)
     for s, (a, b) in enumerate(zip(kinks, kinks[1:])):
         if a == schedule.pandemic_start:
             # Income expectations drop to the shocked level at lockdown start.
             y[2 * n + 1] = ctx.households[0].zeta_L
         # A segment lies in one piece of the shock plan: on a hold its
-        # shocks are those at its start, on a ramp they are read at each t.
-        drive = starts.at(s) if any(t0 <= a < t1 for t0, t1 in holds) else None
+        # shocks are those at its start; on a ramp the solver forms the
+        # drives of each step attempt's six evaluation times in one block.
+        if any(t0 <= a < t1 for t0, t1 in holds):
+            args, drives = (ctx, starts.at(s)), None
+        else:
+            args, drives = (ctx,), functools.partial(_drives, ctx)
         k = bisect.bisect_right(grid, b, lo=g)  # samples g..k-1 lie in (a, b]
         t_eval = grid[g:k] if k > g and grid[k - 1] == b else grid[g:k] + [b]
         sol = solve_ivp(
-            _rhs, (a, b), y, args=(ctx, drive),
+            _rhs, (a, b), y, args=args, _drives=drives,
             rtol=SOLVER_RTOL, atol=SOLVER_ATOL,
             max_step=MAX_CONTINUOUS_STEP, t_eval=t_eval,
         )

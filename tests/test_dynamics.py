@@ -636,6 +636,22 @@ def test_check_state_names_the_broken_invariant(d2, breaker, invariant):
         _check_state(state, d2, np.zeros(2))
 
 
+def test_allocation_tolerance_is_one_in_1e12_plus_1e12(d2):
+    """The allocation check passes a residual up to ``1e-12 |x| + 1e-12``.
+    On a subnormal output the relative part rounds away: the bound is
+    exactly 1e-12, and the next float above it fails."""
+    state = initial_state(d2)
+    state.x[0] = 1e-310
+    state.f[0] = 0.0
+    state.O[0, :] = 0.0
+    state.c[0] = 1e-12
+    _check_state(state, d2, np.zeros(2))
+    state.c[0] = math.nextafter(1e-12, math.inf)
+    with pytest.raises(ModelStateError,
+                       match="^allocation does not conserve output at t = 0.0$"):
+        _check_state(state, d2, np.zeros(2))
+
+
 def test_check_state_runs_under_python_optimize():
     code = (
         "import sys\n"

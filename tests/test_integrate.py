@@ -3,6 +3,7 @@ import logging
 import math
 from dataclasses import replace
 from datetime import date
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -291,17 +292,41 @@ def test_adaptive_failure_raises_integration_error(d2, params, monkeypatch):
 
 
 def test_hold_drive_matches_shock_lookup(d3, params):
-    scenario = labor_shock_scenario(d3)
+    # The labor shock, and a demand shock on the on-site sector S2, so
+    # that the release ramp's slow logarithmic branch selects an entry.
+    scenario = replace(labor_shock_scenario(d3),
+                       eps_D_lockdown=np.array([0.0, 0.4, 0.0]))
     schedule = ShockSchedule(scenario, d3)
     ctx = ModelContext(d3, params, schedule)
-    mid = simulate(d3, scenario, params, IntegrationConfig(), 40.0).states[40]
-    y = _pack(mid.d_mem, mid.l, mid.c_agg_d, mid.l_perm / ctx.l0_sum, mid.S)
+    states = simulate(d3, scenario, params, IntegrationConfig(), 140.0).states
+
+    def y_at(t):
+        s = states[int(t)]
+        return _pack(s.d_mem, s.l, s.c_agg_d, s.l_perm / ctx.l0_sum, s.S)
+
     start = schedule.pandemic_start + scenario.l1  # the lockdown plateau
     assert (start, scenario.day(date(2020, 6, 1))) in schedule.holds
     row = schedule.table([start])
     drive = ctx.drive(row.eps_S, row.eps_D, row.eps_F).at(0)
     for t in (start + 0.1, start + 17.3, start + 40.0):
+        y = y_at(t)
         assert np.array_equal(_rhs(t, y, ctx, drive), _rhs(t, y, ctx))
+
+    # On a ramp, each step attempt's six evaluation times (the stages at
+    # t + c h, and t + h) read their rows of one drive block. The linear
+    # lockdown ramp, the release ramp, and an attempt that ends where the
+    # release does, whose last rows lie in the hold after it.
+    release = scenario.day(date(2020, 6, 1))
+    assert (schedule.pandemic_start, start) not in schedule.holds
+    assert all(release != t0 for t0, _ in schedule.holds)
+    for t, h in ((schedule.pandemic_start + 1.3, 0.7), (release + 9.6, 0.45),
+                 (release + scenario.l2 - 0.75, 0.75)):
+        times = [t + c * h for c in (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)] + [t + h]
+        block = integrate._drives(ctx, times)
+        y = y_at(t)
+        for k, tk in enumerate(times):
+            assert (_rhs(tk, y, ctx, block.at(k)).tobytes()
+                    == _rhs(tk, y, ctx).tobytes()), (t, k)
 
 
 def _shocked_d3(d3, params):
@@ -324,14 +349,22 @@ def test_solver_is_bitwise_scipy_rk45(d3, params, sparse):
                   else [*np.arange(a, b), b])
         kwargs = dict(args=(ctx,), rtol=SOLVER_RTOL, atol=SOLVER_ATOL,
                       max_step=MAX_CONTINUOUS_STEP, t_eval=t_eval)
-        ours = integrate.solve_ivp(_rhs, (a, b), y, **kwargs)
         ref = scipy_integrate.solve_ivp(_rhs, (a, b), y, method="RK45", **kwargs)
-        assert ours.success and ref.success
-        assert np.array_equal(ours.t, ref.t), (a, b)
-        assert np.array_equal(ours.y, ref.y), (a, b)
-        assert ours.nfev == ref.nfev
-        assert ours.naccept > 0
-        y = ours.y[:, -1]
+        runs = [integrate.solve_ivp(_rhs, (a, b), y, **kwargs)]
+        if not any(t0 <= a < t1 for t0, t1 in schedule.holds):
+            # The run path on a ramp: one drive block per step attempt;
+            # scipy reads the shocks at each time.
+            runs.append(integrate.solve_ivp(
+                _rhs, (a, b), y, _drives=partial(integrate._drives, ctx),
+                **kwargs))
+        assert ref.success
+        for ours in runs:
+            assert ours.success
+            assert np.array_equal(ours.t, ref.t), (a, b)
+            assert np.array_equal(ours.y, ref.y), (a, b)
+            assert ours.nfev == ref.nfev
+            assert ours.naccept > 0
+        y = runs[0].y[:, -1]
 
 
 def test_solver_reports_a_step_below_float_spacing(d2, params, monkeypatch):
@@ -372,6 +405,27 @@ def test_solver_reports_a_step_below_float_spacing(d2, params, monkeypatch):
 def test_solver_rejects_samples_outside_its_span(t_span, t_eval):
     with pytest.raises(ValueError):
         integrate.solve_ivp(lambda t, y: -y, t_span, np.ones(2), t_eval=t_eval)
+
+
+def test_adaptive_run_reads_every_shock_from_a_table(d3, params, monkeypatch):
+    scenario, _, _ = _shocked_d3(d3, params)
+    lookups, fallbacks = [], []
+    at, advance = ShockSchedule.at, integrate._advance
+
+    def counted_at(self, t):
+        lookups.append(t)
+        return at(self, t)
+
+    def counted_advance(ctx, state, t_new, dt, drive=None, whole=False):
+        if drive is None:
+            fallbacks.append(t_new)
+        return advance(ctx, state, t_new, dt, drive, whole)
+
+    monkeypatch.setattr(ShockSchedule, "at", counted_at)
+    monkeypatch.setattr(integrate, "_advance", counted_advance)
+    simulate(d3, scenario, params,
+             IntegrationConfig(method=METHOD_CONTINUOUS), 120.0)
+    assert lookups == [] and fallbacks == []
 
 
 def test_adaptive_run_logs_solver_statistics(d3, params, monkeypatch, caplog):
