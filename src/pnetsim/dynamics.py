@@ -37,15 +37,18 @@ Its stages, in order:
 
 Run constants (the rated inputs, inventory targets, the households'
 consumption share ``m``, per-point parameters) live in ``ModelContext``.
-What depends only on the shocks is formed by ``ModelContext.drive`` once
-per block of steps, over the whole block: a discrete single run is one
-block, a batch reads blocks of at most ``integrate.DRIVE_BLOCK_BYTES`` per
-array, and the adaptive method forms the drives of all segment starts and
-of all samples in two calls, and on a ramp one per step attempt, over the
-attempt's six evaluation times (and one for each of the two evaluations
-that pick a segment's first step). A step forms everything else,
-the labor band bound of ``_check_state`` included. Elementwise arithmetic
-on a block gives each row the bits it has on its own.
+What depends only on the shocks is formed in one place,
+``ModelContext.drives``, from the schedules' shock tables
+(``ShockSchedule.table``), once per block of step times: a discrete single
+run is one block, a batch reads blocks of at most
+``integrate.DRIVE_BLOCK_BYTES`` per array, and the adaptive method forms
+the drives of all segment starts and of all samples in two calls, and on a
+ramp one per step attempt, over the attempt's six evaluation times (and
+one for each of the two evaluations that pick a segment's first step). A
+step called without a drive forms its own, a block of one time. A step
+forms everything else, the labor band bound of ``_check_state`` included.
+Elementwise arithmetic on a block gives each row the bits it has on its
+own.
 
 Every array of the state a step returns is new, because trajectories
 keep states: a stage may reuse memory from step to step (scratch the run
@@ -534,6 +537,20 @@ class ModelContext:
     def size(self) -> int:
         return len(self.schedules)
 
+    def drives(self, times) -> "Drive":
+        """The drives of every point at ``times``, ``(steps, size)`` (one
+        point also takes ``(steps,)``): a row per step in the context's
+        layout, ``(steps, B, N)`` for a batch and ``(steps, N)`` for one
+        point. A row does not depend on the other times."""
+        if not self.batched:
+            tab = self.schedules[0].table(times)
+            return self.drive(tab.eps_S, tab.eps_D, tab.eps_F)
+        tables = [s.table(times[:, k]) for k, s in enumerate(self.schedules)]
+        return self.drive(*(
+            np.stack([getattr(tab, name) for tab in tables], axis=1)
+            for name in ("eps_S", "eps_D", "eps_F")
+        ))
+
     def drive(self, eps_S: np.ndarray, eps_D: np.ndarray, eps_F: np.ndarray) -> "Drive":
         """What steps read of the scenario, from shocks of any leading shape."""
         theta, kept = household_preferences(self.theta0, eps_D)
@@ -548,7 +565,7 @@ class ModelContext:
 class Drive(NamedTuple):
     """The scenario as one step sees it: ``(..., N)`` / ``(...)`` arrays.
 
-    ``ModelContext.drive`` forms a whole block of steps' rows at once, and
+    ``ModelContext.drives`` forms a whole block of steps' rows at once, and
     a step reads its row (``at``). The labor cap replaces the labor supply
     shock it comes from, so a block holds four arrays.
     """
@@ -630,14 +647,13 @@ def _advance(
     ``(B,)``, one per point, and ``whole``, which only a batch reads, says
     that every point steps one day (``_march`` reads it off its step
     table; False takes the general path, which gives the same bits).
-    ``drive`` is the step's row of the run's shock table; without it one
-    point reads its shocks at ``t_new`` from its schedule. Every run passes
+    ``drive`` is the step's row of ``ctx.drives``; without it the step
+    forms its own row, at ``t_new``, with the same bits. Every run passes
     a drive.
     """
     economy = ctx.economy
     if drive is None:
-        shocks = ctx.schedules[0].at(t_new)
-        drive = ctx.drive(shocks.eps_S, shocks.eps_D, shocks.eps_F)
+        drive = ctx.drives(np.reshape(t_new, (1, -1))).at(0)
     if not ctx.batched:
         whole = dt == 1.0
         step = stock_step = dt

@@ -42,7 +42,6 @@ rule, ``_output_grid(t_end)``: each whole day from 0 to ``t_end``, and
 from __future__ import annotations
 
 import bisect
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -230,13 +229,7 @@ def _march(ctx: ModelContext, grid, t_end, dt, keep) -> None:
     block = max(1, DRIVE_BLOCK_BYTES // (8 * ctx.size * ctx.economy.n_sectors))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        tables = [s.table(T[lo:hi, k]) for k, s in enumerate(ctx.schedules)]
-        drive = ctx.drive(*(
-            np.stack([getattr(tab, name) for tab in tables], axis=1)
-            for name in ("eps_S", "eps_D", "eps_F")
-        ))
-        if not ctx.batched:
-            drive = drive.at((slice(None), 0))
+        drive = ctx.drives(T[lo:hi])
         for j in range(lo, hi):
             state = _advance(ctx, state, times[j], lengths[j], drive.at(j - lo),
                              whole[j])
@@ -494,18 +487,12 @@ def _rhs(t: float, y: np.ndarray, ctx: ModelContext,
          drive: Drive | None = None) -> np.ndarray:
     """The daily update as a rate field. ``drive`` holds the shocks at
     ``t``: on a hold, the segment's one drive; on a ramp, ``t``'s row of
-    the drives the solver forms for a step attempt (``_drives``). Without
-    it ``_advance`` reads them at ``t``, with the same bits."""
+    the drives the solver forms for a step attempt (``ctx.drives``).
+    Without it ``_advance`` forms them at ``t``, with the same bits."""
     nxt = _advance(ctx, _probe(ctx, t, y), t, dt=1.0, drive=drive)
     out = _pack(nxt.d, nxt.l, nxt.c_agg_d, nxt.l_perm / ctx.l0_sum, nxt.S)
     out -= y
     return out
-
-
-def _drives(ctx: ModelContext, times) -> Drive:
-    """The drives of ``ctx``'s one point at ``times``, one row per time."""
-    tab = ctx.schedules[0].table(times)
-    return ctx.drive(tab.eps_S, tab.eps_D, tab.eps_F)
 
 
 def _reconstruct(ctx: ModelContext, t: float, y: np.ndarray,
@@ -539,7 +526,7 @@ def _run_continuous(ctx: ModelContext, grid, t_end) -> list[SimState]:
     kinks = _kinks(schedule, t_end)
     holds = schedule.holds
     # The drive at each segment start and sample time.
-    starts, samples = _drives(ctx, kinks[:-1]), _drives(ctx, grid)
+    starts, samples = ctx.drives(kinks[:-1]), ctx.drives(grid)
     for s, (a, b) in enumerate(zip(kinks, kinks[1:])):
         if a == schedule.pandemic_start:
             # Income expectations drop to the shocked level at lockdown start.
@@ -550,7 +537,7 @@ def _run_continuous(ctx: ModelContext, grid, t_end) -> list[SimState]:
         if any(t0 <= a < t1 for t0, t1 in holds):
             args, drives = (ctx, starts.at(s)), None
         else:
-            args, drives = (ctx,), functools.partial(_drives, ctx)
+            args, drives = (ctx,), ctx.drives
         k = bisect.bisect_right(grid, b, lo=g)  # samples g..k-1 lie in (a, b]
         t_eval = grid[g:k] if k > g and grid[k - 1] == b else grid[g:k] + [b]
         sol = solve_ivp(

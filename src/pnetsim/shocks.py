@@ -23,10 +23,10 @@ ramps the shocks hold. A ramp that starts while the previous one still runs
 stands. The compiled holds and ramps tile ``[0, inf)``: each ends where the
 next starts.
 
-``_Segment`` holds the one copy of these formulas. ``ShockSchedule.table``
-evaluates them at all of a run's step or sample times in one call;
-``ShockSchedule.at`` evaluates the segment holding a single time on a
-float, with bitwise the same result as that time's row of ``table``.
+``_Segment`` holds the one copy of these formulas, in array form, and
+``ShockSchedule.table`` is their one evaluator: it evaluates them at all of
+a run's step or sample times in one call. ``ShockSchedule.at`` is row 0 of
+``table([t])``.
 
 All magnitudes are stored internally as positive fractions and applied in
 the dynamics as ``(1 - eps)``.
@@ -90,8 +90,8 @@ class Scenario:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} = {v} outside [0, 1]")
-        if not (self.l1 > 0 and self.l2 > 0):
-            raise ValidationError("ramp lengths l1 and l2 must be positive")
+        if not (0 < self.l1 < math.inf and 0 < self.l2 < math.inf):
+            raise ValidationError("ramp lengths l1 and l2 must be finite and positive")
         dates = [d for d, _ in self.key_dates]
         if any(b <= a for a, b in zip(dates, dates[1:])):
             raise ValidationError("key dates must be strictly increasing")
@@ -147,17 +147,11 @@ class _Segment:
             self.slow = tuple((v0 - v1, self.on_site & (v1 < v0))
                               for v0, v1 in zip(self.frm[:2], self.to[:2]))
 
-    def _ramp(self, t):
-        """Unclipped (D, F, S) along the ramp: ``(N,)`` arrays at one time
-        ``t`` (a float), ``(T, N)`` arrays at an array of times.
-
-        Both shapes run the same operations in the same order, so a time's
-        values are bitwise the same whichever shape it is evaluated in.
-        """
-        if isinstance(t, float):
-            u = min(max((t - self.t0) / self.dur, 0.0), 1.0)
-        else:
-            u = np.minimum(np.maximum((t - self.t0) / self.dur, 0.0), 1.0)[:, np.newaxis]
+    def _ramp(self, t: np.ndarray):
+        """Unclipped (D, F, S) along the ramp at the ``(T,)`` times ``t``:
+        ``(T, N)`` arrays. Every operation is elementwise, so a time's row
+        does not depend on the other times."""
+        u = np.minimum(np.maximum((t - self.t0) / self.dur, 0.0), 1.0)[:, np.newaxis]
         out = [v0 + rise * u for v0, rise in zip(self.frm, self.rise)]
         if self.style == "release":
             # On-site demand recovers slowly at first, then accelerates.
@@ -170,23 +164,21 @@ class _Segment:
     def is_hold(self) -> bool:
         return self.style == "hold"
 
-    def values(self, t):
-        """(D, F, S) at ``t``, clipped to [0, 1]: ``(N,)`` arrays for a hold
-        or one time (a float), ``(T, N)`` arrays for a ramp at an array of
-        times."""
+    def values(self, t: np.ndarray):
+        """(D, F, S) at the ``(T,)`` times ``t``, clipped to [0, 1]: ``(N,)``
+        arrays for a hold, which every time shares, ``(T, N)`` arrays for a
+        ramp."""
         if self.is_hold:
             return tuple(_clip01(v) for v in self.to)
         return tuple(_clip01(v) for v in self._ramp(t))
 
 
-def _log(w):
-    """``math.log`` of a float, or of each entry of a ``(T, 1)`` array.
+def _log(w: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry of a ``(T, 1)`` array.
 
     Not ``np.log``, whose result may differ in the last bit from the
     scalar function and with the array size.
     """
-    if isinstance(w, float):
-        return math.log(w)
     return np.asarray([math.log(v) for v in w.ravel().tolist()])[:, np.newaxis]
 
 
@@ -241,7 +233,7 @@ class ShockSchedule:
             nonlocal cursor, levels
             if t_start < cursor:
                 last = segments[-1]
-                levels = last._ramp(t_start)
+                levels = tuple(v[0] for v in last._ramp(np.array([t_start])))
                 last.t1 = t_start
             elif t_start > cursor:
                 segments.append(
@@ -318,14 +310,9 @@ class ShockSchedule:
         return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F)
 
     def at(self, t: float) -> ShockSample:
-        """Shock values at one time: ``(N,)`` arrays, bitwise row 0 of
-        ``table([t])``, from the one segment that holds ``t``."""
-        t = float(t)
-        if t < 0:
-            raise ValueError(f"t = {t} precedes the simulation epoch")
-        seg = self._segments[int(self._t0s.searchsorted(t, side="right")) - 1]
-        eps_D, eps_F, eps_S = seg.values(t)
-        return ShockSample(eps_S=eps_S, eps_D=eps_D, eps_F=eps_F)
+        """Shock values at one time: ``(N,)`` arrays, row 0 of ``table([t])``."""
+        row = self.table([float(t)])
+        return ShockSample(eps_S=row.eps_S[0], eps_D=row.eps_D[0], eps_F=row.eps_F[0])
 
 
 def on_site_release(eps_lockdown: float, t_rel: float, l2: float) -> float:

@@ -32,7 +32,7 @@ from pnetsim.calibration import (
 )
 from pnetsim.fixtures import scenario_for
 from pnetsim.dynamics import ModelContext
-from pnetsim.integrate import SERIES, simulate_series
+from pnetsim.integrate import METHOD_CONTINUOUS, SERIES, simulate_series
 from pnetsim.shocks import ShockSchedule
 
 ALL_SERIES = tuple(SERIES)
@@ -179,8 +179,8 @@ def test_shock_table_rows_equal_point_evaluations(be64, ref_scenario):
 
 # -- grid search ---------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def d3_grid(d3, d3_scenario):
+def rule_grid(economy, scenario):
+    """Five rules x two tau x two l2, with a dataset that point 9 fits."""
     grid = GridSpec((
         ("prod_fn", PRODUCTION_FUNCTIONS),
         ("tau", (7.0, 21.0)),
@@ -188,9 +188,25 @@ def d3_grid(d3, d3_scenario):
     ))
     params = BehavioralParams()
     generating = grid.point_at(9)
-    scn, prm = apply_grid_point(d3, d3_scenario, params, generating)
-    dataset = synthesize_dataset(d3, scn, prm)
-    return d3, d3_scenario, params, dataset, grid
+    scn, prm = apply_grid_point(economy, scenario, params, generating)
+    dataset = synthesize_dataset(economy, scn, prm)
+    return economy, scenario, params, dataset, grid
+
+
+@pytest.fixture(scope="module")
+def d3_grid(d3, d3_scenario):
+    return rule_grid(d3, d3_scenario)
+
+
+@pytest.fixture(scope="module")
+def d2_grid(d2):
+    return rule_grid(d2, scenario_for(
+        d2,
+        key_dates=((date(2020, 3, 15), "lockdown_start"),
+                   (date(2020, 5, 4), "lockdown_end")),
+        eps_S_L1=np.array([0.3, 0.1]),
+        eps_D_lockdown=np.array([0.2, 0.4]),
+    ))
 
 
 def leaderboard(result, path) -> bytes:
@@ -217,15 +233,34 @@ def d3_grid_default(d3_grid, tmp_path_factory):
     return grid_outputs(d3_grid, tmp_path_factory.mktemp("default"))
 
 
+@pytest.fixture(scope="module")
+def d2_grid_default(d2_grid, tmp_path_factory):
+    return grid_outputs(d2_grid, tmp_path_factory.mktemp("default"))
+
+
 # Cap 1 steps every point as a single run, caps 2 and 3 step batches, and
-# cap 16 takes each rule's four points in one chunk.
-@pytest.mark.parametrize("workers", [1, 2], ids="workers{}".format)
-@pytest.mark.parametrize("cap", [1, 2, 3, 16], ids="cap{}".format)
+# cap 16 takes each rule's four points in one chunk: both layouts of
+# ModelContext.drives, compared byte for byte.
+by_workers = pytest.mark.parametrize("workers", [1, 2], ids="workers{}".format)
+by_cap = pytest.mark.parametrize("cap", [1, 2, 3, 16], ids="cap{}".format)
+
+
+@by_workers
+@by_cap
 def test_grid_independent_of_chunking_and_workers(d3_grid, d3_grid_default,
                                                   tmp_path, monkeypatch, cap,
                                                   workers):
     monkeypatch.setattr(calibration, "CHUNK_POINTS", cap)
     assert grid_outputs(d3_grid, tmp_path, workers) == d3_grid_default
+
+
+@by_workers
+@by_cap
+def test_d2_grid_independent_of_chunking_and_workers(d2_grid, d2_grid_default,
+                                                     tmp_path, monkeypatch, cap,
+                                                     workers):
+    monkeypatch.setattr(calibration, "CHUNK_POINTS", cap)
+    assert grid_outputs(d2_grid, tmp_path, workers) == d2_grid_default
 
 
 def test_grid_resume_mid_chunk(d3_grid, tmp_path):
@@ -355,3 +390,37 @@ def test_monte_carlo_bands_equal_per_draw_path_be64(be64, ref_scenario):
                       seed=3, t_end=90.0)
     want = per_draw_bands(be64, ref_scenario, params, distributions, 5, 3, 90.0)
     assert np.array_equal(res.bands, want)
+
+
+def test_no_run_reads_shocks_one_time_at_a_time(d3, d3_scenario, d3_grid,
+                                                monkeypatch):
+    """Every run path reads its shocks from tables: neither
+    ``ShockSchedule.at`` nor a step without a drive, each of which reads
+    one time per call, is ever called."""
+    lookups, fallbacks = [], []
+    at, advance = ShockSchedule.at, integrate._advance
+
+    def counted_at(self, t):
+        lookups.append(t)
+        return at(self, t)
+
+    def counted_advance(ctx, state, t_new, dt, drive=None, whole=False):
+        if drive is None:
+            fallbacks.append(t_new)
+        return advance(ctx, state, t_new, dt, drive, whole)
+
+    monkeypatch.setattr(ShockSchedule, "at", counted_at)
+    monkeypatch.setattr(integrate, "_advance", counted_advance)
+    params = BehavioralParams()
+    for config in (IntegrationConfig(), IntegrationConfig(dt=0.5),
+                   IntegrationConfig(method=METHOD_CONTINUOUS)):
+        simulate(d3, d3_scenario, params, config, 120.0)
+    runs = [(replace(d3_scenario, l2=l2), params) for l2 in (28.0, 45.5)]
+    simulate_series(d3, runs, 120.0, ALL_SERIES)
+    grid_search(*d3_grid)
+    monte_carlo(d3, d3_scenario, params,
+                {"l2": {"dist": "uniform", "low": 28.0, "high": 56.0}},
+                n_runs=3, seed=1, t_end=120.0)
+    assert lookups == [] and fallbacks == []
+    ShockSchedule(d3_scenario, d3).at(1.0)  # the counter counts
+    assert lookups == [1.0]

@@ -846,6 +846,17 @@ def test_monte_carlo_rejects_invalid_input(d3_setup, change, message):
                     {"tau": {"dist": "fixed", "value": 14.0}}, **kwargs)
 
 
+def test_monte_carlo_refuses_an_infinite_ramp_draw_before_any_run(
+        d3_setup, monkeypatch):
+    from pnetsim import calibration
+    economy, scenario = d3_setup
+    monkeypatch.setattr(calibration, "_run_chunks", None)  # no run may start
+    with pytest.raises(ValidationError, match="must be finite and positive"):
+        monte_carlo(economy, scenario, BehavioralParams(),
+                    {"l2": {"dist": "fixed", "value": math.inf}},
+                    n_runs=2, seed=1, t_end=20.0)
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"dist": "uniform", "low": 2.0, "high": 1.0}, "empty uniform range"),
     (14.0, "spec must be a JSON object"),

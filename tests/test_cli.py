@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 from datetime import date
 from types import SimpleNamespace
@@ -590,6 +591,38 @@ def test_grid_the_scenario_cannot_take_fails_before_any_point(d3_grid_files,
     assert "eps_F_aggregate" in capsys.readouterr().err
     records = ck.read_text().splitlines()[1:] if ck.exists() else []
     assert records == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous_adaptive"])
+@pytest.mark.parametrize("ramp", ["l1", "l2"])
+def test_infinite_ramp_length_gives_validation_exit(tmp_path, capsys, ramp,
+                                                    method):
+    # Unrefused, an infinite l1 never ramps the lockdown in, and an
+    # infinite l2 never releases it.
+    doc = json.loads(reference_scenario_path().read_text())
+    doc[ramp] = float("inf")
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))
+    assert f'"{ramp}": Infinity' in scenario_path.read_text()
+    out = tmp_path / "run"
+    assert main(["simulate", "--fixture", "be64", "--scenario", str(scenario_path),
+                 "--method", method, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite and positive" in err
+    assert "Traceback" not in err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_grid_with_an_infinite_ramp_length_fails_before_the_checkpoint(
+        d3_grid_files, tmp_path, capsys):
+    grid = GridSpec((("l2", (math.inf, 42.0)),))
+    assert "Infinity" in grid.to_json()
+    ck = tmp_path / "ck" / "ck.jsonl"
+    rc = grid_search_d3(tmp_path, *d3_grid_files, grid, "--checkpoint", str(ck))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: grid axis 'l2' value inf")
+    assert not ck.parent.exists()
     assert not (tmp_path / "out").exists()
 
 

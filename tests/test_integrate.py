@@ -3,7 +3,6 @@ import logging
 import math
 from dataclasses import replace
 from datetime import date
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -322,7 +321,7 @@ def test_hold_drive_matches_shock_lookup(d3, params):
     for t, h in ((schedule.pandemic_start + 1.3, 0.7), (release + 9.6, 0.45),
                  (release + scenario.l2 - 0.75, 0.75)):
         times = [t + c * h for c in (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)] + [t + h]
-        block = integrate._drives(ctx, times)
+        block = ctx.drives(times)
         y = y_at(t)
         for k, tk in enumerate(times):
             assert (_rhs(tk, y, ctx, block.at(k)).tobytes()
@@ -355,8 +354,7 @@ def test_solver_is_bitwise_scipy_rk45(d3, params, sparse):
             # The run path on a ramp: one drive block per step attempt;
             # scipy reads the shocks at each time.
             runs.append(integrate.solve_ivp(
-                _rhs, (a, b), y, _drives=partial(integrate._drives, ctx),
-                **kwargs))
+                _rhs, (a, b), y, _drives=ctx.drives, **kwargs))
         assert ref.success
         for ours in runs:
             assert ours.success

@@ -259,7 +259,8 @@ def test_random_phase_sequences_tile_and_keep_their_kinks(be64, ref_scenario):
         for seg, nxt in zip(segs, segs[1:]):
             assert seg.t0 < seg.t1 == nxt.t0
             # The next segment starts from where this one stands.
-            here = seg.to if seg.is_hold else seg._ramp(nxt.t0)
+            here = (seg.to if seg.is_hold else
+                    [v[0] for v in seg._ramp(np.array([nxt.t0]))])
             for v, w in zip(here, nxt.frm):
                 np.testing.assert_allclose(v, w, rtol=0, atol=1e-12)
         ends = sorted(seg.t1 for seg in segs if math.isfinite(seg.t1))
@@ -389,10 +390,14 @@ def test_scenario_rejects_unclosed_phase(ref_scenario, be64):
     ({"eps_S_L1": np.zeros(3)}, "eps_S_L1 has shape"),
     ({"r": 1.5}, "r = 1.5 outside"),
     ({"l1": 0.0}, "ramp lengths"),
+    ({"l1": math.inf}, "ramp lengths l1 and l2 must be finite"),
+    ({"l2": math.inf}, "ramp lengths l1 and l2 must be finite"),
+    ({"l1": math.nan}, "ramp lengths l1 and l2 must be finite"),
+    ({"l2": math.nan}, "ramp lengths l1 and l2 must be finite"),
     ({"key_dates": ((date(2020, 3, 15), "curfew_start"),)}, "unknown event"),
     ({"key_dates": ((date(2020, 2, 1), "lockdown_start"),)}, "precedes start date"),
-], ids=["vector-shape", "r-above-one", "l1-zero", "unknown-event",
-        "key-date-before-start"])
+], ids=["vector-shape", "r-above-one", "l1-zero", "l1-inf", "l2-inf", "l1-nan",
+        "l2-nan", "unknown-event", "key-date-before-start"])
 def test_scenario_rejects_invalid_fields(ref_scenario, change, message):
     with pytest.raises(ValidationError, match=message):
         replace(ref_scenario, **change)
