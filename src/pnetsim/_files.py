@@ -2,8 +2,9 @@
 
 Every input file is read by ``read_text``, every CSV input parsed by
 ``read_csv`` and every JSON input by ``parse_json``; every CSV output but
-the hand-formatted trajectory export is written by ``write_csv``. A
-malformed input raises ``SchemaError`` naming the file. The grid-search
+the hand-formatted trajectory export is written by ``write_csv``, and
+every JSON output (a run's manifest, a saved scenario) by ``write_json``.
+A malformed input raises ``SchemaError`` naming the file. The grid-search
 checkpoint, the program's own file, keeps its own reader and rules.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 from .errors import SchemaError
@@ -72,6 +74,21 @@ def write_csv(path, header, rows) -> Path:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+    return path
+
+
+def write_json(path, doc) -> Path:
+    """Write ``doc`` to ``path`` as JSON indented by 2 and a newline, UTF-8;
+    makes its folder. The text goes to ``<name>.tmp`` beside ``path``, which
+    ``os.replace`` then renames, so ``path`` never holds part of it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

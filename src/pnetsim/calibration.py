@@ -645,7 +645,10 @@ def _checkpoint_record(score: PointScore) -> str:
     })
 
 
-def _parse_record(text: bytes) -> PointScore:
+def _parse_record(line: bytes) -> PointScore:
+    text = line.decode("utf-8")
+    if "\0" in text:  # as a file system may leave a write it lost
+        raise ValueError(f"holds {text.count(chr(0))} NUL bytes")
     raw = json.loads(text)
     cells = {}
     for key, (aad, ad) in raw["cells"].items():
@@ -659,17 +662,29 @@ def _parse_record(text: bytes) -> PointScore:
     )
 
 
+def _checkpoint_header(inputs_hash: str) -> str:
+    return json.dumps({"inputs_hash": inputs_hash}) + "\n"
+
+
 def _read_checkpoint(path: Path, inputs_hash: str) -> tuple[dict[int, PointScore], int]:
     """Completed points, and the length in bytes of the file's intact part.
 
     A record is complete once its newline is written. A final record that
     is unterminated or unreadable is what a crash during an append leaves;
-    it is dropped and lies outside the intact part. A header whose hash is
-    not ``inputs_hash`` and damage anywhere else raise ``CheckpointError``.
+    it is dropped and lies outside the intact part. A file that is a proper
+    prefix of this run's own header line, the empty file included, is what
+    a crash while the header was written leaves: it holds no record, and
+    its intact part is 0 bytes. A header whose hash is not ``inputs_hash``
+    and damage anywhere else raise ``CheckpointError``.
     """
     completed: dict[int, PointScore] = {}
     with path.open("rb") as fh:
         header = fh.readline()
+        own = _checkpoint_header(inputs_hash).encode()
+        if len(header) < len(own) and own.startswith(header):
+            log.warning("%s: the checkpoint was cut inside its header and "
+                        "holds no record; starting it afresh", path)
+            return completed, 0
         try:
             if not header.endswith(b"\n"):
                 raise ValueError("unterminated header")
@@ -820,7 +835,8 @@ def grid_search(
     key dates), a grid value the scenario cannot take and a dataset that
     scores no cell raise ``ValidationError`` before the checkpoint is
     touched and before any point runs; so does ``CheckpointError`` on a
-    resume for other inputs.
+    resume for other inputs. A resume over a checkpoint cut inside its
+    header line starts it afresh.
     """
     _check_count("workers", workers, 1)
     if resume and not checkpoint_path:
@@ -843,13 +859,14 @@ def grid_search(
     if checkpoint_path:
         checkpoint = Path(checkpoint_path)
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
+        intact = 0
         if resume and checkpoint.exists():
             completed, intact = _read_checkpoint(checkpoint, job.inputs_hash())
+        if intact:
             os.truncate(checkpoint, intact)
         else:  # a new file: on ext4, truncating the old one in place is slower
             checkpoint.unlink(missing_ok=True)
-            checkpoint.write_text(json.dumps({"inputs_hash": job.inputs_hash()}) + "\n",
-                                  encoding="utf-8")
+            checkpoint.write_text(_checkpoint_header(job.inputs_hash()), encoding="utf-8")
 
     def record(scores: list[PointScore]) -> None:
         for score in scores:

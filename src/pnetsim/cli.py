@@ -7,7 +7,9 @@ the ``--end-date`` string and reads the ``--distributions`` file itself,
 through the package's one JSON parser (``_files.parse_json``).
 Every output directory receives exactly one ``manifest.json`` with the
 resolved configuration and content hashes of all input files, sufficient
-to reproduce the run bit for bit.
+to reproduce the run bit for bit, and of every output beside it. A run
+removes an earlier manifest before its first output and writes its own
+last, so a manifest vouches for a whole directory.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import sys
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 from . import __version__
-from ._files import parse_json, read_text
+from ._files import parse_json, read_text, write_json
 from .calibration import (
     DEFAULT_QUARTERS,
     OBSERVABLES,
@@ -52,6 +54,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
+#: The input files beside the economy's that a manifest records, in order.
+RUN_FILES = ("scenario", "dataset", "grid", "mapping", "distributions")
+
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -59,27 +64,6 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict,
-                    params: BehavioralParams, input_paths: dict) -> Path:
-    """Record the run: ``config`` with the base parameters, which every
-    grid point or Monte Carlo draw that does not override them uses."""
-    manifest = {
-        "tool": "pnetsim",
-        "version": __version__,
-        "command": command,
-        "config": {**config, **dataclasses.asdict(params),
-                   "gamma_H": params.hiring_speed},
-        "inputs": {
-            name: {"path": str(p), "sha256": _sha256(p)}
-            for name, p in input_paths.items()
-        },
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return path
 
 
 def _add_economy_args(p: argparse.ArgumentParser):
@@ -153,6 +137,44 @@ def _horizon(args, scenario: Scenario) -> float:
     return horizon_for(scenario, DEFAULT_QUARTERS)
 
 
+def _load_run(args, **read_first) -> tuple:
+    """Read a run's economy, scenario, the files of ``read_first`` (option ->
+    reader) and base parameters, in this order. Returns the economy, the
+    scenario, the parameters, the input files the manifest records (the
+    economy's, then each of ``RUN_FILES`` given) and what ``read_first`` read."""
+    paths = _economy_paths(args)
+    economy = _load_economy(paths)
+    scenario = load_scenario(args.scenario)
+    first = [read(getattr(args, option)) for option, read in read_first.items()]
+    params = _params_from_args(args)
+    inputs = {**paths, **{name: getattr(args, name) for name in RUN_FILES
+                          if getattr(args, name, None)}}
+    return economy, scenario, params, inputs, *first
+
+
+def _commit(args, command: str, config: dict, params: BehavioralParams,
+            inputs: dict, outputs: dict) -> None:
+    """Write each of ``outputs`` (file name -> writer of a path) under
+    ``--out``, then the manifest: ``config`` with the base parameters, which
+    every grid point or Monte Carlo draw that does not override them uses,
+    and the SHA-256 of every input and output. An earlier run's manifest is
+    removed first, so a run that stops on the way leaves none."""
+    out = Path(args.out)
+    (out / "manifest.json").unlink(missing_ok=True)
+    for name, write in outputs.items():
+        write(out / name)
+    write_json(out / "manifest.json", {
+        "tool": "pnetsim",
+        "version": __version__,
+        "command": command,
+        "config": {**config, **dataclasses.asdict(params),
+                   "gamma_H": params.hiring_speed},
+        "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
+                   for name, p in inputs.items()},
+        "outputs": {name: {"sha256": _sha256(out / name)} for name in outputs},
+    })
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -174,53 +196,34 @@ def cmd_validate_data(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    paths = _economy_paths(args)
-    economy = _load_economy(paths)
-    scenario = load_scenario(args.scenario)
-    params = _params_from_args(args)
+    economy, scenario, params, inputs = _load_run(args)
     config = IntegrationConfig(method=args.method, dt=args.dt)
     t_end = _horizon(args, scenario)
     traj = simulate(economy, scenario, params, config, t_end)
-
-    out = Path(args.out)
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    write_aggregate_csv(traj, out / "aggregate.csv")
-    _write_manifest(
-        out, "simulate",
-        {"method": config.method, "dt": config.dt, "t_end": t_end}, params,
-        {**paths, "scenario": Path(args.scenario)},
-    )
-    print(f"wrote {out / 'trajectory.csv'} ({len(traj.times)} samples)")
+    _commit(args, "simulate",
+            {"method": config.method, "dt": config.dt, "t_end": t_end},
+            params, inputs,
+            {"trajectory.csv": partial(write_trajectory_csv, traj),
+             "aggregate.csv": partial(write_aggregate_csv, traj)})
+    print(f"wrote {args.out / 'trajectory.csv'} ({len(traj.times)} samples)")
     return EXIT_OK
 
 
 def cmd_grid_search(args) -> int:
-    paths = _economy_paths(args)
-    economy = _load_economy(paths)
-    scenario = load_scenario(args.scenario)
-    dataset = load_dataset(args.dataset)
-    grid = load_grid(args.grid)
-    params = _params_from_args(args)
+    economy, scenario, params, inputs, dataset, grid = _load_run(
+        args, dataset=load_dataset, grid=load_grid)
     mapping = load_sector_mapping(args.mapping) if args.mapping else None
-
     result = grid_search(
         economy, scenario, params, dataset, grid,
         mapping=mapping, workers=args.workers,
         checkpoint_path=args.checkpoint, resume=args.resume,
     )
-    out = Path(args.out)
-    result.write_leaderboard(out / "leaderboard.csv")
-    result.write_optimum_cells(out / "optimum_cells.csv")
-    inputs = {**paths, "scenario": Path(args.scenario),
-              "dataset": Path(args.dataset), "grid": Path(args.grid)}
-    if args.mapping:
-        inputs["mapping"] = Path(args.mapping)
-    _write_manifest(
-        out, "grid-search",
-        {"workers": args.workers, "n_points": grid.n_points,
-         "checkpoint": str(args.checkpoint) if args.checkpoint else None},
-        params, inputs,
-    )
+    _commit(args, "grid-search",
+            {"workers": args.workers, "n_points": grid.n_points,
+             "checkpoint": str(args.checkpoint) if args.checkpoint else None},
+            params, inputs,
+            {"leaderboard.csv": result.write_leaderboard,
+             "optimum_cells.csv": result.write_optimum_cells})
     best = result.argmin
     print(f"argmin: {best.params}")
     print(f"total AAD_vw: {best.aad_total:.6f}")
@@ -228,10 +231,7 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    paths = _economy_paths(args)
-    economy = _load_economy(paths)
-    scenario = load_scenario(args.scenario)
-    params = _params_from_args(args)
+    economy, scenario, params, inputs = _load_run(args)
     raw = default_distributions()
     if args.distributions:
         raw = parse_json(read_text(args.distributions), args.distributions)
@@ -239,18 +239,11 @@ def cmd_montecarlo(args) -> int:
         economy, scenario, params, raw, n_runs=args.n, seed=args.seed,
         observable=args.observable,
     )
-    out = Path(args.out)
-    result.write_csv(out / "bands.csv")
-    inputs = {**paths, "scenario": Path(args.scenario)}
-    if args.distributions:
-        inputs["distributions"] = Path(args.distributions)
-    _write_manifest(
-        out, "montecarlo",
-        {"n": args.n, "seed": args.seed, "observable": args.observable,
-         "distributions": raw},
-        params, inputs,
-    )
-    print(f"wrote {out / 'bands.csv'} ({args.n} runs, seed {args.seed})")
+    _commit(args, "montecarlo",
+            {"n": args.n, "seed": args.seed, "observable": args.observable,
+             "distributions": raw},
+            params, inputs, {"bands.csv": result.write_csv})
+    print(f"wrote {args.out / 'bands.csv'} ({args.n} runs, seed {args.seed})")
     return EXIT_OK
 
 

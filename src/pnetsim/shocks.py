@@ -34,7 +34,6 @@ the dynamics as ``(1 - eps)``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -42,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._files import parse_json, read_text
+from ._files import parse_json, read_text, write_json
 from .economy import Economy
 from .errors import SchemaError, ValidationError
 
@@ -383,9 +382,7 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
+    return write_json(path, {
         "start_date": scenario.start_date.isoformat(),
         "key_dates": [
             {"date": d.isoformat(), "event": event}
@@ -404,6 +401,4 @@ def save_scenario(scenario: Scenario, path) -> Path:
             }
             for i, code in enumerate(scenario.codes)
         },
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return path
+    })

@@ -8,6 +8,7 @@ worker count, or on where a run was resumed.
 import tracemalloc
 from dataclasses import replace
 from datetime import date
+from functools import partial
 
 import numpy as np
 import pytest
@@ -263,6 +264,21 @@ def test_d2_grid_independent_of_chunking_and_workers(d2_grid, d2_grid_default,
     assert grid_outputs(d2_grid, tmp_path, workers) == d2_grid_default
 
 
+# macOS starts workers by spawn, and Python 3.14 makes forkserver the Linux
+# default; chunk cap 2 gives ten chunks, so both workers run several.
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_grid_independent_of_the_start_method(d3_grid, d3_grid_default, tmp_path,
+                                              monkeypatch, method):
+    import concurrent.futures
+    import multiprocessing
+
+    monkeypatch.setattr(calibration, "CHUNK_POINTS", 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context(method)))
+    assert grid_outputs(d3_grid, tmp_path, workers=2) == d3_grid_default
+
+
 def test_grid_resume_mid_chunk(d3_grid, tmp_path):
     economy, scenario, params, dataset, grid = d3_grid
     ck = tmp_path / "ck.jsonl"
@@ -277,18 +293,28 @@ def test_grid_resume_mid_chunk(d3_grid, tmp_path):
     assert len(ck.read_text().splitlines()) == 1 + grid.n_points
 
 
-@pytest.mark.parametrize("cut", ["mid_record", "before_newline"])
-def test_resume_after_torn_final_record(d3_grid, tmp_path, cut):
+def zero_filled(data: bytes, line: int) -> bytes:
+    """``data`` with the bytes of line ``line`` (from 1) but its newline zeroed."""
+    lines = data.splitlines(keepends=True)
+    lines[line - 1] = bytes(len(lines[line - 1]) - 1) + b"\n"
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("cut", ["mid_record", "before_newline", "zero_filled"])
+def test_resume_after_torn_final_record(d3_grid, tmp_path, caplog, cut):
     economy, scenario, params, dataset, grid = d3_grid
     ck = tmp_path / "ck.jsonl"
     full = grid_search(economy, scenario, params, dataset, grid, checkpoint_path=ck)
     want = leaderboard(full, tmp_path / "full.csv")
     data = ck.read_bytes()
     last = data.rstrip(b"\n").rfind(b"\n") + 1  # start of the final record
-    torn = data[:last + 20] if cut == "mid_record" else data[:-1]
+    torn = {"mid_record": data[:last + 20], "before_newline": data[:-1],
+            "zero_filled": zero_filled(data, 1 + grid.n_points)}[cut]
     ck.write_bytes(torn)
     resumed = grid_search(economy, scenario, params, dataset, grid,
                           checkpoint_path=ck, resume=True)
+    assert "dropping a torn final record" in caplog.text
+    assert cut != "zero_filled" or "NUL bytes" in caplog.text
     assert leaderboard(resumed, tmp_path / "resumed.csv") == want
     assert ck.read_bytes() == data
 
@@ -303,6 +329,40 @@ def test_corrupt_record_before_the_end_is_rejected(d3_grid, tmp_path):
     with pytest.raises(CheckpointError, match="line 4"):
         grid_search(economy, scenario, params, dataset, grid,
                     checkpoint_path=ck, resume=True)
+
+
+def test_resume_over_a_checkpoint_cut_inside_its_header(d3_grid, tmp_path,
+                                                        caplog):
+    # A stop between unlinking the old file and the end of writing the
+    # header leaves a proper prefix of the header, the empty file included.
+    economy, scenario, params, dataset, _ = d3_grid
+    grid = GridSpec((("tau", (21.0,)),))
+    ck = tmp_path / "ck.jsonl"
+    full = grid_search(economy, scenario, params, dataset, grid, checkpoint_path=ck)
+    want, data = leaderboard(full, tmp_path / "full.csv"), ck.read_bytes()
+    header = data[:data.index(b"\n") + 1]
+    assert len(header) == 84
+    for cut in range(len(header)):
+        ck.write_bytes(header[:cut])
+        caplog.clear()
+        resumed = grid_search(economy, scenario, params, dataset, grid,
+                              checkpoint_path=ck, resume=True)
+        assert leaderboard(resumed, tmp_path / "resumed.csv") == want, cut
+        assert ck.read_bytes() == data, cut
+        assert "cut inside its header" in caplog.text, cut
+
+
+def test_a_zero_filled_record_before_valid_ones_is_named(d3_grid, tmp_path):
+    economy, scenario, params, dataset, grid = d3_grid
+    ck = tmp_path / "ck.jsonl"
+    grid_search(economy, scenario, params, dataset, grid, checkpoint_path=ck)
+    ck.write_bytes(zero_filled(ck.read_bytes(), 3))
+    before = ck.read_bytes()
+    with pytest.raises(CheckpointError,
+                       match=r"corrupt record on line 3 \(holds \d+ NUL bytes\)"):
+        grid_search(economy, scenario, params, dataset, grid,
+                    checkpoint_path=ck, resume=True)
+    assert ck.read_bytes() == before
 
 
 def test_score_point_is_the_same_with_or_without_series_and_scorer(d3_grid):

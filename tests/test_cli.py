@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import os
 from dataclasses import replace
 from datetime import date
 from types import SimpleNamespace
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 from pnetsim import (
-    GridSpec, BehavioralParams, calibration, dynamics, integrate, load_scenario,
+    GridSpec, BehavioralParams, calibration, cli, dynamics, integrate, load_scenario,
     save_scenario, write_economy,
 )
+from pnetsim._files import write_json
 from pnetsim.calibration import apply_grid_point, save_dataset, synthesize_dataset
 from pnetsim.cli import main
 from pnetsim.fixtures import (
@@ -889,3 +892,69 @@ def test_resume_without_a_checkpoint_gives_validation_exit(d3_grid_files, tmp_pa
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: resume needs a checkpoint")
     assert not (tmp_path / "out").exists()
+
+
+# -- the run directory ---------------------------------------------------------
+
+def run_d3(command, d3_grid_files, out):
+    """A clean d3 ``simulate`` or ``grid-search`` into ``out``."""
+    scenario_path, dataset_path = d3_grid_files
+    flags = ["--days", "30"]
+    if command == "grid-search":
+        grid_path = out.parent / "grid.json"
+        grid_path.write_text(GridSpec((("tau", (7.0, 14.0)),)).to_json())
+        flags = ["--dataset", str(dataset_path), "--grid", str(grid_path)]
+    return main([command, "--fixture", "d3", "--scenario", str(scenario_path),
+                 *flags, "--out", str(out)])
+
+
+#: Each command's outputs, and where its second writer is looked up.
+OUTPUTS = {
+    "simulate": (("trajectory.csv", "aggregate.csv"), (cli, "write_aggregate_csv")),
+    "grid-search": (("leaderboard.csv", "optimum_cells.csv"),
+                    (calibration.CalibrationResult, "write_optimum_cells")),
+}
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_manifest_lists_the_sha256_of_every_output(d3_grid_files, tmp_path,
+                                                   command):
+    out = tmp_path / "out"
+    assert run_d3(command, d3_grid_files, out) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert tuple(outputs) == OUTPUTS[command][0]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+    for name, entry in outputs.items():
+        assert entry == {"sha256": hashlib.sha256((out / name).read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_a_rerun_that_stops_after_its_first_output_leaves_no_manifest(
+        d3_grid_files, tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "out"
+    assert run_d3(command, d3_grid_files, out) == 0
+    names, second_writer = OUTPUTS[command]
+
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(*second_writer, full_disk)
+    assert run_d3(command, d3_grid_files, out) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    # No manifest vouches for the new first output beside the old second
+    # one, and no temporary file is left.
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+
+def test_a_json_output_is_whole_or_not_written(tmp_path, monkeypatch):
+    path = write_json(tmp_path / "new" / "doc.json", {"a": [1, 2]})
+    assert path.read_text(encoding="utf-8") == '{\n  "a": [\n    1,\n    2\n  ]\n}\n'
+
+    def lost_rename(src, dst):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "replace", lost_rename)
+    with pytest.raises(OSError):
+        write_json(path, {"a": 3})
+    assert [p.name for p in path.parent.iterdir()] == ["doc.json"]
+    assert json.loads(path.read_text()) == {"a": [1, 2]}
